@@ -24,6 +24,8 @@ from typing import Optional, Sequence
 
 import sympy
 
+from . import intmat
+
 DEGREE_BUDGET = 512
 TERM_BUDGET = 200_000
 DEFAULT_PRIME = 4611686018427387847  # 62-bit prime
@@ -169,8 +171,8 @@ def _restrict_to_line(q, a, b, p=None):
     return out
 
 
-def _univ_gcd(u, v, p=None):
-    """Monic-ish gcd of two univariate coefficient lists (exact Euclid)."""
+def _univ_gcd(u, v, p):
+    """Monic-ish gcd of two univariate coefficient lists modulo the prime p."""
 
     def trim(w):
         w = list(w)
@@ -180,14 +182,13 @@ def _univ_gcd(u, v, p=None):
 
     u, v = trim(u), trim(v)
     while v:
-        inv = _inv_mod(v[-1], p) if p else Fraction(1) / v[-1]
+        inv = _inv_mod(v[-1], p)
         while len(u) >= len(v) and u:
-            f = u[-1] * inv % p if p else u[-1] * inv
+            f = u[-1] * inv % p
             off = len(u) - len(v)
             nxt = list(u)
             for i in range(off, len(u)):
-                val = nxt[i] - f * v[i - off]
-                nxt[i] = val % p if p else val
+                nxt[i] = (nxt[i] - f * v[i - off]) % p
             u = trim(nxt)
         u, v = v, u
     return u
@@ -486,12 +487,7 @@ def henon_triple(d: int, prime=None) -> HomogeneousTriple:
 def linear_triple(matrix, prime=None) -> HomogeneousTriple:
     """The projective linear map with the given invertible 3x3 matrix."""
     m = [[Fraction(x) for x in row] for row in matrix]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if det == 0:
+    if intmat.det3(m) == 0:
         raise ValueError("matrix is singular")
     comps = []
     for row in m:

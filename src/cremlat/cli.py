@@ -202,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampling commands (reserved)")
         return p
 
     p = add("classify-number", cmd_classify_number, help="classify a monic integer polynomial")

@@ -1,6 +1,8 @@
 """Small exact matrix kernels used across the package.
 
-Matrices are lists of lists (rows) of Python ints or Fractions.  Everything
+Matrices are sequences of rows (lists or tuples) of Python ints or
+Fractions; the kernels only read their arguments and return lists of lists,
+so the tuple rows of a WeylElement are passed as they are.  Everything
 here is exact; the sizes involved are small (a few dozen rows), so the
 division-free Berkowitz algorithm and plain Gaussian elimination over Q are
 entirely adequate.
@@ -13,11 +15,6 @@ from fractions import Fraction
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(n, m=None):
-    m = n if m is None else m
-    return [[0] * m for _ in range(n)]
 
 
 def mat_mul(a, b):
@@ -36,6 +33,15 @@ def mat_sub(a, b):
 
 def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def det3(m):
+    """Determinant of a 3x3 matrix by cofactor expansion."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def transpose(a):
@@ -132,35 +138,3 @@ def rank(a):
             break
     return r
 
-
-def nullspace(a):
-    """Basis of the right kernel over Q (list of Fraction vectors)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis

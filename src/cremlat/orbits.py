@@ -283,7 +283,7 @@ def verify_P_identity(model: OrbitModel, k: int, samples: Sequence = (2, 3, Frac
     xs = list(range(1, deg_bound + 2))
     ys = [two_variable_det(model, 0, x) for x in xs]
     p0 = _interpolate(xs, ys)
-    n_char = intmat.charpoly([list(r) for r in model.n_block])
+    n_char = intmat.charpoly(model.n_block)
     quotient_ok, power = _is_monomial_multiple(p0, n_char)
     return PIdentityReport(k, tuple(samples), matches, quotient_ok, power)
 

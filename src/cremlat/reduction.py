@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 from . import intmat
 from .lattice import BubblePoint, ClassVector, e, e0, intersect
 from .salem import IntPolynomial
-from .spectral import LoxodromicData, axis_data, classify, dynamical_degree
+from .spectral import LoxodromicData, _axis_data_at, axis_data, classify, dynamical_degree
 from .weyl import (
     Sigma0,
     Tau,
@@ -247,7 +247,8 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     g = sigma_omega(root, omega)
     w = sigma_omega_word(root, omega)
     h2 = compose(compose(g, h), g)  # g is an involution
-    data2 = axis_data(h2, tol)
+    # lambda is a conjugacy invariant: h2 keeps the lambda of h
+    data2 = _axis_data_at(h2, lam, tol)
     triple_vec = e(root) + e(omega[0]) + e(omega[1]) - e0()
     guarantee = float(intersect(triple_vec, data.E))
     step = ReductionStep(
@@ -364,13 +365,7 @@ class PointConfiguration:
         if key in self.collinear_facts:
             return bool(self.collinear_facts[key])
         if all(p.coords is not None for p in (a, b, c)):
-            m = [list(a.coords), list(b.coords), list(c.coords)]
-            det = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-            return det == 0
+            return intmat.det3((a.coords, b.coords, c.coords)) == 0
         return None
 
 
@@ -465,27 +460,19 @@ def _transform_to_origin(p1: BubblePoint):
     basis = [[Fraction(1), 0, 0], [Fraction(0), 1, 0], [Fraction(0), 0, 1]]
     for u, v in itertools.combinations(basis, 2):
         m = [[u[i], v[i], Fraction(p1.coords[i])] for i in range(3)]
-        if _det3(m) != 0:
+        if intmat.det3(m) != 0:
             return m
     raise AssertionError("unreachable: p1 is a nonzero vector")
 
 
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def _solve3(m, rhs):
-    det = _det3(m)
+    det = intmat.det3(m)
     out = []
     for c in range(3):
         mc = [row[:] for row in m]
         for r in range(3):
             mc[r][c] = rhs[r]
-        out.append(Fraction(_det3(mc), det))
+        out.append(Fraction(intmat.det3(mc), det))
     return out
 
 

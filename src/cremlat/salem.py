@@ -97,13 +97,6 @@ def _divmod_monic(a, b):
     return q, a[:db] if db else [0]
 
 
-def divides(b: IntPolynomial, a: IntPolynomial) -> bool:
-    if b.degree > a.degree:
-        return False
-    _, r = _divmod_monic(a.coeffs, b.coeffs)
-    return all(c == 0 for c in r)
-
-
 def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     q, r = _divmod_monic(a.coeffs, b.coeffs)
     if any(c != 0 for c in r):
@@ -209,13 +202,15 @@ def _cyclotomic_indices(max_phi: int):
             yield n
 
 
-def strip_cyclotomic(p: IntPolynomial) -> Optional[IntPolynomial]:
-    """Divide out every cyclotomic factor, repeatedly; None if nothing is left.
+def strip_cyclotomic(p: IntPolynomial) -> tuple[Optional[IntPolynomial], tuple[int, ...]]:
+    """Divide out every cyclotomic factor, repeatedly.
 
     Returns the cyclotomic-free part, or None when p is a product of
-    cyclotomic polynomials (constant quotient).
+    cyclotomic polynomials (constant quotient), together with the order n of
+    each factor Phi_n divided out, once per multiplicity.
     """
     coeffs = list(p.coeffs)
+    orders = []
     changed = True
     while changed and len(coeffs) > 1:
         changed = False
@@ -226,14 +221,15 @@ def strip_cyclotomic(p: IntPolynomial) -> Optional[IntPolynomial]:
                 q, r = _divmod_monic(coeffs, phi.coeffs)
                 if all(c == 0 for c in r):
                     coeffs = q
+                    orders.append(n)
                     changed = True
                 else:
                     break
             if len(coeffs) == 1:
                 break
     if len(coeffs) == 1:
-        return None
-    return IntPolynomial(coeffs)
+        return None, tuple(orders)
+    return IntPolynomial(coeffs), tuple(orders)
 
 
 # -- Sturm sequences and exact real-root location ---------------------------
@@ -489,7 +485,7 @@ def classify_number(p: IntPolynomial, tol: float = 1e-10) -> NumberClass:
     their own kind; by the usual convention they count as Pisot numbers.
     """
     notes = []
-    stripped = strip_cyclotomic(p)
+    stripped, _ = strip_cyclotomic(p)
     if stripped is None:
         return NumberClass("cyclotomic_product", 1.0, None)
     if stripped != p:
@@ -672,7 +668,7 @@ def _check_candidate(qcoeffs, n, a, big_a, found):
     if count_real_roots(q, big_a, bound) != 0 or count_real_roots(q, -bound, -2) != 0:
         return
     p = from_trace_poly(q)
-    if strip_cyclotomic(p) != p:
+    if strip_cyclotomic(p)[1]:
         # carries roots of unity; the cyclotomic-free core, if Salem, is
         # found at its own (smaller) degree
         return
@@ -688,8 +684,6 @@ def _check_candidate(qcoeffs, n, a, big_a, found):
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?(?:(?P<var>x)(?:\s*\^\s*(?P<exp>\d+))?)?"
 )
-
-import re  # noqa: E402  (kept close to its single user)
 
 
 def parse_poly(text: str) -> IntPolynomial:

@@ -17,26 +17,26 @@ part can only produce quadratic growth of e0 . h^n(e0) (a rank-one nilpotent
 with isotropic image moves nothing), so the linear-growth branch below is
 never reached by realized words; it is kept so the trichotomy is total and
 violations surface loudly.
+
+The characteristic polynomial, its cyclotomic split and lambda are computed
+once per element (:func:`_spectrum`, cached by element) and shared by
+:func:`classify`, :func:`dynamical_degree`, :func:`axis_data` and
+:func:`spectrum_report`.  The reduction loop of :mod:`cremlat.reduction`
+hands lambda on to each conjugate, whose characteristic polynomial is that
+of the element it conjugates, instead of analysing the conjugate again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 from . import intmat
-from .lattice import ClassVector, e0, intersect, norm_sq
-from .salem import (
-    IntPolynomial,
-    cyclotomic,
-    dominant_real_root,
-    strip_cyclotomic,
-    _cyclotomic_indices,
-    _divmod_monic,
-)
+from .lattice import ClassVector, intersect, norm_sq
+from .salem import IntPolynomial, dominant_real_root, strip_cyclotomic
 from .weyl import WeylElement, apply, degree, inverse
 
 THREE_19 = 3 ** 19
@@ -58,47 +58,46 @@ class IsometryClassification:
         return self.kind == KIND_LOXODROMIC
 
 
+@dataclass(frozen=True)
+class _Spectrum:
+    """The characteristic polynomial of one element, split once into its
+    cyclotomic orders and cyclotomic-free part, with lambda per tolerance."""
+
+    charpoly: IntPolynomial
+    rest: Optional[IntPolynomial]
+    orders: tuple
+    lams: dict = field(default_factory=dict)
+
+    def lam(self, tol: float) -> Optional[float]:
+        if tol not in self.lams:
+            self.lams[tol] = dominant_real_root(self.rest, tol)
+        return self.lams[tol]
+
+
+@lru_cache(maxsize=256)
+def _spectrum(h: WeylElement) -> _Spectrum:
+    cp = IntPolynomial(intmat.charpoly(h.matrix))
+    rest, orders = strip_cyclotomic(cp)
+    return _Spectrum(cp, rest, orders)
+
+
 def char_polynomial(h: WeylElement) -> IntPolynomial:
-    return IntPolynomial(intmat.charpoly([list(r) for r in h.matrix]))
-
-
-def _strip_with_orders(p: IntPolynomial):
-    """Cyclotomic-free part together with the orders of removed factors."""
-    coeffs = list(p.coeffs)
-    orders = []
-    changed = True
-    while changed and len(coeffs) > 1:
-        changed = False
-        for n in _cyclotomic_indices(len(coeffs) - 1):
-            phi = cyclotomic(n)
-            while len(coeffs) - 1 >= phi.degree:
-                q, r = _divmod_monic(coeffs, phi.coeffs)
-                if all(c == 0 for c in r):
-                    coeffs = q
-                    orders.append(n)
-                    changed = True
-                else:
-                    break
-            if len(coeffs) == 1:
-                break
-    rest = None if len(coeffs) == 1 else IntPolynomial(coeffs)
-    return rest, orders
+    return _spectrum(h).charpoly
 
 
 def classify(h: WeylElement) -> IsometryClassification:
     """Certified elliptic / parabolic / loxodromic trichotomy."""
-    cp = char_polynomial(h)
-    rest, orders = _strip_with_orders(cp)
-    if rest is not None:
-        lam = dominant_real_root(rest, 1e-9)
+    sp = _spectrum(h)
+    if sp.rest is not None:
+        lam = sp.lam(1e-9)
         if lam is None or lam <= 1:
             raise AssertionError(
                 "cyclotomic-free characteristic factor without a root > 1; "
                 "the input is not an isometry of signature (1, n)")
         return IsometryClassification(
             KIND_LOXODROMIC, f"spectral radius {lam:.9f} from a non-cyclotomic factor")
-    k = reduce(math.lcm, orders, 1)
-    m = [list(r) for r in h.matrix]
+    k = reduce(math.lcm, sp.orders, 1)
+    m = h.matrix
     mk = intmat.mat_pow(m, k)
     n = len(m)
     nil = intmat.mat_sub(mk, intmat.identity(n))
@@ -121,11 +120,10 @@ def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
     The value 1 is certified by the cyclotomic factorization, never by a
     floating comparison.
     """
-    cp = char_polynomial(h)
-    rest, _ = _strip_with_orders(cp)
-    if rest is None:
+    sp = _spectrum(h)
+    if sp.rest is None:
         return 1.0
-    lam = dominant_real_root(rest, tol)
+    lam = sp.lam(tol)
     assert lam is not None and lam > 1
     return lam
 
@@ -134,29 +132,12 @@ def degree_sequence(h: WeylElement, N: int) -> list[int]:
     """Exact e0 . h^n(e0) for n = 1..N by iterated integer products."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    m = [list(r) for r in h.matrix]
-    v = [1] + [0] * (len(m) - 1)
+    v = [1] + [0] * (len(h.matrix) - 1)
     out = []
     for _ in range(N):
-        v = intmat.mat_vec(m, v)
+        v = intmat.mat_vec(h.matrix, v)
         out.append(v[0])
     return out
-
-
-def growth_type_oracle(h: WeylElement, N: int = 60) -> str:
-    """Independent growth-fitting cross-check on the exact degree sequence.
-
-    Not used by classify(); kept as an oracle for tests: decides bounded,
-    linear, quadratic, or exponential growth from e0 . h^n(e0), n <= N.
-    """
-    seq = degree_sequence(h, N)
-    if max(seq[N // 2:]) <= max(seq[: N // 2]):
-        return "bounded"
-    ratio = (seq[-1] / seq[N // 2]) ** (1.0 / (N - N // 2 - 1))
-    if ratio > 1.05:
-        return "exponential"
-    p = math.log(seq[-1] / seq[N // 4]) / math.log((N) / (N // 4 + 1))
-    return "linear" if p < 1.5 else "quadratic"
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +158,7 @@ class LoxodromicData:
 
 def _power_columns(h: WeylElement, doublings: int = 9):
     """Coordinates of M^N e0 and M^{-N} e0 for N = 2^doublings, exact."""
-    m = [list(r) for r in h.matrix]
-    p = m
+    p = h.matrix
     for _ in range(doublings):
         p = intmat.mat_mul(p, p)
     fwd = [p[i][0] for i in range(len(p))]
@@ -204,7 +184,12 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     cls = classify(h)
     if not cls.is_loxodromic:
         raise ValueError(f"axis data needs a loxodromic element, got {cls.kind}")
-    lam = dynamical_degree(h, min(tol, 1e-12))
+    return _axis_data_at(h, dynamical_degree(h, min(tol, 1e-12)), tol)
+
+
+def _axis_data_at(h: WeylElement, lam: float, tol: float) -> LoxodromicData:
+    """axis_data for an element whose dynamical degree lam is already known,
+    such as a conjugate of an element already analysed."""
     fwd, bwd = _power_columns(h)
     v_plus = _normalized_vector(h, fwd)
     v_minus = _normalized_vector(h, bwd)
@@ -263,17 +248,13 @@ def axis_displacement_check(h: WeylElement, x: ClassVector, tol: float = 1e-9) -
 
 def loxodromy_criterion(h: WeylElement) -> bool:
     """deg(h^400) >= 3^19 deg(h^200), decided with exact integer powers."""
-    m = [list(r) for r in h.matrix]
-    m200 = intmat.mat_pow(m, 200)
-    d200 = m200[0][0]
-    d400 = intmat.mat_mul(m200, m200)[0][0]
+    d200, d400 = criterion_degrees(h)
     return d400 >= THREE_19 * d200
 
 
 def criterion_degrees(h: WeylElement) -> tuple[int, int]:
     """The exact pair (deg(h^200), deg(h^400))."""
-    m = [list(r) for r in h.matrix]
-    m200 = intmat.mat_pow(m, 200)
+    m200 = intmat.mat_pow(h.matrix, 200)
     return m200[0][0], intmat.mat_mul(m200, m200)[0][0]
 
 

@@ -202,10 +202,10 @@ class WeylElement:
             n = len(support) + 1
             if len(matrix) != n or any(len(r) != n for r in matrix):
                 raise ValueError("matrix size does not match support")
-            if not intmat.preserves_form([list(r) for r in matrix]):
+            if not intmat.preserves_form(matrix):
                 raise ValueError("matrix does not preserve the intersection form")
             omega = [3] + [1] * len(support)
-            if intmat.mat_vec(intmat.transpose([list(r) for r in matrix]), omega) != omega:
+            if intmat.mat_vec(intmat.transpose(matrix), omega) != omega:
                 raise ValueError("matrix does not preserve the canonical form")
             if matrix[0][0] < 1:
                 raise ValueError("image of e0 must have positive degree")
@@ -306,7 +306,7 @@ def realize(w: WeylWord) -> WeylElement:
 def apply(h: WeylElement, v: ClassVector) -> ClassVector:
     """h(v): matrix action on the support, identity elsewhere."""
     coords = [v.e0] + [v.coeff(p) for p in h.support]
-    out = intmat.mat_vec([list(r) for r in h.matrix], coords)
+    out = intmat.mat_vec(h.matrix, coords)
     pts = {p: c for p, c in v.point_coeffs.items() if p not in set(h.support)}
     for i, p in enumerate(h.support):
         if out[i + 1]:
@@ -343,7 +343,7 @@ def _embed(h: WeylElement, support):
 
 def inverse(h: WeylElement) -> WeylElement:
     """h^{-1} = J h^T J, exact."""
-    m = intmat.form_inverse([list(r) for r in h.matrix])
+    m = intmat.form_inverse(h.matrix)
     support, m = _prune(list(h.support), m)
     return WeylElement(support, m, validate=False)
 
@@ -586,9 +586,6 @@ def quadratic_decompose(h: WeylElement):
 
 # ---------------------------------------------------------------------------
 # the increasing normal form
-
-
-_ALLOWED_SHAPES = ("e0", "e(q)", "e0-e(q)", "3e0-sum")
 
 
 def _shape_of(v: ClassVector) -> str:

@@ -41,6 +41,19 @@ def sigma_product(*triples):
     return h
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls; returns the record."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def loxodromic_ten(pts):
     """The standard loxodromic sample: four involutions on ten points."""
     p = pts

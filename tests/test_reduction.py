@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import loxodromic_ten, random_word, sigma_product
+from conftest import counting, loxodromic_ten, random_word, sigma_product
+from cremlat import intmat
 from cremlat.lattice import (
     ClassVector,
     e,
@@ -118,6 +119,13 @@ def build_inflated(core, root, omega):
     return conjugate(g, core)
 
 
+def stacked_inflated(pts12):
+    """The stacked instance of test_reduce_inflated_instances (three steps)."""
+    extra = points(24)
+    h = build_inflated(loxodromic_ten(pts12), extra[0], extra[1:9])
+    return build_inflated(h, extra[12], extra[13:19])
+
+
 def test_decreasing_step_requires_loxodromic():
     p = points(3)
     h = realize(word(sigma0(*p)))
@@ -186,18 +194,36 @@ def test_reduce_budget_exhaustion(pts12):
 def test_trace_json_lines(pts12):
     import json
 
-    extra = points(12)
-    core = loxodromic_ten(pts12)
-    h = build_inflated(core, extra[0], extra[1:7])
-    trace = reduce(h, budget=50)
+    trace = reduce(stacked_inflated(pts12), budget=50)
     lines = list(trace.json_lines())
     assert len(lines) == len(trace.steps) + 1
     summary = json.loads(lines[-1])
     assert summary["terminal"] == trace.terminal
-    for line in lines[:-1]:
-        step = json.loads(line)
-        assert step["degree_before"] > step["degree_after"] or True
+    steps = [json.loads(line) for line in lines[:-1]]
+    assert steps
+    for step in steps:
+        assert step["degree_before"] > step["degree_after"]
+        assert step["cosh_before"] > step["cosh_after"]
         assert set(step) >= {"root", "omega", "cosh_before", "cosh_after"}
+    for before, after in zip(steps, steps[1:]):
+        assert before["degree_after"] == after["degree_before"]
+        assert before["cosh_after"] == after["cosh_before"]
+    assert summary["final_degree"] == steps[-1]["degree_after"]
+
+
+def test_reduce_computes_one_characteristic_polynomial(pts12, monkeypatch):
+    h = stacked_inflated(pts12)
+    charpolys = counting(monkeypatch, intmat, "charpoly")
+    trace = reduce(h)
+    assert len(trace.steps) == 3
+    assert len(charpolys) == 1
+
+
+def test_conjugate_inherits_the_exact_lambda(pts12):
+    h = stacked_inflated(pts12)
+    _, h2, _, data2 = decreasing_step(h)
+    assert data2.lam == dynamical_degree(h2, 1e-12)
+    assert data2.lam == axis_data(h).lam
 
 
 # -- realizability of base configurations ----------------------------------------------

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from conftest import loxodromic_ten, random_word, sigma_product
+from conftest import counting, loxodromic_ten, random_word, sigma_product
+from cremlat import intmat, spectral
 from cremlat.lattice import e, e0, intersect, norm_sq, points
 from cremlat.salem import lehmer_number
 from cremlat.spectral import (
@@ -15,7 +16,6 @@ from cremlat.spectral import (
     criterion_degrees,
     degree_sequence,
     dynamical_degree,
-    growth_type_oracle,
     loxodromy_criterion,
     spectrum_report,
 )
@@ -31,6 +31,22 @@ from cremlat.weyl import (
     tau,
     word,
 )
+
+
+def growth_type_oracle(h, N=60):
+    """Independent growth-fitting cross-check on the exact degree sequence.
+
+    Not used by classify(): decides bounded, linear, quadratic, or
+    exponential growth from e0 . h^n(e0), n <= N.
+    """
+    seq = degree_sequence(h, N)
+    if max(seq[N // 2:]) <= max(seq[: N // 2]):
+        return "bounded"
+    ratio = (seq[-1] / seq[N // 2]) ** (1.0 / (N - N // 2 - 1))
+    if ratio > 1.05:
+        return "exponential"
+    p = math.log(seq[-1] / seq[N // 4]) / math.log((N) / (N // 4 + 1))
+    return "linear" if p < 1.5 else "quadratic"
 
 
 def coxeter_element():
@@ -223,6 +239,21 @@ def test_spectrum_report_schema(pts12):
     s = realize(word(sigma0(*points(3))))
     rep2 = spectrum_report(s)
     assert rep2["lambda"] == 1.0 and "cosh_axis_distance" not in rep2
+
+
+def test_spectrum_report_analyses_the_element_once(monkeypatch):
+    h = loxodromic_ten(points(10))
+    charpolys = counting(monkeypatch, intmat, "charpoly")
+    isolations = counting(monkeypatch, spectral, "dominant_real_root")
+    rep = spectrum_report(h)
+    assert rep["class"] == "loxodromic"
+    assert len(charpolys) == 1
+    # lambda at the report tolerance 1e-9 and at axis_data's 1e-12
+    assert len(isolations) == 2
+    # the cached analysis answers later questions without recomputation
+    assert dynamical_degree(h) == rep["lambda"]
+    assert classify(h).kind == "loxodromic"
+    assert len(charpolys) == 1 and len(isolations) == 2
 
 
 def test_char_polynomial_is_reciprocal_up_to_sign(pts12):
