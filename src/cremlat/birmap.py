@@ -6,12 +6,14 @@ common factor.  Coefficients are exact rationals by default; a prime-field
 mode (62-bit prime) is available for fast probabilistic work, with the
 rational mode as the reference semantics.
 
-Cancellation strategy: the common monomial content is stripped directly;
-any remaining polynomial factor is found with sympy's exact multivariate
-gcd and then removed by exact division in this module's own representation,
-so a wrong gcd cannot slip through.  Degree growth is budgeted: compositions
-beyond the degree or term caps raise (or truncate the iteration) rather
-than grinding; monomial maps have their own exact integer fast path.
+Cancellation strategy: the common monomial content is stripped directly,
+and a coprimality certificate on two lines settles the generic case.  Only
+when that certificate fails is sympy imported: its exact multivariate gcd
+finds the remaining polynomial factor, which is then removed by exact
+division in this module's own representation, so a wrong gcd cannot slip
+through.  Degree growth is budgeted: compositions beyond the degree or term
+caps raise (or truncate the iteration) rather than grinding; monomial maps
+have their own exact integer fast path.
 """
 
 from __future__ import annotations
@@ -22,19 +24,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import sympy
-
 from . import intmat
 
 DEGREE_BUDGET = 512
 TERM_BUDGET = 200_000
 DEFAULT_PRIME = 4611686018427387847  # 62-bit prime
 
-_SYM_X, _SYM_Y, _SYM_Z = sympy.symbols("x y z")
-
-
 class BudgetExceeded(RuntimeError):
     pass
+
+
+class TripleSyntaxError(ValueError):
+    """Text that does not parse as a polynomial or a bracketed triple."""
 
 
 # -- sparse homogeneous polynomials ------------------------------------------
@@ -134,27 +135,6 @@ def poly_divexact(a, b, p=None):
     return out
 
 
-def _to_sympy(a):
-    expr = sympy.Integer(0)
-    for (i, j, k), c in a.items():
-        cc = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c)
-        expr += cc * _SYM_X ** i * _SYM_Y ** j * _SYM_Z ** k
-    return expr
-
-
-def _from_sympy(expr, p=None):
-    poly = sympy.Poly(expr, _SYM_X, _SYM_Y, _SYM_Z)
-    out = {}
-    for mon, c in poly.terms():
-        if p:
-            num = int(c) % p
-        else:
-            num = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-        if num:
-            out[tuple(int(t) for t in mon)] = num
-    return out
-
-
 def _restrict_to_line(q, a, b, p=None):
     """The binary form q(s, t, a s + b t) as a univariate in s (t = 1)."""
     deg = poly_degree(q)
@@ -236,8 +216,9 @@ def poly_gcd(polys, p=None):
     """Full gcd of several polynomials: monomial content times polynomial gcd.
 
     The polynomial part is found with sympy's exact gcd; a random-line
-    coprimality certificate skips that call in the generic case (sympy's
-    finite-field multivariate gcd crawls on dense coprime inputs).  Callers
+    coprimality certificate skips that call, and the import of sympy, in
+    the generic case (sympy's finite-field multivariate gcd crawls on dense
+    coprime inputs).  Callers
     re-verify cancellations by exact division, so the gcd value is never
     trusted blindly.
     """
@@ -254,17 +235,40 @@ def poly_gcd(polys, p=None):
     out = {content: 1}
     if any(poly_degree(q) == 0 for q in reduced) or _certainly_coprime(reduced, p):
         return out
+    g_dict = _sympy_gcd(reduced, p)
+    return {tuple(x + y for x, y in zip(m, content)): c for m, c in g_dict.items()}
+
+
+def _sympy_gcd(polys, p=None):
+    """Exact polynomial gcd by sympy, imported here so that callers whose
+    inputs the coprimality certificate settles never load it."""
+    import sympy
+
+    xyz = sympy.symbols("x y z")
+
+    def to_sympy(a):
+        expr = sympy.Integer(0)
+        for (i, j, k), c in a.items():
+            cc = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c)
+            expr += cc * xyz[0] ** i * xyz[1] ** j * xyz[2] ** k
+        return expr
+
     if p:
-        domain = sympy.GF(p)
-        gs = [sympy.Poly(_to_sympy(q), _SYM_X, _SYM_Y, _SYM_Z, domain=domain) for q in reduced]
+        gs = [sympy.Poly(to_sympy(q), *xyz, domain=sympy.GF(p)) for q in polys]
         g = gs[0]
         for q in gs[1:]:
             g = g.gcd(q)
-        g_dict = _from_sympy(g.as_expr(), p)
+        g = g.as_expr()
     else:
-        g = sympy.gcd_list([_to_sympy(q) for q in reduced])
-        g_dict = _from_sympy(g)
-    out = {tuple(x + y for x, y in zip(m, content)): c for m, c in g_dict.items()}
+        g = sympy.gcd_list([to_sympy(q) for q in polys])
+    out = {}
+    for mon, c in sympy.Poly(g, *xyz).terms():
+        if p:
+            num = int(c) % p
+        else:
+            num = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+        if num:
+            out[tuple(int(t) for t in mon)] = num
     return out
 
 
@@ -277,14 +281,14 @@ def parse_poly3(text: str, p=None):
     pos = 0
     text = text.strip()
     if not text:
-        raise ValueError("empty polynomial")
+        raise TripleSyntaxError("empty polynomial")
     while pos < len(text):
         m = _MONO.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot parse monomial at {text[pos:]!r}")
+            raise TripleSyntaxError(f"cannot parse monomial at {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("sign") is None and pos > 0:
-            raise ValueError(f"missing sign before {text[pos:]!r}")
+            raise TripleSyntaxError(f"missing sign before {text[pos:]!r}")
         coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
         expo = {"x": 0, "y": 0, "z": 0}
         for vm in re.finditer(r"([xyz])(?:\s*\^\s*(\d+))?", m.group("vars") or ""):
@@ -421,10 +425,10 @@ def parse_triple(text: str, prime=None) -> HomogeneousTriple:
     """Parse ``[y*z : z*x : x*y]``."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError("triple must be bracketed, like [y*z : z*x : x*y]")
+        raise TripleSyntaxError("triple must be bracketed, like [y*z : z*x : x*y]")
     parts = text[1:-1].split(":")
     if len(parts) != 3:
-        raise ValueError("triple needs three components")
+        raise TripleSyntaxError("triple needs three components")
     return triple(parts[0], parts[1], parts[2], prime)
 
 

@@ -4,6 +4,8 @@ Exit codes: 0 on success, 1 on a domain error (a well-formed request whose
 mathematics refuses: non-loxodromic input to reduce, resource guards, ...),
 2 on a usage error (unknown flags, malformed words/polynomials/triples; the
 message carries the offending position where the parsers provide one).
+Each parser raises its own syntax error type, so the exit code follows the
+type of the exception, never its message.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .weyl import WordSyntaxError, parse_word, print_word, realize
 
 class UsageError(ValueError):
     pass
+
+
+SYNTAX_ERRORS = (UsageError, WordSyntaxError, birmap.TripleSyntaxError,
+                 salem.PolynomialSyntaxError)
 
 
 def _parse_vector(text: str, names: dict) -> ClassVector:
@@ -119,11 +125,14 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_realizable(args) -> int:
-    if args.config == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.config) as fh:
-            data = json.load(fh)
+    try:
+        if args.config == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.config) as fh:
+                data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read --config: {exc}") from exc
     names = {}
     points = []
     for spec in data["points"]:
@@ -165,13 +174,18 @@ def cmd_fk_spectrum(args) -> int:
 
 def cmd_degseq(args) -> int:
     if args.monomial:
-        entries = [int(x) for x in args.monomial.split(",")]
+        try:
+            entries = [int(x) for x in args.monomial.split(",")]
+        except ValueError:
+            entries = []
         if len(entries) != 4:
             raise UsageError("(position 0) --monomial needs a,b,c,d")
         f = birmap.monomial_map([[entries[0], entries[1]], [entries[2], entries[3]]])
         degs = birmap.monomial_iterates(f, args.n)
         _emit({"degrees": degs, "truncated": False, "lambda": birmap.monomial_lambda(f)})
         return 0
+    if not args.map:
+        raise UsageError("(position 0) degseq needs --map or --monomial")
     prime = birmap.DEFAULT_PRIME if args.prime_field else None
     f = birmap.parse_triple(args.map, prime)
     degs, truncated = birmap.iterate_degrees(f, args.n)
@@ -183,7 +197,10 @@ def cmd_bounds(args) -> int:
     if args.degrees:
         report = reduction.bounds(args.degrees[0], args.degrees[1])
     elif args.lam is not None:
-        lam = Fraction(args.lam) if "/" in args.lam or "." not in args.lam else float(args.lam)
+        try:
+            lam = Fraction(args.lam) if "/" in args.lam or "." not in args.lam else float(args.lam)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"(position 0) --lam {args.lam!r} is not a number") from exc
         report = reduction.bounds(lam)
     else:
         raise UsageError("(position 0) bounds needs --lam or --degrees")
@@ -250,17 +267,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (WordSyntaxError, UsageError) as exc:
+    except SYNTAX_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        msg = str(exc)
-        if "parse" in msg or "position" in msg:
-            print(f"usage error: {msg}", file=sys.stderr)
-            return 2
-        print(f"error: {msg}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:  # resource guards, budget overruns
+    # domain errors; RuntimeError covers resource guards, budget overruns
+    # and failed certificates (spectral.CertificateError)
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,9 @@ from typing import Optional, Sequence, Union
 from . import intmat
 from .lattice import BubblePoint, ClassVector, e, e0, intersect
 from .salem import IntPolynomial
-from .spectral import LoxodromicData, _axis_data_at, axis_data, classify, dynamical_degree
+from .spectral import (
+    CertificateError, LoxodromicData, _axis_data_at, axis_data, classify, dynamical_degree,
+)
 from .weyl import (
     Sigma0,
     Tau,
@@ -292,7 +294,7 @@ def reduce(h: WeylElement, budget: int = 200, tol: float = 1e-9) -> ReductionTra
         result = decreasing_step(cur, tol, data)
         if result is None:
             if lam > 10 ** 6:
-                raise AssertionError(
+                raise CertificateError(
                     "no decreasing triple above the degree threshold with "
                     "lambda > 10^6; this contradicts the averaged Noether bound")
             terminal = "no_decreasing_triple"

@@ -681,6 +681,11 @@ def _check_candidate(qcoeffs, n, a, big_a, found):
 
 # -- text format --------------------------------------------------------------
 
+
+class PolynomialSyntaxError(ValueError):
+    """Text that does not parse as an integer polynomial in x."""
+
+
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?(?:(?P<var>x)(?:\s*\^\s*(?P<exp>\d+))?)?"
 )
@@ -691,15 +696,17 @@ def parse_poly(text: str) -> IntPolynomial:
     pos = 0
     terms = []
     text = text.strip()
+    if not text:
+        raise PolynomialSyntaxError("empty polynomial (at position 0)")
     while pos < len(text):
         m = _TERM.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
+            raise PolynomialSyntaxError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         coeff = m.group("coeff")
         var = m.group("var")
         if coeff is None and var is None:
-            raise ValueError(f"empty term at position {pos}")
+            raise PolynomialSyntaxError(f"empty term at position {pos}")
         c = int(coeff) if coeff else 1
         if var:
             exp = int(m.group("exp")) if m.group("exp") else 1

@@ -47,6 +47,13 @@ KIND_PARABOLIC_LINEAR = "parabolic_linear"
 KIND_PARABOLIC_QUADRATIC = "parabolic_quadratic"
 KIND_LOXODROMIC = "loxodromic"
 
+LAMBDA_TOL = 1e-12  # lambda is isolated once per element, at least this tightly
+
+
+class CertificateError(RuntimeError):
+    """An exact or numerical certificate failed its own check: the input is
+    not what the analysis assumes, or the analysis is at fault."""
+
 
 @dataclass(frozen=True)
 class IsometryClassification:
@@ -61,17 +68,26 @@ class IsometryClassification:
 @dataclass(frozen=True)
 class _Spectrum:
     """The characteristic polynomial of one element, split once into its
-    cyclotomic orders and cyclotomic-free part, with lambda per tolerance."""
+    cyclotomic orders and cyclotomic-free part, and its lambda."""
 
     charpoly: IntPolynomial
     rest: Optional[IntPolynomial]
     orders: tuple
     lams: dict = field(default_factory=dict)
 
-    def lam(self, tol: float) -> Optional[float]:
-        if tol not in self.lams:
-            self.lams[tol] = dominant_real_root(self.rest, tol)
-        return self.lams[tol]
+    def lam(self, tol: float) -> float:
+        """lambda within tol: isolated at min(tol, LAMBDA_TOL) unless a value
+        at least that tight is held, and always the tightest value held, so
+        every caller reports the same float."""
+        if not any(t <= tol for t in self.lams):
+            t = min(tol, LAMBDA_TOL)
+            lam = dominant_real_root(self.rest, t)
+            if lam is None or lam <= 1:
+                raise CertificateError(
+                    "cyclotomic-free characteristic factor without a root > 1; "
+                    "the input is not an isometry of signature (1, n)")
+            self.lams[t] = lam
+        return self.lams[min(self.lams)]
 
 
 @lru_cache(maxsize=256)
@@ -90,10 +106,6 @@ def classify(h: WeylElement) -> IsometryClassification:
     sp = _spectrum(h)
     if sp.rest is not None:
         lam = sp.lam(1e-9)
-        if lam is None or lam <= 1:
-            raise AssertionError(
-                "cyclotomic-free characteristic factor without a root > 1; "
-                "the input is not an isometry of signature (1, n)")
         return IsometryClassification(
             KIND_LOXODROMIC, f"spectral radius {lam:.9f} from a non-cyclotomic factor")
     k = reduce(math.lcm, sp.orders, 1)
@@ -111,7 +123,7 @@ def classify(h: WeylElement) -> IsometryClassification:
     if all(all(x == 0 for x in row) for row in nil3):
         return IsometryClassification(
             KIND_PARABOLIC_QUADRATIC, f"M^{k} unipotent with (M^k - I)^3 = 0")
-    raise AssertionError("unipotent part with a Jordan block of size > 3")
+    raise CertificateError("unipotent part with a Jordan block of size > 3")
 
 
 def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
@@ -123,9 +135,7 @@ def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
     sp = _spectrum(h)
     if sp.rest is None:
         return 1.0
-    lam = sp.lam(tol)
-    assert lam is not None and lam > 1
-    return lam
+    return sp.lam(tol)
 
 
 def degree_sequence(h: WeylElement, N: int) -> list[int]:
@@ -184,7 +194,7 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     cls = classify(h)
     if not cls.is_loxodromic:
         raise ValueError(f"axis data needs a loxodromic element, got {cls.kind}")
-    return _axis_data_at(h, dynamical_degree(h, min(tol, 1e-12)), tol)
+    return _axis_data_at(h, dynamical_degree(h, tol), tol)
 
 
 def _axis_data_at(h: WeylElement, lam: float, tol: float) -> LoxodromicData:
@@ -198,8 +208,9 @@ def _axis_data_at(h: WeylElement, lam: float, tol: float) -> LoxodromicData:
     E = cosh_axis * (0.5 * (v_plus + v_minus))
     res_p = _eig_residual(h, v_plus, lam)
     res_m = _eig_residual(inverse(h), v_minus, lam)
-    if max(res_p, res_m) > max(tol, 1e-9) * 10:
-        raise AssertionError(f"eigenvector residuals too large: {res_p}, {res_m}")
+    # float error in apply(h, v) grows with the entries of h, like lambda
+    if max(res_p, res_m) > max(tol, 1e-9) * 10 * max(lam, 1.0):
+        raise CertificateError(f"eigenvector residuals too large: {res_p}, {res_m}")
     return LoxodromicData(lam, v_plus, v_minus, dot, cosh_axis, E, res_p, res_m)
 
 

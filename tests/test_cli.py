@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import cremlat
+from cremlat import spectral
 from cremlat.cli import main
 
 LOXODROMIC = "q(a,b,c)*q(d,e,f)*q(g,h,i)*q(j,a,d)"
 LEHMER = "x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"
+# A o sigma with A fixing the coordinate point [0:1:0]
+CANCELLING_MAP = "[y*z : z*x + x*y : x*y + y*z]"
+GENERIC_MAP = "[-3*y*z - z*x + 3*x*y : 3*y*z + 3*z*x - 2*x*y : y*z - 2*z*x + 3*x*y]"
 
 
 def run(capsys, *argv):
@@ -58,3 +67,95 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
     assert rc == 1
     assert out == ""
     assert "reduction needs a loxodromic element" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("degseq", "--map", "x:y:z"),
+    ("degseq", "--map", "[x : y]"),
+    ("degseq", "--map", "[x : y : 2q]"),
+    ("degseq", "--map", "[x : y : z w]"),
+    ("degseq",),
+    ("degseq", "--monomial", "1,2,a,4"),
+    ("classify-number", "x^2 +* 1"),
+    ("classify-number", ""),
+    ("bounds", "--lam", "abc"),
+    ("bounds", "--lam", "1/0"),
+    ("weyl-normalize", "q(a,b,c)", "--vector", "xx"),
+])
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == "" and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("degseq", "--map", "[x : y : z^2]"),
+    ("degseq", "--monomial", "1,1,1,1"),
+    ("classify-number", "2*x^2 + 1"),
+    ("bounds", "--lam", "1"),
+])
+def test_well_formed_input_the_mathematics_refuses_is_a_domain_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == "" and err.startswith("error:")
+
+
+def test_failed_certificate_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "_eig_residual", lambda h, v, lam: 1.0)
+    rc, out, err = run(capsys, "spectrum", LOXODROMIC)
+    assert rc == 1
+    assert out == "" and err.startswith("error: eigenvector residuals too large")
+
+
+def test_reduce_beyond_lambda_ten_to_the_six(capsys):
+    # the 20th power of the standard sample has lambda ~ 3.1e7
+    rc, out, _ = run(capsys, "reduce", "*".join([LOXODROMIC] * 20))
+    assert rc == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["terminal"] == "reached_degree_threshold"
+    assert 3.0e7 < summary["lambda"] < 3.2e7
+
+
+def test_spectrum_and_reduce_print_the_same_lambda(capsys):
+    rc, out, _ = run(capsys, "spectrum", LOXODROMIC)
+    assert rc == 0
+    lam = json.loads(out)["lambda"]
+    rc, out, _ = run(capsys, "reduce", LOXODROMIC)
+    assert rc == 0
+    assert json.loads(out.splitlines()[-1])["lambda"] == lam
+
+
+@pytest.mark.parametrize("mode", [(), ("--prime-field",)])
+def test_sympy_is_loaded_only_by_the_gcd_fallback(mode):
+    """Start-up and every command but a cancelling triple leave sympy unloaded;
+    a cancelling triple loads it from cold and still cancels exactly."""
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        from cremlat.cli import main
+
+        def call(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(argv)) == 0, argv
+            return out.getvalue()
+
+        assert "sympy" not in sys.modules
+        call("spectrum", {LOXODROMIC!r})
+        call("reduce", {LOXODROMIC!r})
+        call("salem-enum", "--degree-bound", "6", "--upper", "1.5")
+        call("degseq", "--map", {GENERIC_MAP!r}, "-n", "4", *{mode!r})
+        assert "sympy" not in sys.modules
+        out = call("degseq", "--map", {CANCELLING_MAP!r}, "-n", "3", *{mode!r})
+        assert "sympy" in sys.modules
+        print(out)
+    """)
+    # the child imports the same cremlat as this test
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cremlat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # sigma contracts the line y = 0 onto [0:1:0], which A fixes and sigma
+    # blows up, so the second iterate has degree 3, not 4
+    assert json.loads(proc.stdout) == {"degrees": [2, 3, 4], "truncated": False}
