@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import birmap, orbits, reduction, salem, spectral, weyl
-from .lattice import BubblePoint, ClassVector, e, e0, proper_point, infinitely_near, render
+from .lattice import (BubblePoint, ClassVector, e, e0, infinitely_near, point, proper_point,
+                      render)
 from .weyl import WordSyntaxError, parse_word, print_word, realize
 
 
@@ -54,8 +55,6 @@ def _parse_vector(text: str, names: dict) -> ClassVector:
 
 def _named_point(name: str, names: dict) -> BubblePoint:
     if name not in names:
-        from .lattice import point
-
         names[name] = point(label=name)
     return names[name]
 
@@ -133,30 +132,46 @@ def cmd_realizable(args) -> int:
                 data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read --config: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+        raise UsageError("(position 0) --config needs a JSON object with a list of points")
     names = {}
+
+    def named(name):
+        if isinstance(name, str) and name in names:
+            return names[name]
+        raise UsageError(f"(position 0) --config names an unknown point {name!r}")
+
+    def listed(value, key):
+        if not isinstance(value, list):
+            raise UsageError(f"(position 0) --config: {key} must be a list")
+        return value
+
     points = []
     for spec in data["points"]:
+        if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
+            raise UsageError("(position 0) --config has a point without a string id")
         name = spec["id"]
         if "coords" in spec:
-            pt = proper_point(*[Fraction(c) for c in spec["coords"]], label=name)
+            try:
+                coords = [Fraction(c) for c in listed(spec["coords"], "coords")]
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                coords = []
+            if len(coords) != 3:
+                raise UsageError(f"(position 0) --config: coords of {name!r} are not three numbers")
+            pt = proper_point(*coords, label=name)
         elif "parent" in spec:
-            pt = infinitely_near(names[spec["parent"]], label=name)
+            pt = infinitely_near(named(spec["parent"]), label=name)
         else:
-            from .lattice import point
-
             pt = point(label=name)
         names[name] = pt
         points.append(pt)
     config = reduction.PointConfiguration(points, k_max=data.get("k_max", 6))
-    for triple_names in data.get("collinear", []):
-        key = frozenset(names[n].id for n in triple_names)
-        config.collinear_facts[key] = True
-    for triple_names in data.get("not_collinear", []):
-        key = frozenset(names[n].id for n in triple_names)
-        config.collinear_facts[key] = False
+    for fact, key in ((True, "collinear"), (False, "not_collinear")):
+        for triple in listed(data.get(key, []), key):
+            config.collinear_facts[frozenset(named(n).id for n in listed(triple, key))] = fact
     for spec in data["points"]:
-        for host in spec.get("on_exceptional_of", []):
-            config.exceptional_members.setdefault(names[host], set()).add(names[spec["id"]])
+        for host in listed(spec.get("on_exceptional_of", []), "on_exceptional_of"):
+            config.exceptional_members.setdefault(named(host), set()).add(names[spec["id"]])
     report = reduction.realizable_jonquieres(config, args.m)
     _emit({"status": report.status, "condition": report.condition, "witness": report.witness})
     return 0

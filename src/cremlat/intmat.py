@@ -10,6 +10,7 @@ entirely adequate.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -117,24 +118,42 @@ def charpoly(a):
     return vec[::-1]
 
 
-def rank(a):
-    """Rank over Q by fraction Gaussian elimination (input not modified)."""
+def _pivots(a):
+    """Pivots of fraction Gaussian elimination with row swaps, and their parity.
+
+    Columns without a pivot are skipped, so the pivots give the rank of any
+    matrix and, for a square one, the determinant.
+    """
     m = [[Fraction(x) for x in row] for row in a]
     rows, cols = len(m), len(m[0]) if m else 0
-    r = 0
+    pivots, sign = [], 1
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
+        for i in range(r + 1, rows):
+            f = m[i][c] * inv
+            if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(m[r][c])
+    return pivots, sign
 
+
+def rank(a):
+    """Rank over Q: the number of pivots (input not modified)."""
+    return len(_pivots(a)[0])
+
+
+def det(a):
+    """Determinant over Q of a square matrix: the signed product of the pivots."""
+    pivots, sign = _pivots(a)
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return sign * math.prod(pivots, start=Fraction(1))

@@ -200,26 +200,6 @@ def fk_spectral_radius(model: OrbitModel, k: int, tol: float = 1e-10) -> float:
 # the two-variable determinant identity
 
 
-def _det_fraction(m):
-    m = [[Fraction(x) for x in row] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 def two_variable_det(model: OrbitModel, s, t):
     """P(s, t): the 3x3-block determinant encoding all truncations at once."""
     n, a = model.n, model.a
@@ -240,7 +220,7 @@ def two_variable_det(model: OrbitModel, s, t):
         for j in range(a):
             m[n + a + i][n + j] = -s * Fraction(model.q_block[i][j])
         m[n + a + i][n + a + i] = Fraction(1)
-    return _det_fraction(m)
+    return intmat.det(m)
 
 
 @dataclass(frozen=True)
@@ -273,7 +253,7 @@ def verify_P_identity(model: OrbitModel, k: int, samples: Sequence = (2, 3, Frac
         x = Fraction(x)
         size = len(F)
         xi = [[(x if i == j else 0) - F[i][j] for j in range(size)] for i in range(size)]
-        lhs = _det_fraction(xi)
+        lhs = intmat.det(xi)
         rhs = x ** (r * n) * two_variable_det(model, 1 / x ** r, x)
         if lhs != rhs:
             matches = False

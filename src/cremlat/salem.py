@@ -1,12 +1,15 @@
 """Monic integer polynomials: roots, cyclotomic stripping, Salem/Pisot tests.
 
-Everything that certifies a classification is exact: cyclotomic factors are
-removed by trial division over Z, real-root counting uses Sturm sequences
-over Q, and circle roots of reciprocal polynomials are located through the
-substitution y = x + 1/x (a root lies on the unit circle exactly when the
-transformed polynomial has a real root in (-2, 2)).  Floating point is used
-only to polish root values to a requested tolerance, never to decide a
-classification of a reciprocal factor.
+Everything that certifies a classification is exact and runs in integers:
+cyclotomic factors are removed by trial division over Z; gcds, squarefree
+parts and Sturm chains come from primitive remainder sequences over Z, with
+one chain built per polynomial and reused by every count on it; signs at a
+rational n/d are read from the integer d^deg p(n/d).  Circle roots of
+reciprocal polynomials are located through the substitution y = x + 1/x (a
+root lies on the unit circle exactly when the transformed polynomial has a
+real root in (-2, 2)).  Floating point is used only to polish root values to
+a requested tolerance, never to decide a classification of a reciprocal
+factor.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 
@@ -72,7 +76,7 @@ class IntPolynomial:
         return format_poly(self)
 
 
-# -- raw coefficient helpers (ascending int/Fraction lists) -----------------
+# -- raw coefficient helpers (ascending int lists) ----------------------------
 
 def _mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -81,6 +85,13 @@ def _mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _trim(a):
+    a = list(a)
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a or [0]
 
 
 def _divmod_monic(a, b):
@@ -108,58 +119,50 @@ def _deriv(a):
     return [i * c for i, c in enumerate(a)][1:] or [0]
 
 
-def _gcd_q(a, b):
-    """Monic gcd over Q of ascending Fraction/int coefficient lists."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
+def _primitive(a):
+    """a divided by its (positive) content; a is not zero."""
+    g = math.gcd(*a)
+    return [c // g for c in a]
 
-    def trim(p):
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        return p
 
-    a, b = trim(a), trim(b)
-    while len(b) > 1 or b[0] != 0:
-        if len(b) == 1:
-            a, b = b, [Fraction(0)]
-            break
-        # remainder of a by b
-        r = a[:]
-        db = len(b) - 1
-        inv = 1 / b[-1]
-        for i in range(len(r) - db - 1, -1, -1):
-            f = r[i + db] * inv
-            if f:
-                for j, y in enumerate(b):
-                    r[i + j] -= f * y
-        a, b = b, trim(r[:db] or [Fraction(0)])
-    lead = a[-1]
-    return [c / lead for c in a]
+def _prem(a, b):
+    """Sign-preserving pseudo-remainder |lc(b)|^(deg a - deg b + 1) * a mod b.
+
+    A positive multiple of the remainder over Q, so it keeps every sign that
+    a Sturm count reads.  Needs deg a >= deg b.
+    """
+    m = abs(b[-1])
+    s = 1 if b[-1] > 0 else -1
+    db = len(b) - 1
+    r = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        f = r[i + db] * s
+        r = [c * m for c in r[:i + db]]
+        for j in range(db):
+            r[i + j] -= f * b[j]
+    return _trim(r)
+
+
+def _gcd(a, b):
+    """gcd over Z[x] by a primitive remainder sequence (Collins; Brown-Traub).
+
+    The result is primitive with a positive leading coefficient; by Gauss's
+    lemma it is therefore monic whenever a or b is monic.  Each divisor is
+    made primitive before it divides, which keeps the coefficients small.
+    Needs deg a >= deg b and no leading zeros.
+    """
+    while any(b):
+        b = _primitive(b)
+        a, b = b, _prem(a, b)
+    a = _primitive(a)
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    g = _gcd_q(p.coeffs, _deriv(p.coeffs))
+    g = _gcd(p.coeffs, _deriv(p.coeffs))
     if len(g) == 1:
         return p
-    q, r = _divmod_fraction(p.coeffs, g)
-    assert all(c == 0 for c in r)
-    lead = q[-1]
-    return IntPolynomial([int(c / lead) for c in q])
-
-
-def _divmod_fraction(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    db = len(b) - 1
-    q = [Fraction(0)] * max(1, len(a) - db)
-    inv = 1 / b[-1]
-    for i in range(len(a) - db - 1, -1, -1):
-        f = a[i + db] * inv
-        if f:
-            q[i] = f
-            for j, y in enumerate(b):
-                a[i + j] -= f * y
-    return q, a[:db] if db else [Fraction(0)]
+    return exact_div(p, IntPolynomial(g))
 
 
 # -- cyclotomic polynomials --------------------------------------------------
@@ -234,58 +237,46 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[Optional[IntPolynomial], tuple[i
 
 # -- Sturm sequences and exact real-root location ---------------------------
 
-def _sturm_chain(coeffs):
-    chain = [[Fraction(c) for c in coeffs]]
-    d = [Fraction(c) for c in _deriv(coeffs)]
-    if len(d) > 1 or d[0] != 0:
-        chain.append(d)
-    while True:
-        a, b = chain[-2], chain[-1]
-        if len(b) == 1 and b[0] == 0:
-            chain.pop()
-            break
-        _, r = _divmod_fraction(a, b)
-        r = list(r)
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) == 1 and r[0] == 0:
-            break
-        chain.append([-c for c in r])
-        if len(r) == 1:
-            break
-    return chain
+@lru_cache(maxsize=16)
+def _sturm_chain(p: IntPolynomial) -> tuple:
+    """The Sturm chain of p's squarefree part, in integers, once per polynomial.
+
+    Each member is the negated pseudo-remainder of the two before it, made
+    primitive: a positive multiple of the chain over Q, with the same signs
+    everywhere.  The cache serves the counts that follow one another on the
+    same polynomial (a Salem candidate, a bisection).
+    """
+    chain = [list(squarefree_part(p).coeffs)]
+    chain.append(_primitive(_deriv(chain[0])))
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
+    return tuple(tuple(c) for c in chain)
 
 
-def _sign_changes(chain, x):
-    signs = []
-    for p in chain:
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * x + c
-        if acc != 0:
-            signs.append(1 if acc > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Sign of p(n/d), from the integer sum c_i n^i d^(deg - i) (d > 0)."""
+    n, d = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
 
 
-def _sign_changes_inf(chain, positive: bool):
-    signs = []
-    for p in chain:
-        lead = p[-1]
-        if lead == 0:
-            continue
-        s = 1 if lead > 0 else -1
-        if not positive and (len(p) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
+def _changes(values) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(p: IntPolynomial, lo=None, hi=None) -> int:
     """Distinct real roots in (lo, hi]; None endpoints mean +-infinity."""
-    sf = squarefree_part(p)
-    chain = _sturm_chain(sf.coeffs)
-    va = _sign_changes(chain, Fraction(lo)) if lo is not None else _sign_changes_inf(chain, False)
-    vb = _sign_changes(chain, Fraction(hi)) if hi is not None else _sign_changes_inf(chain, True)
+    chain = _sturm_chain(p)
+    # at +-infinity each member has the sign of its leading term times (+-1)^degree
+    va = (_changes(_sign_at(c, Fraction(lo)) for c in chain) if lo is not None
+          else _changes(c[-1] if len(c) % 2 else -c[-1] for c in chain))
+    vb = (_changes(_sign_at(c, Fraction(hi)) for c in chain) if hi is not None
+          else _changes(c[-1] for c in chain))
     return va - vb
 
 
@@ -299,34 +290,34 @@ def dominant_real_root(p: IntPolynomial, tol: float = 1e-12) -> Optional[float]:
     Located by exact sign bisection on the squarefree part (a Sturm count
     isolates the largest root when the polynomial does not change sign at 1).
     """
-    sf = squarefree_part(p)
-    bound = cauchy_bound(sf)
-    n_gt1 = count_real_roots(sf, 1, bound)
+    sf = _sturm_chain(p)[0]
+    bound = cauchy_bound(IntPolynomial(sf))
+    n_gt1 = count_real_roots(p, 1, bound)
     if n_gt1 == 0:
         return None
     lo, hi = Fraction(1), bound
     if n_gt1 > 1:
         # shrink until (lo, hi] holds exactly the largest root
-        while count_real_roots(sf, lo, hi) > 1:
+        while count_real_roots(p, lo, hi) > 1:
             mid = (lo + hi) / 2
-            if count_real_roots(sf, mid, hi) >= 1:
+            if count_real_roots(p, mid, hi) >= 1:
                 lo = mid
             else:
                 hi = mid
     # now exactly one simple root in (lo, hi]: certified sign bisection
-    if sf(hi) == 0:
+    if _sign_at(sf, hi) == 0:
         return float(hi)
-    flo = sf(lo)
-    if flo == 0:
+    slo = _sign_at(sf, lo)
+    if slo == 0:
         lo += min(Fraction(1, 10 ** 6), (hi - lo) / 4)
-        flo = sf(lo)
+        slo = _sign_at(sf, lo)
     while hi - lo > Fraction(tol).limit_denominator(10 ** 15) / 4:
         mid = (lo + hi) / 2
-        fm = sf(mid)
-        if fm == 0:
+        sm = _sign_at(sf, mid)
+        if sm == 0:
             return float(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if (sm > 0) == (slo > 0):
+            lo, slo = mid, sm
         else:
             hi = mid
         if float(hi - lo) < tol / 4:
@@ -373,25 +364,21 @@ def _aberth(coeffs, tol):
 
 def yun_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Squarefree factors with multiplicities (Yun's algorithm, exact)."""
-    a = [Fraction(c) for c in p.coeffs]
-    g = _gcd_q(a, _deriv(a))
+    a = list(p.coeffs)
+    g = _gcd(a, _deriv(a))
     if len(g) == 1:
         return [(p, 1)]
     parts = []
-    w, _ = _divmod_fraction(a, g)
-    y, _ = _divmod_fraction(_deriv(a), g)
+    w, _ = _divmod_monic(a, g)
+    y, _ = _divmod_monic(_deriv(a), g)
     k = 1
     while len(w) > 1:
-        z = [yy - dd for yy, dd in
-             itertools.zip_longest(y, _deriv(w), fillvalue=Fraction(0))]
-        while len(z) > 1 and z[-1] == 0:
-            z.pop()
-        f = _gcd_q(w, z)
+        z = _trim([yy - dd for yy, dd in itertools.zip_longest(y, _deriv(w), fillvalue=0)])
+        f = _gcd(w, z)
         if len(f) > 1:
-            assert all(c.denominator == 1 for c in f)
-            parts.append((IntPolynomial([int(c) for c in f]), k))
-        w, _ = _divmod_fraction(w, f)
-        y, _ = _divmod_fraction(z, f)
+            parts.append((IntPolynomial(f), k))
+        w, _ = _divmod_monic(w, f)
+        y, _ = _divmod_monic(z, f)
         k += 1
     return parts
 
@@ -522,13 +509,13 @@ def classify_number(p: IntPolynomial, tol: float = 1e-10) -> NumberClass:
         return NumberClass("other_perron", lam, stripped, tuple(notes))
     # non-reciprocal part: split off the reciprocal factor carrying any
     # circle roots, then count outside roots of the remainder numerically
-    recip_part = _gcd_q(sf.coeffs, list(sf.coeffs[::-1]))
+    recip_part = _gcd(sf.coeffs, sf.coeffs[::-1])
     circle = 0
     outside_recip = 0
     rest = sf
     if len(recip_part) > 1:
-        rp = IntPolynomial([int(c) for c in recip_part])
-        rest = IntPolynomial([int(c) for c in _divmod_fraction(sf.coeffs, recip_part)[0]])
+        rp = IntPolynomial(recip_part)
+        rest = exact_div(sf, rp)
         if rp.is_reciprocal() and rp.degree % 2 == 0:
             qq = to_trace_poly(rp)
             inside_circle_pairs = count_real_roots(qq, -2, 2)
@@ -703,6 +690,8 @@ def parse_poly(text: str) -> IntPolynomial:
         if not m or m.end() == pos:
             raise PolynomialSyntaxError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
+        if m.group("sign") is None and terms:
+            raise PolynomialSyntaxError(f"missing sign before {text[pos:]!r} (position {pos})")
         coeff = m.group("coeff")
         var = m.group("var")
         if coeff is None and var is None:

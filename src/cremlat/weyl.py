@@ -687,7 +687,8 @@ def normalize_increasing(w: WeylWord, v: ClassVector) -> WeylWord:
     cur = target
     guard = 0
     while True:
-        if any(c > 0 for c in cur.point_coeffs.values()) and _shape_quick(cur) != "e(q)":
+        pts = list(cur.point_coeffs.values())
+        if any(c > 0 for c in pts) and not (cur.e0 == 0 and pts == [1]):  # e(q) is allowed
             raise AssertionError("descent produced a negative multiplicity")
         d = cur.e0
         triple, gain = _descent_triple(cur, pool)
@@ -709,13 +710,6 @@ def normalize_increasing(w: WeylWord, v: ClassVector) -> WeylWord:
     out = WeylWord(letters)
     assert out.apply(v) == target
     return out
-
-
-def _shape_quick(u: ClassVector):
-    pts = u.point_coeffs
-    if u.e0 == 0 and len(pts) == 1 and next(iter(pts.values())) == 1:
-        return "e(q)"
-    return None
 
 
 def increasing_degrees(w: WeylWord, v: ClassVector) -> list:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -81,11 +82,39 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
     ("bounds", "--lam", "abc"),
     ("bounds", "--lam", "1/0"),
     ("weyl-normalize", "q(a,b,c)", "--vector", "xx"),
+    ("classify-number", "x^2 1"),
+    # realizable reads the last item as its --config from stdin
+    ("realizable", "--m", "2", "--config", "-", "[1, 2]"),
+    ("realizable", "--m", "2", "--config", "-", '{"k_max": 3}'),
+    ("realizable", "--m", "2", "--config", "-", '{"points": [{"coords": [1, 0, 0]}]}'),
+    ("realizable", "--m", "2", "--config", "-", '{"points": [{"id": "a", "parent": "zz"}]}'),
+    ("realizable", "--m", "2", "--config", "-",
+     '{"points": [{"id": "a"}, {"id": "b"}, {"id": "c"}], "collinear": [["a", "b", "d"]]}'),
+    ("realizable", "--m", "2", "--config", "-",
+     '{"points": [{"id": "a"}, {"id": "b"}, {"id": "c"}], "not_collinear": [["a", "b", 3]]}'),
+    ("realizable", "--m", "2", "--config", "-",
+     '{"points": [{"id": "a"}, {"id": "b", "on_exceptional_of": ["zz"]}]}'),
+    ("realizable", "--m", "2", "--config", "-", '{"points": [{"id": "a", "coords": [1, 2]}]}'),
+    ("realizable", "--m", "2", "--config", "-", '{"points": [{"id": "a", "coords": [1, 2, "x"]}]}'),
 ])
-def test_malformed_input_is_a_usage_error(capsys, argv):
+def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
+    if argv[0] == "realizable":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(argv[-1]))
+        argv = argv[:-1]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == "" and err.startswith("usage error:")
+
+
+def test_realizable_reads_every_config_field(capsys, monkeypatch):
+    config = {"points": [{"id": "a", "coords": [1, 0, 0]},
+                         {"id": "b", "parent": "a", "on_exceptional_of": ["a"]},
+                         {"id": "c", "coords": ["1/2", 0, 1]}],
+              "collinear": [["a", "b", "c"]], "not_collinear": []}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    rc, out, _ = run(capsys, "realizable", "--m", "2", "--config", "-")
+    assert rc == 0
+    assert json.loads(out) == {"status": "fail", "condition": 3, "witness": "line through a, b, c"}
 
 
 @pytest.mark.parametrize("argv", [

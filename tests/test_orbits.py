@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremlat import intmat
 from cremlat.orbits import (
@@ -22,6 +24,16 @@ from cremlat.orbits import (
     verify_P_identity,
 )
 from cremlat.salem import IntPolynomial, dominant_real_root
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3))
+def test_one_elimination_gives_det_and_rank(m):
+    # the determinant of the P identity and the rank of the realizability
+    # check come from the same pivots
+    assert intmat.det(m) == intmat.det3(m)
+    assert (intmat.rank(m) == 3) == (intmat.det3(m) != 0)
+    assert intmat.rank(m + [[2 * x for x in m[0]]]) == intmat.rank(m)
 
 
 # -- the explicit quadratic-case family ---------------------------------------

@@ -1,7 +1,12 @@
 import math
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import counting
+from cremlat import salem
 from cremlat.salem import (
     GOLDEN_POLYNOMIAL,
     LEHMER_POLYNOMIAL,
@@ -117,6 +122,62 @@ def test_real_root_counting():
     assert count_real_roots(p, 0, 2) == 1
     q = parse_poly("x^2 + 1")
     assert count_real_roots(q, -10, 10) == 0
+
+
+# -- the integer kernel: properties ---------------------------------------------------
+
+
+def product(factors):
+    """The product of a non-empty list of polynomials."""
+    return reduce(IntPolynomial.__mul__, factors)
+
+
+def linear(r):
+    return IntPolynomial([-r, 1])
+
+
+small_roots = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+endpoint = st.none() | st.integers(-8, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_roots, st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       st.integers(0, 2), endpoint, endpoint)
+def test_count_real_roots_counts_distinct_roots(rs, mults, k, lo, hi):
+    # prod (x - r_i)^m_i (x^2 + 1)^k: only the r_i are real
+    p = product([linear(r) for r, m in zip(rs, mults) for _ in range(m)]
+                + [IntPolynomial([1, 0, 1])] * k)
+    inside = {r for r in rs if (lo is None or r > lo) and (hi is None or r <= hi)}
+    if lo is None or hi is None or lo < hi:
+        assert count_real_roots(p, lo, hi) == len(inside)
+
+
+monic = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda c: IntPolynomial(c + [1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(monic, st.integers(1, 3)), min_size=1, max_size=3))
+def test_yun_factors_multiply_back(factors):
+    p = product([f for f, m in factors for _ in range(m)])
+    assert product([f for f, m in yun_decomposition(p) for _ in range(m)]) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_roots)
+def test_dominant_real_root_of_integer_roots(rs):
+    dom = dominant_real_root(product([linear(r) for r in rs]))
+    if max(rs) > 1:
+        assert abs(dom - max(rs)) < 1e-9
+    else:
+        assert dom is None
+
+
+def test_dominant_real_root_builds_one_chain(monkeypatch):
+    salem._sturm_chain.cache_clear()
+    squarefree = counting(monkeypatch, salem, "squarefree_part")
+    dominant_real_root(LEHMER_POLYNOMIAL)
+    assert len(squarefree) == 1
+    assert salem._sturm_chain.cache_info().misses == 1
 
 
 # -- classification -----------------------------------------------------------------------
