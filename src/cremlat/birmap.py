@@ -7,7 +7,9 @@ mode (62-bit prime) is available for fast probabilistic work, with the
 rational mode as the reference semantics.
 
 Cancellation strategy: the common monomial content is stripped directly,
-and a coprimality certificate on two lines settles the generic case.  Only
+and a coprimality certificate on two lines settles the generic case (mod a
+prime; a line counts only when some component keeps its full degree on it,
+so no common factor hides where the restrictions drop degree).  Only
 when that certificate fails is sympy imported: its exact multivariate gcd
 finds the remaining polynomial factor, which is then removed by exact
 division in this module's own representation, so a wrong gcd cannot slip
@@ -135,20 +137,15 @@ def poly_divexact(a, b, p=None):
     return out
 
 
-def _restrict_to_line(q, a, b, p=None):
-    """The binary form q(s, t, a s + b t) as a univariate in s (t = 1)."""
+def _restrict_to_line(q, a, b, p):
+    """The binary form q(s, t, a s + b t) modulo p as a univariate in s (t = 1)."""
     deg = poly_degree(q)
     out = [0] * (deg + 1)
     for (i, j, k), c in q.items():
         # (a s + b t)^k expanded; collect the s-exponent with t = 1
         for r in range(k + 1):
-            coeff = c * math.comb(k, r) * a ** r * b ** (k - r)
-            if p:
-                coeff %= p
-            out[i + r] += coeff
-    if p:
-        out = [v % p for v in out]
-    return out
+            out[i + r] += c * math.comb(k, r) * a ** r * b ** (k - r)
+    return [v % p for v in out]
 
 
 def _univ_gcd(u, v, p):
@@ -175,32 +172,19 @@ def _univ_gcd(u, v, p):
 
 
 def _certainly_coprime(polys, p=None) -> bool:
-    """Sound fast path: a common factor of positive degree restricts to a
-    nonconstant (or identically zero) binary form on every line, and a
-    nonconstant integer factor survives reduction modulo a prime that keeps
-    the leading coefficient alive.  A coprime restricted-and-reduced gcd
-    therefore certifies coprimality; failure is inconclusive."""
+    """Sound fast path modulo q = p (DEFAULT_PRIME in rational mode); False
+    is inconclusive, as is a denominator divisible by q.  By Gauss's lemma a
+    common factor of degree k > 0 leaves one of degree k mod q.  On a line
+    where some restriction keeps its full degree (nonzero s^d coefficient),
+    that factor's restriction is prime to t, so it keeps degree k at t = 1
+    and a constant gcd of the univariates certifies coprimality."""
     q = p or DEFAULT_PRIME
+    if any(c.denominator % q == 0 for poly in polys for c in poly.values()):
+        return False
+    reduced = [_canonical_coeffs(poly, q) for poly in polys]
     for a, b in ((3, 5), (7, -2)):
-        lines = []
-        ok = True
-        for poly in polys:
-            u = _restrict_to_line(poly, a, b, p)
-            deg_true = max((i for i, c in enumerate(u) if c != 0), default=-1)
-            if p is None:
-                # clear denominators, then reduce mod q; insist the leading
-                # coefficient survives so factor degrees cannot drop
-                den = 1
-                for c in u:
-                    if isinstance(c, Fraction):
-                        den = den * c.denominator // math.gcd(den, c.denominator)
-                u = [int(c * den) % q for c in u]
-            deg_red = max((i for i, c in enumerate(u) if c != 0), default=-1)
-            if deg_true < 0 or deg_red != deg_true:
-                ok = False
-                break
-            lines.append(u)
-        if not ok:
+        lines = [_restrict_to_line(poly, a, b, q) for poly in reduced]
+        if not any(u and u[-1] for u in lines):
             continue
         g = lines[0]
         for v in lines[1:]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -34,8 +35,6 @@ def _parse_vector(text: str, names: dict) -> ClassVector:
     text = text.replace(" ", "")
     if text == "e0":
         return e0()
-    import re
-
     m = re.fullmatch(r"e\((\w+)\)", text)
     if m:
         return e(_named_point(m.group(1), names))

@@ -79,9 +79,11 @@ def preserves_form(m, gram=None) -> bool:
 
 
 def form_inverse(m):
-    """Inverse of a form-preserving matrix: M^{-1} = J M^T J."""
-    j = minkowski_gram(len(m))
-    return mat_mul(j, mat_mul(transpose(m), j))
+    """Inverse of a form-preserving matrix: M^{-1} = J M^T J, the transpose
+    with the sign of entry (i, j) flipped when exactly one of i, j is 0."""
+    n = len(m)
+    return [[m[j][i] if (i == 0) == (j == 0) else -m[j][i] for j in range(n)]
+            for i in range(n)]
 
 
 def charpoly(a):

@@ -3,9 +3,10 @@
 The lattice is Z e0 + sum_p Z e(p), where e0 is the class of a line and p
 runs over bubble points (points of the plane together with all infinitely
 near points).  The intersection form is diag(1, -1, -1, ...) in this basis.
-Vectors are stored sparsely; all coefficients are exact ``Fraction`` values
-unless a caller deliberately injects floats (the spectral code does this for
-eigenvector data, see :mod:`cremlat.spectral`).
+Vectors are stored sparsely; coefficients are exact: ``int`` values stay
+``int`` and every other rational becomes a ``Fraction``, unless a caller
+deliberately injects floats (the spectral code does this for eigenvector
+data, see :mod:`cremlat.spectral`).
 
 Sign convention for the canonical form: we normalize the invariant linear
 functional so that omega(e0) = 3 and omega(e(p)) = 1 for every bubble point.
@@ -77,10 +78,6 @@ class BubblePoint:
                 seen.add(q.id)
                 q = q.parent
 
-    @property
-    def is_proper(self) -> bool:
-        return self.coords is not None
-
     def __eq__(self, other):
         return isinstance(other, BubblePoint) and self.id == other.id
 
@@ -113,7 +110,7 @@ def infinitely_near(parent: BubblePoint, label=None) -> BubblePoint:
 
 
 def _coerce(c):
-    if isinstance(c, float):
+    if isinstance(c, (int, float)):
         return c
     return Fraction(c)
 
@@ -145,7 +142,7 @@ class ClassVector:
         return dict(self._pts)
 
     def coeff(self, p: BubblePoint):
-        return self._pts.get(p, Fraction(0))
+        return self._pts.get(p, 0)
 
     @property
     def support(self) -> list[BubblePoint]:
@@ -218,10 +215,6 @@ def canonical_form(v: ClassVector):
 def norm_sq(v: ClassVector):
     """Squared Euclidean norm a0^2 + sum a_p^2 (not the intersection form)."""
     return v.e0 * v.e0 + sum(c * c for c in v._pts.values())
-
-
-def self_intersection(v: ClassVector):
-    return intersect(v, v)
 
 
 def cosh_distance(u: ClassVector, v: ClassVector):

@@ -224,8 +224,9 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
                     data: Optional[LoxodromicData] = None):
     """One conjugation step, or None when the triple hypothesis fails.
 
-    Returns (step, h_conjugated, word) where ``word`` is the two-letter
-    conjugator; the conjugator is the quadratic involution rooted at the
+    Returns (step, h_conjugated, word, data_conjugated) where ``word`` is
+    the two-letter conjugator and ``data_conjugated`` the axis data of
+    h_conjugated; the conjugator is the quadratic involution rooted at the
     support point with the largest axis-projection coefficient (re-rooting
     per the maximality property of the axis projection) and based at the two
     remaining points of largest averaged multiplicity.

@@ -18,12 +18,12 @@ with isotropic image moves nothing), so the linear-growth branch below is
 never reached by realized words; it is kept so the trichotomy is total and
 violations surface loudly.
 
-The characteristic polynomial, its cyclotomic split and lambda are computed
-once per element (:func:`_spectrum`, cached by element) and shared by
-:func:`classify`, :func:`dynamical_degree`, :func:`axis_data` and
-:func:`spectrum_report`.  The reduction loop of :mod:`cremlat.reduction`
-hands lambda on to each conjugate, whose characteristic polynomial is that
-of the element it conjugates, instead of analysing the conjugate again.
+The characteristic polynomial, its cyclotomic split, lambda and the power
+data (nine squarings give M^512 for the axis, and deg(h^200), deg(h^400) for
+the criterion) are computed once per element, each on first use, in one
+record (:func:`_spectrum`, cached by element) that every function below
+reads.  :mod:`cremlat.reduction` hands lambda on to each conjugate, so a
+conjugate's record computes only its power data.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Optional
+from functools import cached_property, lru_cache, reduce
 
 from . import intmat
 from .lattice import ClassVector, intersect, norm_sq
@@ -67,13 +66,21 @@ class IsometryClassification:
 
 @dataclass(frozen=True)
 class _Spectrum:
-    """The characteristic polynomial of one element, split once into its
-    cyclotomic orders and cyclotomic-free part, and its lambda."""
+    """Spectral data of one element, each part computed on first use: the
+    characteristic polynomial split once into its cyclotomic orders and
+    cyclotomic-free part, lambda, and the power data."""
 
-    charpoly: IntPolynomial
-    rest: Optional[IntPolynomial]
-    orders: tuple
+    matrix: tuple
     lams: dict = field(default_factory=dict)
+
+    @cached_property
+    def charpoly(self) -> IntPolynomial:
+        return IntPolynomial(intmat.charpoly(self.matrix))
+
+    @cached_property
+    def split(self) -> tuple:
+        """(cyclotomic-free part or None, cyclotomic orders)."""
+        return strip_cyclotomic(self.charpoly)
 
     def lam(self, tol: float) -> float:
         """lambda within tol: isolated at min(tol, LAMBDA_TOL) unless a value
@@ -81,7 +88,7 @@ class _Spectrum:
         every caller reports the same float."""
         if not any(t <= tol for t in self.lams):
             t = min(tol, LAMBDA_TOL)
-            lam = dominant_real_root(self.rest, t)
+            lam = dominant_real_root(self.split[0], t)
             if lam is None or lam <= 1:
                 raise CertificateError(
                     "cyclotomic-free characteristic factor without a root > 1; "
@@ -89,12 +96,28 @@ class _Spectrum:
             self.lams[t] = lam
         return self.lams[min(self.lams)]
 
+    @cached_property
+    def powers(self) -> tuple:
+        """(first column and signed first row of M^512, deg(h^200), deg(h^400)),
+        exact, from nine squarings that keep only the current square; M^200 e0
+        and M^400 e0 take a factor M^(2^k) for each bit k of 200 and of 400."""
+        p = self.matrix
+        v200 = v400 = [1] + [0] * (len(p) - 1)
+        for k in range(9):  # p is M^(2^k)
+            if 200 >> k & 1:
+                v200 = intmat.mat_vec(p, v200)
+            if 400 >> k & 1:
+                v400 = intmat.mat_vec(p, v400)
+            p = intmat.mat_mul(p, p)
+        fwd = [row[0] for row in p]
+        # (M^512)^{-1} = J (M^512)^T J, so its first column is the signed first row
+        bwd = [p[0][0]] + [-x for x in p[0][1:]]
+        return fwd, bwd, v200[0], v400[0]
+
 
 @lru_cache(maxsize=256)
 def _spectrum(h: WeylElement) -> _Spectrum:
-    cp = IntPolynomial(intmat.charpoly(h.matrix))
-    rest, orders = strip_cyclotomic(cp)
-    return _Spectrum(cp, rest, orders)
+    return _Spectrum(h.matrix)
 
 
 def char_polynomial(h: WeylElement) -> IntPolynomial:
@@ -104,11 +127,12 @@ def char_polynomial(h: WeylElement) -> IntPolynomial:
 def classify(h: WeylElement) -> IsometryClassification:
     """Certified elliptic / parabolic / loxodromic trichotomy."""
     sp = _spectrum(h)
-    if sp.rest is not None:
+    rest, orders = sp.split
+    if rest is not None:
         lam = sp.lam(1e-9)
         return IsometryClassification(
             KIND_LOXODROMIC, f"spectral radius {lam:.9f} from a non-cyclotomic factor")
-    k = reduce(math.lcm, sp.orders, 1)
+    k = reduce(math.lcm, orders, 1)
     m = h.matrix
     mk = intmat.mat_pow(m, k)
     n = len(m)
@@ -133,7 +157,7 @@ def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
     floating comparison.
     """
     sp = _spectrum(h)
-    if sp.rest is None:
+    if sp.split[0] is None:
         return 1.0
     return sp.lam(tol)
 
@@ -166,17 +190,6 @@ class LoxodromicData:
     residual_minus: float
 
 
-def _power_columns(h: WeylElement, doublings: int = 9):
-    """Coordinates of M^N e0 and M^{-N} e0 for N = 2^doublings, exact."""
-    p = h.matrix
-    for _ in range(doublings):
-        p = intmat.mat_mul(p, p)
-    fwd = [p[i][0] for i in range(len(p))]
-    # (M^N)^{-1} = J (M^N)^T J, so its first column is the signed first row
-    bwd = [p[0][0]] + [-p[0][i] for i in range(1, len(p))]
-    return fwd, bwd
-
-
 def _normalized_vector(h: WeylElement, coords) -> ClassVector:
     lead = coords[0]
     pts = {p: Fraction(coords[i + 1], lead) for i, p in enumerate(h.support)}
@@ -200,7 +213,7 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
 def _axis_data_at(h: WeylElement, lam: float, tol: float) -> LoxodromicData:
     """axis_data for an element whose dynamical degree lam is already known,
     such as a conjugate of an element already analysed."""
-    fwd, bwd = _power_columns(h)
+    fwd, bwd = _spectrum(h).powers[:2]
     v_plus = _normalized_vector(h, fwd)
     v_minus = _normalized_vector(h, bwd)
     dot = intersect(v_plus, v_minus)
@@ -264,9 +277,8 @@ def loxodromy_criterion(h: WeylElement) -> bool:
 
 
 def criterion_degrees(h: WeylElement) -> tuple[int, int]:
-    """The exact pair (deg(h^200), deg(h^400))."""
-    m200 = intmat.mat_pow(h.matrix, 200)
-    return m200[0][0], intmat.mat_mul(m200, m200)[0][0]
+    """The exact pair (deg(h^200), deg(h^400)), from the element's power data."""
+    return _spectrum(h).powers[2:]
 
 
 def spectrum_report(h: WeylElement, tol: float = 1e-9) -> dict:

@@ -70,6 +70,15 @@ def test_common_factor_certified_on_construction():
     assert t.degree == 1
 
 
+@pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
+def test_common_factor_hidden_where_a_restriction_drops_degree(prime):
+    # (z - 3x) times the identity: on the line z = 3x + 5y the factor
+    # restricts to 5t, a constant once t = 1, so that line certifies nothing
+    f = parse_triple("[x*z - 3*x^2 : y*z - 3*x*y : z^2 - 3*x*z]", prime)
+    assert f == identity_triple(prime)
+    assert iterate_degrees(f, 3) == ([1, 1, 1], False)
+
+
 def test_degenerate_composition_rejected():
     t = triple("x*y", "x*z", "x*x")
     assert t == triple("y", "z", "x")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import counting, loxodromic_ten, random_word, sigma_product
 from cremlat import intmat, spectral
@@ -243,6 +245,14 @@ def test_criterion_on_the_three_types(pts12):
     assert loxodromy_criterion(lox)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 10))
+def test_criterion_degrees_are_the_iterated_degrees(rng, length):
+    h = realize(random_word(rng, length, points(7)))
+    s = degree_sequence(h, 400)
+    assert criterion_degrees(h) == (s[199], s[399])
+
+
 def test_spectrum_report_schema(pts12):
     h = loxodromic_ten(pts12)
     rep = spectrum_report(h)
@@ -257,9 +267,13 @@ def test_spectrum_report_analyses_the_element_once(monkeypatch):
     h = loxodromic_ten(points(10))
     charpolys = counting(monkeypatch, intmat, "charpoly")
     isolations = counting(monkeypatch, spectral, "dominant_real_root")
+    products = counting(monkeypatch, intmat, "mat_mul")
+    powers = counting(monkeypatch, intmat, "mat_pow")
     rep = spectrum_report(h)
     assert rep["class"] == "loxodromic"
     assert len(charpolys) == 1
+    # nine squarings serve both the axis (M^512) and the criterion (h^200, h^400)
+    assert len(products) == 9 and not powers
     # one isolation at 1e-12 answers the report tolerance 1e-9 and axis_data
     assert len(isolations) == 1
     # the cached analysis answers later questions without recomputation

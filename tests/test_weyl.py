@@ -80,6 +80,14 @@ def test_compose_and_inverse():
     assert compose(h3, inverse(h3)) == identity_element()
 
 
+def test_integer_classes_keep_int_coefficients(rng):
+    pts = points(8)
+    img = apply(realize(random_word(rng, 12, pts)), e0())
+    assert type(img.e0) is int
+    assert all(type(c) is int for c in img.point_coeffs.values())
+    assert type(img.coeff(points(1)[0])) is int
+
+
 def test_degree_examples():
     p = points(6)
     assert degree(realize(word(sigma0(p[0], p[1], p[2])))) == 2
