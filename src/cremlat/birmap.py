@@ -6,16 +6,16 @@ common factor.  Coefficients are exact rationals by default; a prime-field
 mode (62-bit prime) is available for fast probabilistic work, with the
 rational mode as the reference semantics.
 
-Cancellation strategy: the common monomial content is stripped directly,
-and a coprimality certificate on two lines settles the generic case (mod a
-prime; a line counts only when some component keeps its full degree on it,
-so no common factor hides where the restrictions drop degree).  Only
-when that certificate fails is sympy imported: its exact multivariate gcd
-finds the remaining polynomial factor, which is then removed by exact
-division in this module's own representation, so a wrong gcd cannot slip
-through.  Degree growth is budgeted: compositions beyond the degree or term
-caps raise (or truncate the iteration) rather than grinding; monomial maps
-have their own exact integer fast path.
+Cancellation: the common monomial content is stripped directly, and the
+rest of the gcd comes from one native algorithm on the pencil of lines
+through a point O = [1 : 0 : a] where some component does not vanish
+(Brown's modular gcd, J. ACM 1971, with the lines as evaluation points).
+Its first line is a coprimality certificate, which settles the generic
+case; otherwise the gcds on further lines are interpolated, over Q through
+images modulo several primes.  A gcd is accepted only after exact division
+of every component.  Degree growth is budgeted: compositions beyond the
+degree or term caps raise (or truncate the iteration) rather than
+grinding; monomial maps have their own exact integer fast path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import intmat
 
@@ -45,6 +44,8 @@ class TripleSyntaxError(ValueError):
 
 
 def _inv_mod(a, p):
+    if a % p == 0:
+        raise ValueError(f"{a} has no inverse modulo the prime {p}")
     return pow(a, p - 2, p)
 
 
@@ -139,12 +140,12 @@ def poly_divexact(a, b, p=None):
 
 def _restrict_to_line(q, a, b, p):
     """The binary form q(s, t, a s + b t) modulo p as a univariate in s (t = 1)."""
-    deg = poly_degree(q)
-    out = [0] * (deg + 1)
+    bpow = [pow(b, r, p) for r in range(poly_degree(q) + 1)]
+    out = [0] * (poly_degree(q) + 1)
     for (i, j, k), c in q.items():
         # (a s + b t)^k expanded; collect the s-exponent with t = 1
         for r in range(k + 1):
-            out[i + r] += c * math.comb(k, r) * a ** r * b ** (k - r)
+            out[i + r] += c * math.comb(k, r) * a ** r * bpow[k - r]
     return [v % p for v in out]
 
 
@@ -171,89 +172,143 @@ def _univ_gcd(u, v, p):
     return u
 
 
-def _certainly_coprime(polys, p=None) -> bool:
-    """Sound fast path modulo q = p (DEFAULT_PRIME in rational mode); False
-    is inconclusive, as is a denominator divisible by q.  By Gauss's lemma a
-    common factor of degree k > 0 leaves one of degree k mod q.  On a line
-    where some restriction keeps its full degree (nonzero s^d coefficient),
-    that factor's restriction is prime to t, so it keeps degree k at t = 1
-    and a constant gcd of the univariates certifies coprimality."""
-    q = p or DEFAULT_PRIME
-    if any(c.denominator % q == 0 for poly in polys for c in poly.values()):
+def _center(polys, p=None):
+    """(a, v) for the least a >= 0 at which some q in polys has v = q(O) nonzero
+    (mod p), O = [1 : 0 : a].  A nonzero form q(x, 0, z) of degree d has at
+    most d roots a, and some q(x, 0, z) is nonzero unless y divides all q."""
+    for a in range(max(map(poly_degree, polys)) + 1):
+        for q in polys:
+            v = sum(c * a ** k for (_, j, k), c in q.items() if j == 0)
+            if v % p if p else v:
+                return a, v
+    raise ValueError(f"the prime {p} has too few elements for this gcd")
+
+
+def _divides(g, q, p):
+    try:
+        poly_divexact(q, g, p)
+    except ValueError:
         return False
-    reduced = [_canonical_coeffs(poly, q) for poly in polys]
-    for a, b in ((3, 5), (7, -2)):
-        lines = [_restrict_to_line(poly, a, b, q) for poly in reduced]
-        if not any(u and u[-1] for u in lines):
-            continue
-        g = lines[0]
-        for v in lines[1:]:
-            g = _univ_gcd(g, v, q)
+    return True
+
+
+def _pencil_gcd(polys, p, a):
+    """The gcd G of homogeneous polys modulo p, scaled to G(O) = 1 at a
+    center O = [1 : 0 : a] where some polys[i] does not vanish.  On each
+    line z = a x + b y through O, q(s, 1, a s + b) has leading coefficient
+    q(O), so G keeps its degree k there, and the monic gcd in s of the
+    restrictions has degree >= k, with equality, and value
+    G(s, 1, a s + b) / G(O), for all but finitely many b.  So a first gcd of
+    degree 0 proves coprimality; otherwise k + 1 gcds of least degree are
+    interpolated in b and homogenized back."""
+    points, k = [], None
+    for i in range(p):
+        b = (1_000_003 + i) % p  # base points with small coordinates have small b
+        g = []
+        for q in polys:
+            g = _univ_gcd(g, _restrict_to_line(q, a, b, p), p)
             if len(g) == 1:
-                break
-        if len(g) == 1:
-            return True
-    return False
+                return {(0, 0, 0): 1}
+        if k is None or len(g) - 1 < k:
+            points, k = [], len(g) - 1
+        elif len(g) - 1 > k:
+            continue
+        inv = _inv_mod(g[-1], p)
+        points.append((b, [c * inv % p for c in g]))
+        if len(points) > k:
+            cand = _homogenize(points, k, a, p)
+            if cand is not None and all(_divides(cand, q, p) for q in polys):
+                return cand
+            points = []  # every one of the k + 1 lines met a spurious common root
+    raise ValueError(f"the prime {p} has too few elements for this gcd")
+
+
+def _homogenize(points, k, a, p):
+    """G / G(O) from k + 1 pairs (b, monic gcd on the line z = a x + b y): the
+    s^j coefficient is a polynomial sum_m c_m b^m of degree <= k - j (else
+    None), and G / G(O) = sum c_m x^j (z - a x)^m y^(k-j-m)."""
+    out = {}
+    for j in range(k + 1):
+        cs = intmat.interpolate([b for b, _ in points], [g[j] for _, g in points], p)
+        for m, c in enumerate(cs):
+            if c and j + m > k:
+                return None
+            for r in range(m + 1):
+                mono = (j + m - r, k - j - m, r)
+                out[mono] = (out.get(mono, 0) + c * math.comb(m, r) * pow(-a, m - r, p)) % p
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _is_prime(n) -> bool:
+    """Deterministic Miller-Rabin for odd n in (37, 3.1e23)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = [pow(b, (n - 1) >> s, n)]
+        while len(x) < s:
+            x.append(x[-1] * x[-1] % n)
+        if x[0] != 1 and n - 1 not in x:
+            return False
+    return True
+
+
+def _rational(u, m):
+    """The fraction n/d = u mod m with |n|, d <= sqrt(m/2), or None."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+    return Fraction(r1, t1) if abs(t1) <= bound and math.gcd(r1, t1) == 1 else None
+
+
+def _rational_gcd(polys):
+    """The gcd over Q from pencil gcds G / G(O) modulo the primes from
+    DEFAULT_PRIME down that divide no denominator and not the numerator of
+    a nonzero polys[i](O), hence not G(O) (Gauss's lemma).  An image of
+    larger degree than another comes from an unlucky prime; those of least
+    degree are combined by CRT and read back by rational reconstruction."""
+    a, lead = _center(polys)
+    bad = lead.numerator * math.lcm(*(c.denominator for q in polys for c in q.values()))
+    images, modulus, k = {}, 1, None
+    for prime in range(DEFAULT_PRIME, 37, -2):
+        if bad % prime == 0 or not _is_prime(prime):
+            continue
+        img = _pencil_gcd([_canonical_coeffs(q, prime) for q in polys], prime, a)
+        if k is None or poly_degree(img) < k:
+            images, modulus, k = {}, 1, poly_degree(img)
+        elif poly_degree(img) > k:
+            continue
+        if k == 0:
+            return img
+        inv = _inv_mod(modulus, prime)
+        for mono in set(images) | set(img):
+            r = images.get(mono, 0)
+            images[mono] = r + modulus * ((img.get(mono, 0) - r) * inv % prime)
+        modulus *= prime
+        cand = {mono: _rational(c, modulus) for mono, c in images.items()}
+        if None not in cand.values():  # primitive over Z, so quotients stay small
+            scale = Fraction(math.lcm(*(c.denominator for c in cand.values())),
+                             math.gcd(*(c.numerator for c in cand.values())))
+            cand = {mono: c * scale for mono, c in cand.items() if c}
+            if all(_divides(cand, q, None) for q in polys):
+                return cand
 
 
 def poly_gcd(polys, p=None):
-    """Full gcd of several polynomials: monomial content times polynomial gcd.
-
-    The polynomial part is found with sympy's exact gcd; a random-line
-    coprimality certificate skips that call, and the import of sympy, in
-    the generic case (sympy's finite-field multivariate gcd crawls on dense
-    coprime inputs).  Callers
-    re-verify cancellations by exact division, so the gcd value is never
-    trusted blindly.
-    """
+    """Full gcd of several homogeneous polynomials: monomial content times
+    the gcd of the rest by `_pencil_gcd` (over Q through `_rational_gcd`),
+    checked by exact division.  In the generic case the first line of the
+    pencil proves the rest coprime."""
     polys = [q for q in polys if q]
     if not polys:
         return {(0, 0, 0): 1}
-    content = tuple(
-        min(m[t] for q in polys for m in q) for t in range(3)
-    )
-    reduced = [
-        {tuple(x - y for x, y in zip(m, content)): c for m, c in q.items()}
-        for q in polys
-    ]
-    out = {content: 1}
-    if any(poly_degree(q) == 0 for q in reduced) or _certainly_coprime(reduced, p):
-        return out
-    g_dict = _sympy_gcd(reduced, p)
-    return {tuple(x + y for x, y in zip(m, content)): c for m, c in g_dict.items()}
-
-
-def _sympy_gcd(polys, p=None):
-    """Exact polynomial gcd by sympy, imported here so that callers whose
-    inputs the coprimality certificate settles never load it."""
-    import sympy
-
-    xyz = sympy.symbols("x y z")
-
-    def to_sympy(a):
-        expr = sympy.Integer(0)
-        for (i, j, k), c in a.items():
-            cc = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c)
-            expr += cc * xyz[0] ** i * xyz[1] ** j * xyz[2] ** k
-        return expr
-
-    if p:
-        gs = [sympy.Poly(to_sympy(q), *xyz, domain=sympy.GF(p)) for q in polys]
-        g = gs[0]
-        for q in gs[1:]:
-            g = g.gcd(q)
-        g = g.as_expr()
-    else:
-        g = sympy.gcd_list([to_sympy(q) for q in polys])
-    out = {}
-    for mon, c in sympy.Poly(g, *xyz).terms():
-        if p:
-            num = int(c) % p
-        else:
-            num = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-        if num:
-            out[tuple(int(t) for t in mon)] = num
-    return out
+    content = tuple(min(m[t] for q in polys for m in q) for t in range(3))
+    reduced = [{tuple(x - y for x, y in zip(m, content)): c for m, c in q.items()}
+               for q in polys]
+    if any(poly_degree(q) == 0 for q in reduced):
+        return {content: 1}
+    g = _pencil_gcd(reduced, p, _center(reduced, p)[0]) if p else _rational_gcd(reduced)
+    return {tuple(x + y for x, y in zip(m, content)): c for m, c in g.items()}
 
 
 _MONO = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?)?\s*(?P<vars>(?:\*?\s*[xyz](?:\s*\^\s*\d+)?)*)\s*")
@@ -280,7 +335,7 @@ def parse_poly3(text: str, p=None):
         mono = (expo["x"], expo["y"], expo["z"])
         c = sign * coeff
         if p:
-            num = int(c.numerator) * _inv_mod(c.denominator % p, p) % p
+            num = int(c.numerator) * _inv_mod(c.denominator, p) % p
             c = num
         cur = out.get(mono, 0) + c
         if p:
@@ -326,7 +381,7 @@ def _canonical_coeffs(poly, prime):
     for m, c in dict(poly).items():
         if prime:
             if isinstance(c, Fraction):
-                c = c.numerator * _inv_mod(c.denominator % prime, prime)
+                c = c.numerator * _inv_mod(c.denominator, prime)
             c = int(c) % prime
         else:
             c = Fraction(c)

@@ -5,7 +5,8 @@ Fractions; the kernels only read their arguments and return lists of lists,
 so the tuple rows of a WeylElement are passed as they are.  Everything
 here is exact; the sizes involved are small (a few dozen rows), so the
 division-free Berkowitz algorithm and plain Gaussian elimination over Q are
-entirely adequate.
+entirely adequate.  :func:`interpolate` is the one polynomial interpolation
+of the package, over Q or modulo a prime.
 """
 
 from __future__ import annotations
@@ -159,3 +160,21 @@ def det(a):
     if len(pivots) < len(a):
         return Fraction(0)
     return sign * math.prod(pivots, start=Fraction(1))
+
+
+def interpolate(xs, ys, p=None):
+    """Ascending coefficients of the polynomial of degree < len(xs) through
+    the points (xs[i], ys[i]), xs distinct, exact over Q or modulo the prime
+    p, by Newton's divided differences; trailing zeros are dropped."""
+    div = (lambda u, v: u * pow(v, -1, p) % p) if p else (lambda u, v: Fraction(u) / v)
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = div(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+    out = [coef[-1]]
+    for x, c in zip(xs[-2::-1], coef[-2::-1]):  # out <- out * (t - x) + c
+        out = [u - x * v for u, v in zip([c] + out, out + [0])]
+        out = [u % p for u in out] if p else out
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out

@@ -262,32 +262,10 @@ def verify_P_identity(model: OrbitModel, k: int, samples: Sequence = (2, 3, Frac
     deg_bound = 2 * n + model.a
     xs = list(range(1, deg_bound + 2))
     ys = [two_variable_det(model, 0, x) for x in xs]
-    p0 = _interpolate(xs, ys)
+    p0 = intmat.interpolate(xs, ys)
     n_char = intmat.charpoly(model.n_block)
     quotient_ok, power = _is_monomial_multiple(p0, n_char)
     return PIdentityReport(k, tuple(samples), matches, quotient_ok, power)
-
-
-def _interpolate(xs, ys):
-    coeffs = [Fraction(0)] * len(xs)
-    for i, xi in enumerate(xs):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for kk, c in enumerate(num):
-                new[kk] += -xj * c
-                new[kk + 1] += c
-            num = new
-            den *= xi - xj
-        for kk, c in enumerate(num):
-            if kk < len(coeffs):
-                coeffs[kk] += ys[i] * c / den
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def _is_monomial_multiple(p0, n_char):

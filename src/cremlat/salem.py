@@ -516,15 +516,11 @@ def classify_number(p: IntPolynomial, tol: float = 1e-10) -> NumberClass:
     if len(recip_part) > 1:
         rp = IntPolynomial(recip_part)
         rest = exact_div(sf, rp)
-        if rp.is_reciprocal() and rp.degree % 2 == 0:
-            qq = to_trace_poly(rp)
-            inside_circle_pairs = count_real_roots(qq, -2, 2)
-            circle = 2 * inside_circle_pairs
-            outside_recip = (rp.degree - circle) // 2
-        else:
-            notes.append("odd reciprocal factor; circle count by modulus")
-            circle = sum(m for z, m in roots(rp, tol) if abs(abs(z) - 1) <= tol)
-            outside_recip = sum(m for z, m in roots(rp, tol) if abs(z) > 1 + tol)
+        # rp divides sf and its reverse, so rp is reciprocal up to sign; odd
+        # degree or antisymmetry would give it the root -1 or 1, which
+        # strip_cyclotomic removed, so to_trace_poly applies
+        circle = 2 * count_real_roots(to_trace_poly(rp), -2, 2)
+        outside_recip = (rp.degree - circle) // 2
     outside = outside_recip
     if rest.degree >= 1:
         outside += sum(m for z, m in roots(rest, tol) if abs(z) > 1 + tol)
@@ -597,14 +593,11 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
     big_a = a + 1 / a
     found = {}
     visited = 0
-    for half in range(2, degree_bound // 2 + 1):
-        n = half
-
-        def s_bounds(k):
-            spread = (n - 1) * 2 ** k
-            lo = 2 ** k - (spread if k % 2 == 1 else 0)
-            hi = big_a ** k + spread
-            return Fraction(lo), Fraction(hi)
+    for n in range(2, degree_bound // 2 + 1):
+        # per n, not per node: the powers of big_a and the power-sum bounds
+        apow = [big_a ** k for k in range(n + 1)]
+        s_bounds = [None] + [(Fraction(2 ** k - (n - 1) * 2 ** k * (k % 2)),
+                              apow[k] + (n - 1) * 2 ** k) for k in range(1, n + 1)]
 
         def extend(qs, ss):
             nonlocal visited
@@ -613,7 +606,7 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
                 raise SearchSpaceError(
                     f"search space exceeded {node_limit} nodes; tighten the bounds")
             k = len(qs) + 1
-            lo, hi = s_bounds(k)
+            lo, hi = s_bounds[k]
             # newton: s_k = -(k q_k + sum_{i<k} q_i s_{k-i})
             tail = sum(qs[i] * ss[k - 2 - i] for i in range(k - 1))
             q_lo = math.ceil((-hi - tail) / k)
@@ -625,7 +618,7 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
                 # of (-1)^n since every factor is <= 0.
                 base2 = 2 ** n + sum(qs[i] * 2 ** (n - 1 - i) for i in range(n - 1))
                 basem2 = (-2) ** n + sum(qs[i] * (-2) ** (n - 1 - i) for i in range(n - 1))
-                basea = big_a ** n + sum(qs[i] * big_a ** (n - 1 - i) for i in range(n - 1))
+                basea = apow[n] + sum(qs[i] * apow[n - 1 - i] for i in range(n - 1))
                 q_hi = min(q_hi, math.floor(-base2))
                 q_lo = max(q_lo, math.ceil(-basea))
                 if n % 2 == 1:

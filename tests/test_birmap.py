@@ -1,8 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import counting
+from cremlat import birmap
 from cremlat.birmap import (
     DEFAULT_PRIME,
     BudgetExceeded,
@@ -18,6 +23,7 @@ from cremlat.birmap import (
     monomial_map,
     monomial_triple,
     parse_triple,
+    poly_mul,
     projectively_equal,
     sigma_triple,
     triple,
@@ -77,6 +83,57 @@ def test_common_factor_hidden_where_a_restriction_drops_degree(prime):
     f = parse_triple("[x*z - 3*x^2 : y*z - 3*x*y : z^2 - 3*x*z]", prime)
     assert f == identity_triple(prime)
     assert iterate_degrees(f, 3) == ([1, 1, 1], False)
+
+
+def forms(degree, coeffs=st.integers(-9, 9)):
+    """Homogeneous polynomials of the given degree, possibly zero."""
+    monos = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    return st.lists(coeffs, min_size=len(monos), max_size=len(monos)).map(
+        lambda cs: {m: c for m, c in zip(monos, cs) if c})
+
+
+@st.composite
+def factored_triples(draw):
+    g = draw(forms(draw(st.integers(1, 3))).filter(bool))
+    d = draw(st.integers(1, 3))
+    hs = [draw(forms(d)) for _ in range(3)]
+    assume(any(hs))
+    return g, hs
+
+
+@settings(max_examples=40, deadline=None)
+@given(factored_triples(), st.sampled_from([None, DEFAULT_PRIME]))
+def test_a_common_factor_cancels_exactly(gh, prime):
+    # the reduced [G H1 : G H2 : G H3] is the reduced [H1 : H2 : H3], which
+    # is (H1, H2, H3) itself unless the H's share a factor
+    g, hs = gh
+    f = HomogeneousTriple([poly_mul(g, h) for h in hs], prime)
+    assert f == HomogeneousTriple(hs, prime)
+
+
+def test_a_large_rational_factor_is_read_back_from_several_primes(monkeypatch):
+    # G / G(O) has numerators and denominators near 10^25, more than the
+    # 31 bits of rational reconstruction one 62-bit prime allows
+    g = {(1, 0, 0): Fraction(10 ** 25 + 13, 7), (0, 1, 0): Fraction(-3, 10 ** 25 + 9),
+         (0, 0, 1): 1}
+    images = counting(monkeypatch, birmap, "_pencil_gcd")
+    f = HomogeneousTriple([poly_mul(g, h) for h in ({(1, 0, 0): 1}, {(0, 1, 0): 1},
+                                                     {(0, 0, 1): 1})])
+    assert len(images) >= 2
+    assert f == identity_triple()
+
+
+@pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
+def test_a_factor_in_y_and_z_alone(prime):
+    # y - 2z vanishes at [1 : 0 : 0], so the pencil moves its center
+    f = parse_triple("[x*y - 2*x*z : y^2 - 2*y*z : z*y - 2*z^2]", prime)
+    assert f == identity_triple(prime)
+
+
+@pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
+def test_iterates_that_cancel_at_every_step(prime):
+    f = parse_triple("[-y*z - 2*x*y : -y*z + z*x + 3*x*y : y*z - 3*x*y]", prime)
+    assert iterate_degrees(f, 6) == ([2, 3, 4, 5, 6, 7], False)
 
 
 def test_degenerate_composition_rejected():

@@ -36,6 +36,18 @@ def test_one_elimination_gives_det_and_rank(m):
     assert intmat.rank(m + [[2 * x for x in m[0]]]) == intmat.rank(m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+       st.sampled_from([None, 101, 2 ** 61 - 1]))
+def test_interpolation_recovers_the_polynomial(coeffs, p):
+    xs = list(range(-2, len(coeffs) + 1))
+    ys = [sum(c * x ** i for i, c in enumerate(coeffs)) for x in xs]
+    want = [c % p if p else c for c in coeffs]
+    while len(want) > 1 and want[-1] == 0:
+        want.pop()
+    assert intmat.interpolate(xs, [y % p if p else y for y in ys], p) == want
+
+
 # -- the explicit quadratic-case family ---------------------------------------
 
 
