@@ -2,7 +2,8 @@
 
 Triples [P : Q : R] of homogeneous polynomials of a common degree, without
 common factor, compose by substitution followed by cancellation of the full
-common factor.  Coefficients are exact rationals by default; a prime-field
+common factor.  Coefficients are exact rationals by default, held as one
+projective representative with coprime integer coefficients; a prime-field
 mode (62-bit prime) is available for fast probabilistic work, with the
 rational mode as the reference semantics.
 
@@ -11,11 +12,12 @@ rest of the gcd comes from one native algorithm on the pencil of lines
 through a point O = [1 : 0 : a] where some component does not vanish
 (Brown's modular gcd, J. ACM 1971, with the lines as evaluation points).
 Its first line is a coprimality certificate, which settles the generic
-case; otherwise the gcds on further lines are interpolated, over Q through
-images modulo several primes.  A gcd is accepted only after exact division
-of every component.  Degree growth is budgeted: compositions beyond the
-degree or term caps raise (or truncate the iteration) rather than
-grinding; monomial maps have their own exact integer fast path.
+case; otherwise the gcds on further lines are interpolated, over Z through
+images modulo several primes.  A gcd is accepted by exact division of
+every component, and those quotients are the cancelled triple.  Degree
+growth is budgeted: compositions beyond the degree or term caps raise (or
+truncate the iteration) rather than grinding; monomial maps have their own
+exact integer fast path.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def poly_eval_triple(a, triple, p=None):
 
 
 def poly_divexact(a, b, p=None):
-    """Exact division by b (raises if not exact)."""
+    """Exact division by b modulo p, or over Z (raises if not exact).  Over Z
+    a primitive b that divides a over Q divides it over Z (Gauss's lemma)."""
     if not b:
         raise ZeroDivisionError
     out = {}
@@ -128,13 +131,12 @@ def poly_divexact(a, b, p=None):
     while rem:
         ml = max(rem)
         q = tuple(x - y for x, y in zip(ml, bl))
-        if min(q) < 0:
+        c, r = (rem[ml] * inv % p, 0) if p else divmod(rem[ml], blc)
+        if r or min(q) < 0:
             raise ValueError("division is not exact")
-        c = rem[ml] * inv % p if p else rem[ml] / blc
         out[q] = c
-        piece = poly_scale(b, c, p)
-        shifted = {tuple(x + y for x, y in zip(m, q)): v for m, v in piece.items()}
-        rem = poly_add(rem, poly_scale(shifted, -1, p), p)
+        shifted = {tuple(x + y for x, y in zip(m, q)): -v for m, v in b.items()}
+        rem = poly_add(rem, poly_scale(shifted, c, p), p)
     return out
 
 
@@ -184,12 +186,12 @@ def _center(polys, p=None):
     raise ValueError(f"the prime {p} has too few elements for this gcd")
 
 
-def _divides(g, q, p):
+def _quotients(polys, g, p):
+    """[q / g for q in polys] by exact division, or None if one is not exact."""
     try:
-        poly_divexact(q, g, p)
+        return [poly_divexact(q, g, p) for q in polys]
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _pencil_gcd(polys, p, a):
@@ -200,7 +202,7 @@ def _pencil_gcd(polys, p, a):
     restrictions has degree >= k, with equality, and value
     G(s, 1, a s + b) / G(O), for all but finitely many b.  So a first gcd of
     degree 0 proves coprimality; otherwise k + 1 gcds of least degree are
-    interpolated in b and homogenized back."""
+    interpolated in b and homogenized back.  Returns (G, [q / G])."""
     points, k = [], None
     for i in range(p):
         b = (1_000_003 + i) % p  # base points with small coordinates have small b
@@ -208,7 +210,7 @@ def _pencil_gcd(polys, p, a):
         for q in polys:
             g = _univ_gcd(g, _restrict_to_line(q, a, b, p), p)
             if len(g) == 1:
-                return {(0, 0, 0): 1}
+                return {(0, 0, 0): 1}, polys
         if k is None or len(g) - 1 < k:
             points, k = [], len(g) - 1
         elif len(g) - 1 > k:
@@ -217,8 +219,9 @@ def _pencil_gcd(polys, p, a):
         points.append((b, [c * inv % p for c in g]))
         if len(points) > k:
             cand = _homogenize(points, k, a, p)
-            if cand is not None and all(_divides(cand, q, p) for q in polys):
-                return cand
+            quots = None if cand is None else _quotients(polys, cand, p)
+            if quots is not None:
+                return cand, quots
             points = []  # every one of the k + 1 lines met a spurious common root
     raise ValueError(f"the prime {p} has too few elements for this gcd")
 
@@ -251,71 +254,67 @@ def _is_prime(n) -> bool:
     return True
 
 
-def _rational(u, m):
-    """The fraction n/d = u mod m with |n|, d <= sqrt(m/2), or None."""
-    bound = math.isqrt(m // 2)
-    r0, r1, t0, t1 = m, u % m, 0, 1
-    while r1 > bound:
-        quo = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
-    return Fraction(r1, t1) if abs(t1) <= bound and math.gcd(r1, t1) == 1 else None
-
-
 def _rational_gcd(polys):
-    """The gcd over Q from pencil gcds G / G(O) modulo the primes from
-    DEFAULT_PRIME down that divide no denominator and not the numerator of
-    a nonzero polys[i](O), hence not G(O) (Gauss's lemma).  An image of
-    larger degree than another comes from an unlucky prime; those of least
-    degree are combined by CRT and read back by rational reconstruction."""
-    a, lead = _center(polys)
-    bad = lead.numerator * math.lcm(*(c.denominator for q in polys for c in q.values()))
+    """The primitive gcd G over Z of integer polys, with the quotients.  At
+    the center O, v = polys[i](O) is nonzero and G(O) divides it (Gauss's
+    lemma), so v G / G(O) has integer coefficients.  Its images, from pencil
+    gcds G / G(O) modulo the primes from DEFAULT_PRIME down that do not
+    divide v, are combined by CRT in the symmetric range; an image of larger
+    degree than another comes from an unlucky prime.  The primitive part of
+    the combination is accepted by exact division (Brown, J. ACM 1971)."""
+    a, v = _center(polys)
     images, modulus, k = {}, 1, None
     for prime in range(DEFAULT_PRIME, 37, -2):
-        if bad % prime == 0 or not _is_prime(prime):
+        if v % prime == 0 or not _is_prime(prime):
             continue
-        img = _pencil_gcd([_canonical_coeffs(q, prime) for q in polys], prime, a)
+        img, _ = _pencil_gcd(_canonical_coeffs(polys, prime), prime, a)
         if k is None or poly_degree(img) < k:
             images, modulus, k = {}, 1, poly_degree(img)
         elif poly_degree(img) > k:
             continue
         if k == 0:
-            return img
+            return img, polys
         inv = _inv_mod(modulus, prime)
         for mono in set(images) | set(img):
             r = images.get(mono, 0)
-            images[mono] = r + modulus * ((img.get(mono, 0) - r) * inv % prime)
+            images[mono] = r + modulus * ((v * img.get(mono, 0) - r) * inv % prime)
         modulus *= prime
-        cand = {mono: _rational(c, modulus) for mono, c in images.items()}
-        if None not in cand.values():  # primitive over Z, so quotients stay small
-            scale = Fraction(math.lcm(*(c.denominator for c in cand.values())),
-                             math.gcd(*(c.numerator for c in cand.values())))
-            cand = {mono: c * scale for mono, c in cand.items() if c}
-            if all(_divides(cand, q, None) for q in polys):
-                return cand
+        cand = {mono: c - modulus if 2 * c > modulus else c for mono, c in images.items()}
+        content = math.gcd(*cand.values())
+        cand = {mono: c // content for mono, c in cand.items() if c}
+        quots = _quotients(polys, cand, None)
+        if quots is not None:
+            return cand, quots
 
 
 def poly_gcd(polys, p=None):
-    """Full gcd of several homogeneous polynomials: monomial content times
-    the gcd of the rest by `_pencil_gcd` (over Q through `_rational_gcd`),
-    checked by exact division.  In the generic case the first line of the
-    pencil proves the rest coprime."""
-    polys = [q for q in polys if q]
-    if not polys:
-        return {(0, 0, 0): 1}
-    content = tuple(min(m[t] for q in polys for m in q) for t in range(3))
+    """Full gcd of several homogeneous polynomials, not all zero, and the
+    quotients: returns (gcd, [q / gcd for q in polys]).  The gcd is the
+    monomial content times the gcd of the rest by `_pencil_gcd` (over Z
+    through `_rational_gcd`), and the quotients come from the exact divisions
+    that accept it.  In the generic case the first line of the pencil proves
+    the rest coprime."""
+    live = [q for q in polys if q]
+    content = tuple(min(m[t] for q in live for m in q) for t in range(3))
     reduced = [{tuple(x - y for x, y in zip(m, content)): c for m, c in q.items()}
-               for q in polys]
+               for q in live]
     if any(poly_degree(q) == 0 for q in reduced):
-        return {content: 1}
-    g = _pencil_gcd(reduced, p, _center(reduced, p)[0]) if p else _rational_gcd(reduced)
-    return {tuple(x + y for x, y in zip(m, content)): c for m, c in g.items()}
+        g, quots = {(0, 0, 0): 1}, reduced
+    elif p:
+        g, quots = _pencil_gcd(reduced, p, _center(reduced, p)[0])
+    else:
+        g, quots = _rational_gcd(reduced)
+    quots = iter(quots)
+    return ({tuple(x + y for x, y in zip(m, content)): c for m, c in g.items()},
+            [next(quots) if q else q for q in polys])
 
 
 _MONO = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?)?\s*(?P<vars>(?:\*?\s*[xyz](?:\s*\^\s*\d+)?)*)\s*")
 
 
-def parse_poly3(text: str, p=None):
-    """Parse an expression like ``2*x^2*y - y*z^2`` into the sparse form."""
+def parse_poly3(text: str):
+    """Parse an expression like ``2*x^2*y - y*z^2`` into the sparse form,
+    with Fraction coefficients."""
     out = {}
     pos = 0
     text = text.strip()
@@ -333,13 +332,7 @@ def parse_poly3(text: str, p=None):
         for vm in re.finditer(r"([xyz])(?:\s*\^\s*(\d+))?", m.group("vars") or ""):
             expo[vm.group(1)] += int(vm.group(2)) if vm.group(2) else 1
         mono = (expo["x"], expo["y"], expo["z"])
-        c = sign * coeff
-        if p:
-            num = int(c.numerator) * _inv_mod(c.denominator, p) % p
-            c = num
-        cur = out.get(mono, 0) + c
-        if p:
-            cur %= p
+        cur = out.get(mono, 0) + sign * coeff
         if cur:
             out[mono] = cur
         else:
@@ -360,11 +353,9 @@ def format_poly3(a) -> str:
                 body.append(name)
             elif ex > 1:
                 body.append(f"{name}^{ex}")
-        mag = abs(c) if isinstance(c, Fraction) else c
-        coeff_txt = "" if mag == 1 and body else str(mag)
+        coeff_txt = "" if abs(c) == 1 and body else str(abs(c))
         txt = "*".join(([coeff_txt] if coeff_txt else []) + body) or "1"
-        neg = isinstance(c, Fraction) and c < 0
-        parts.append(("-" if neg else "+", txt))
+        parts.append(("-" if c < 0 else "+", txt))
     sign0, t0 = parts[0]
     out = ("-" if sign0 == "-" else "") + t0
     for s, t in parts[1:]:
@@ -375,19 +366,18 @@ def format_poly3(a) -> str:
 # -- triples -------------------------------------------------------------------
 
 
-def _canonical_coeffs(poly, prime):
-    """Coefficients as Fractions (rational mode) or ints mod p (prime mode)."""
-    out = {}
-    for m, c in dict(poly).items():
-        if prime:
-            if isinstance(c, Fraction):
-                c = c.numerator * _inv_mod(c.denominator, prime)
-            c = int(c) % prime
-        else:
-            c = Fraction(c)
-        if c:
-            out[m] = c
-    return out
+def _canonical_coeffs(polys, prime):
+    """The coefficients of polys (ints or Fractions) as ints: modulo the
+    prime, or in rational mode after multiplying every poly by one positive
+    rational that makes all the coefficients coprime integers."""
+    if prime:
+        inv = {d: _inv_mod(d, prime) for d in {c.denominator for q in polys for c in q.values()}}
+        return [{m: v for m, c in q.items() if (v := c.numerator * inv[c.denominator] % prime)}
+                for q in polys]
+    den = math.lcm(*(c.denominator for q in polys for c in q.values()))
+    ints = [{m: c.numerator * (den // c.denominator) for m, c in q.items() if c} for q in polys]
+    content = math.gcd(*(c for q in ints for c in q.values())) or 1
+    return [{m: c // content for m, c in q.items()} for q in ints]
 
 
 class HomogeneousTriple:
@@ -395,8 +385,8 @@ class HomogeneousTriple:
 
     __slots__ = ("components", "prime")
 
-    def __init__(self, components, prime=None, reduce: bool = True):
-        components = tuple(_canonical_coeffs(c, prime) for c in components)
+    def __init__(self, components, prime=None):
+        components = _canonical_coeffs(list(components), prime)
         if len(components) != 3 or all(not c for c in components):
             raise ValueError("need three components, not all zero")
         degs = {poly_degree(c) for c in components if c}
@@ -405,13 +395,8 @@ class HomogeneousTriple:
         for c in components:
             if c and len({i + j + k for (i, j, k) in c}) != 1:
                 raise ValueError("components must be homogeneous")
-        if reduce:
-            g = poly_gcd([c for c in components if c], prime)
-            if poly_degree(g) > 0:
-                components = tuple(
-                    poly_divexact(c, g, prime) if c else c for c in components
-                )
-        object.__setattr__(self, "components", components)
+        _, components = poly_gcd(components, prime)
+        object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "prime", prime)
 
     def __setattr__(self, *a):
@@ -432,32 +417,21 @@ class HomogeneousTriple:
 
 
 def projectively_equal(f: HomogeneousTriple, g: HomogeneousTriple) -> bool:
-    """Equality up to one overall scalar."""
-    if f.degree != g.degree:
-        return False
+    """Equality up to one overall scalar, by cross-multiplication."""
+    ref = None
     for a, b in zip(f.components, g.components):
-        if bool(a) != bool(b):
-            return False
-    ratio = None
-    for a, b in zip(f.components, g.components):
-        if not a:
-            continue
         if set(a) != set(b):
             return False
         for m in a:
-            r = (a[m] * _inv_mod(b[m], f.prime)) % f.prime if f.prime else a[m] / b[m]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
+            ref = ref or (a[m], b[m])
+            d = a[m] * ref[1] - b[m] * ref[0]
+            if d % f.prime if f.prime else d:
                 return False
     return True
 
 
 def triple(p_text: str, q_text: str, r_text: str, prime=None) -> HomogeneousTriple:
-    return HomogeneousTriple(
-        [parse_poly3(p_text, prime), parse_poly3(q_text, prime), parse_poly3(r_text, prime)],
-        prime,
-    )
+    return HomogeneousTriple([parse_poly3(t) for t in (p_text, q_text, r_text)], prime)
 
 
 def parse_triple(text: str, prime=None) -> HomogeneousTriple:
@@ -532,14 +506,9 @@ def linear_triple(matrix, prime=None) -> HomogeneousTriple:
     m = [[Fraction(x) for x in row] for row in matrix]
     if intmat.det3(m) == 0:
         raise ValueError("matrix is singular")
-    comps = []
-    for row in m:
-        poly = {}
-        for coeff, mono in zip(row, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-            if coeff:
-                poly[mono] = coeff
-        comps.append(poly)
-    return HomogeneousTriple(comps, prime)
+    # zero coefficients are dropped by _canonical_coeffs
+    return HomogeneousTriple([dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], row)) for row in m],
+                             prime)
 
 
 # -- monomial maps ----------------------------------------------------------------
@@ -573,23 +542,25 @@ def monomial_map(matrix) -> MonomialMap:
     return MonomialMap(a, b, c, d)
 
 
-def monomial_degree(f: MonomialMap) -> int:
-    """Plane degree via exponent homogenization, pure integer arithmetic.
+def _homogenized_exponents(f: MonomialMap) -> list[tuple]:
+    """The exponents in (x, y, z) of the three monomial components of f.
 
     Lifting (X, Y) = (x/z, y/z) gives Laurent exponent vectors for the three
     components; adding the smallest monomial that clears every negative
-    exponent leaves a common-factor-free triple whose degree this returns.
+    exponent leaves a common-factor-free triple.
     """
     vecs = [(f.a, f.b, -f.a - f.b), (f.c, f.d, -f.c - f.d), (0, 0, 0)]
     shift = [-min(v[t] for v in vecs) for t in range(3)]
-    return sum(shift)
+    return [tuple(v[t] + shift[t] for t in range(3)) for v in vecs]
+
+
+def monomial_degree(f: MonomialMap) -> int:
+    """Plane degree via exponent homogenization, pure integer arithmetic."""
+    return sum(_homogenized_exponents(f)[0])
 
 
 def monomial_triple(f: MonomialMap, prime=None) -> HomogeneousTriple:
-    vecs = [(f.a, f.b, -f.a - f.b), (f.c, f.d, -f.c - f.d), (0, 0, 0)]
-    shift = [-min(v[t] for v in vecs) for t in range(3)]
-    comps = [{tuple(v[t] + shift[t] for t in range(3)): 1} for v in vecs]
-    return HomogeneousTriple(comps, prime)
+    return HomogeneousTriple([{e: 1} for e in _homogenized_exponents(f)], prime)
 
 
 def monomial_iterates(f: MonomialMap, N: int) -> list[int]:

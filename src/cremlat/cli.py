@@ -164,7 +164,10 @@ def cmd_realizable(args) -> int:
             pt = point(label=name)
         names[name] = pt
         points.append(pt)
-    config = reduction.PointConfiguration(points, k_max=data.get("k_max", 6))
+    k_max = data.get("k_max", 6)
+    if type(k_max) is not int or k_max < 0:  # bool is a subclass of int
+        raise UsageError(f"(position 0) --config: k_max {k_max!r} is not a non-negative integer")
+    config = reduction.PointConfiguration(points, k_max=k_max)
     for fact, key in ((True, "collinear"), (False, "not_collinear")):
         for triple in listed(data.get(key, []), key):
             config.collinear_facts[frozenset(named(n).id for n in listed(triple, key))] = fact
@@ -229,13 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, tol=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
         return p
 
-    p = add("classify-number", cmd_classify_number, help="classify a monic integer polynomial")
+    p = add("classify-number", cmd_classify_number, tol=True,
+            help="classify a monic integer polynomial")
     p.add_argument("polynomial")
 
     p = add("salem-enum", cmd_salem_enum, help="exhaustive bounded Salem search")
@@ -249,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--vector", default="e0")
 
-    p = add("spectrum", cmd_spectrum, help="spectral report of a word")
+    p = add("spectrum", cmd_spectrum, tol=True, help="spectral report of a word")
     p.add_argument("word")
 
-    p = add("reduce", cmd_reduce, help="degree reduction loop, one JSON line per step")
+    p = add("reduce", cmd_reduce, tol=True, help="degree reduction loop, one JSON line per step")
     p.add_argument("word")
     p.add_argument("--budget", type=int, default=200)
 
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON file, or - for stdin")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("fk-spectrum", cmd_fk_spectrum, help="truncated-orbit spectral radii")
+    p = add("fk-spectrum", cmd_fk_spectrum, tol=True, help="truncated-orbit spectral radii")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
 

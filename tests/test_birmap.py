@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import counting
-from cremlat import birmap
+from cremlat import birmap, intmat
 from cremlat.birmap import (
     DEFAULT_PRIME,
     BudgetExceeded,
@@ -112,8 +112,9 @@ def test_a_common_factor_cancels_exactly(gh, prime):
 
 
 def test_a_large_rational_factor_is_read_back_from_several_primes(monkeypatch):
-    # G / G(O) has numerators and denominators near 10^25, more than the
-    # 31 bits of rational reconstruction one 62-bit prime allows
+    # the primitive gcd over Z, (10^25 + 13)(10^25 + 9) x - 21 y + 7 (10^25 + 9) z,
+    # has a coefficient near 10^50, more than one 62-bit prime can hold, so
+    # its images modulo several primes are combined
     g = {(1, 0, 0): Fraction(10 ** 25 + 13, 7), (0, 1, 0): Fraction(-3, 10 ** 25 + 9),
          (0, 0, 1): 1}
     images = counting(monkeypatch, birmap, "_pencil_gcd")
@@ -121,6 +122,35 @@ def test_a_large_rational_factor_is_read_back_from_several_primes(monkeypatch):
                                                      {(0, 0, 1): 1})])
     assert len(images) >= 2
     assert f == identity_triple()
+
+
+@pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
+def test_cancellation_divides_each_component_once(monkeypatch, prime):
+    # the divisions that accept the gcd give the quotients; over Q they are
+    # the three over Z after the three that accept its image modulo a prime
+    divisions = counting(monkeypatch, birmap, "poly_divexact")
+    parse_triple("[x*z - 3*x^2 : y*z - 3*x*y : z^2 - 3*x*z]", prime)
+    moduli = [args[2] for args in divisions]
+    assert moduli == ([prime] * 3 if prime else [DEFAULT_PRIME] * 3 + [None] * 3)
+
+
+def test_rational_coefficients_are_held_as_coprime_integers():
+    t = HomogeneousTriple([{(1, 0, 0): Fraction(1, 2)}, {(0, 1, 0): Fraction(3, 4)},
+                           {(0, 0, 1): 1}])
+    assert t.components == ({(1, 0, 0): 2}, {(0, 1, 0): 3}, {(0, 0, 1): 4})
+    assert all(type(c) is int for q in t.components for c in q.values())
+
+
+matrices = st.lists(st.integers(-3, 3), min_size=9, max_size=9).map(
+    lambda e: [e[0:3], e[3:6], e[6:9]]).filter(lambda m: intmat.det3(m) != 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices)
+def test_both_coefficient_fields_give_the_same_degrees(a):
+    degs = [iterate_degrees(compose(linear_triple(a, p), sigma_triple(p)), 4)
+            for p in (None, DEFAULT_PRIME)]
+    assert degs[0] == degs[1]
 
 
 @pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])

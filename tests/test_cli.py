@@ -18,6 +18,14 @@ CANCELLING_MAP = "[y*z : z*x + x*y : x*y + y*z]"
 GENERIC_MAP = "[-3*y*z - z*x + 3*x*y : 3*y*z + 3*z*x - 2*x*y : y*z - 2*z*x + 3*x*y]"
 
 
+def five_points(**fields):
+    """A config of five points in general position, on which realizable --m 3
+    reaches its curve conditions, with extra top-level fields."""
+    coords = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3])
+    return json.dumps({"points": [{"id": n, "coords": c} for n, c in zip("abcde", coords)],
+                       **fields})
+
+
 def run(capsys, *argv):
     """Exit code, stdout and stderr of one cremlat call."""
     try:
@@ -56,7 +64,11 @@ def test_malformed_word_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--seed", "1", LOXODROMIC),
-                                  ("reduce", "--seed", "0", LOXODROMIC)])
+                                  ("reduce", "--seed", "0", LOXODROMIC),
+                                  # --tol belongs only to the commands that read it
+                                  ("weyl-eval", "--tol", "1e-3", LOXODROMIC),
+                                  ("degseq", "--tol", "1e-3", "--map", "[y*z : z*x : x*y]"),
+                                  ("bounds", "--tol", "1e-3", "--lam", "2")])
 def test_seed_is_not_an_option(capsys, argv):
     rc, out, _ = run(capsys, *argv)
     assert rc == 2
@@ -96,6 +108,12 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
      '{"points": [{"id": "a"}, {"id": "b", "on_exceptional_of": ["zz"]}]}'),
     ("realizable", "--m", "2", "--config", "-", '{"points": [{"id": "a", "coords": [1, 2]}]}'),
     ("realizable", "--m", "2", "--config", "-", '{"points": [{"id": "a", "coords": [1, 2, "x"]}]}'),
+    # the whole text is parsed before any coefficient is read modulo the prime
+    ("degseq", "--map", "[1/4611686018427387847*x*y + y*z : z*x : x*y 2]", "--prime-field"),
+    ("realizable", "--m", "3", "--config", "-", five_points(k_max="2")),
+    ("realizable", "--m", "3", "--config", "-", five_points(k_max=2.5)),
+    ("realizable", "--m", "3", "--config", "-", five_points(k_max=True)),
+    ("realizable", "--m", "3", "--config", "-", five_points(k_max=-1)),
 ])
 def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv[0] == "realizable":
