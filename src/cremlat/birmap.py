@@ -142,12 +142,15 @@ def poly_divexact(a, b, p=None):
 
 def _restrict_to_line(q, a, b, p):
     """The binary form q(s, t, a s + b t) modulo p as a univariate in s (t = 1)."""
-    bpow = [pow(b, r, p) for r in range(poly_degree(q) + 1)]
-    out = [0] * (poly_degree(q) + 1)
+    d = poly_degree(q)
+    apow, bpow = ([pow(x, r, p) for r in range(d + 1)] for x in (a, b))
+    rows, out = {}, [0] * (d + 1)
     for (i, j, k), c in q.items():
-        # (a s + b t)^k expanded; collect the s-exponent with t = 1
-        for r in range(k + 1):
-            out[i + r] += c * math.comb(k, r) * a ** r * bpow[k - r]
+        # (a s + b t)^k expanded once per k; collect the s-exponent with t = 1
+        if k not in rows:
+            rows[k] = [math.comb(k, r) * apow[r] * bpow[k - r] % p for r in range(k + 1)]
+        for r, x in enumerate(rows[k], i):
+            out[r] += c * x
     return [v % p for v in out]
 
 

@@ -18,12 +18,13 @@ with isotropic image moves nothing), so the linear-growth branch below is
 never reached by realized words; it is kept so the trichotomy is total and
 violations surface loudly.
 
-The characteristic polynomial, its cyclotomic split, lambda and the power
-data (nine squarings give M^512 for the axis, and deg(h^200), deg(h^400) for
-the criterion) are computed once per element, each on first use, in one
-record (:func:`_spectrum`, cached by element) that every function below
-reads.  :mod:`cremlat.reduction` hands lambda on to each conjugate, so a
-conjugate's record computes only its power data.
+The characteristic polynomial, its cyclotomic split, lambda, the squares
+M^(2^k) and the criterion degrees are computed once per element, each on
+first use, in one record (:func:`_spectrum`, cached by element) that every
+function below reads.  The axis squares only as deep as lambda needs (see
+:func:`axis_data`); the criterion takes deg(h^200) and deg(h^400) from
+products with M^8.  :mod:`cremlat.reduction` hands lambda on to each
+conjugate, so a conjugate's record computes only the squares of its axis.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ KIND_PARABOLIC_QUADRATIC = "parabolic_quadratic"
 KIND_LOXODROMIC = "loxodromic"
 
 LAMBDA_TOL = 1e-12  # lambda is isolated once per element, at least this tightly
+AXIS_MARGIN_BITS = 100  # v+- come from M^e with lambda^e >= 2^100 deg^2, e <= 512
 
 
 class CertificateError(RuntimeError):
@@ -68,10 +70,12 @@ class IsometryClassification:
 class _Spectrum:
     """Spectral data of one element, each part computed on first use: the
     characteristic polynomial split once into its cyclotomic orders and
-    cyclotomic-free part, lambda, and the power data."""
+    cyclotomic-free part, lambda, the squares M^(2^k) made so far, and the
+    criterion degrees."""
 
     matrix: tuple
     lams: dict = field(default_factory=dict)
+    squares: list = field(default_factory=list)
 
     @cached_property
     def charpoly(self) -> IntPolynomial:
@@ -96,23 +100,24 @@ class _Spectrum:
             self.lams[t] = lam
         return self.lams[min(self.lams)]
 
+    def square(self, k: int):
+        """M^(2^k), squaring on from the largest square held."""
+        sq = self.squares
+        while len(sq) <= k:
+            sq.append(intmat.mat_mul(sq[-1], sq[-1]) if sq else self.matrix)
+        return sq[k]
+
     @cached_property
-    def powers(self) -> tuple:
-        """(first column and signed first row of M^512, deg(h^200), deg(h^400)),
-        exact, from nine squarings that keep only the current square; M^200 e0
-        and M^400 e0 take a factor M^(2^k) for each bit k of 200 and of 400."""
-        p = self.matrix
-        v200 = v400 = [1] + [0] * (len(p) - 1)
-        for k in range(9):  # p is M^(2^k)
-            if 200 >> k & 1:
-                v200 = intmat.mat_vec(p, v200)
-            if 400 >> k & 1:
-                v400 = intmat.mat_vec(p, v400)
-            p = intmat.mat_mul(p, p)
-        fwd = [row[0] for row in p]
-        # (M^512)^{-1} = J (M^512)^T J, so its first column is the signed first row
-        bwd = [p[0][0]] + [-x for x in p[0][1:]]
-        return fwd, bwd, v200[0], v400[0]
+    def criterion(self) -> tuple:
+        """(deg(h^200), deg(h^400)), exact: v = M^200 e0 and u = M^-200 e0 take
+        25 products each with M^8 and its form inverse, and by invariance of
+        the form deg(h^400) = e0 . M^400 e0 = u . v."""
+        m8 = self.square(3)
+        inv8 = intmat.form_inverse(m8)
+        v = u = [1] + [0] * (len(m8) - 1)
+        for _ in range(25):
+            v, u = intmat.mat_vec(m8, v), intmat.mat_vec(inv8, u)
+        return v[0], u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
 
 
 @lru_cache(maxsize=256)
@@ -199,10 +204,15 @@ def _normalized_vector(h: WeylElement, coords) -> ClassVector:
 def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     """Dynamical degree, normalized eigenvectors, and the axis projection.
 
-    v_plus and v_minus are scaled so v . e0 = 1; they come from high integer
-    powers of the matrix (exact) followed by a single normalization, so the
-    relative error is around (1/lambda)^512, far below tol for any
-    loxodromic element (the spectral gap keeps lambda away from 1).
+    v_plus and v_minus are scaled so v . e0 = 1; they come from the first
+    column of M^e and of M^-e (exact) followed by a single normalization.
+    With lambda_lo = lambda - tol, e = 2^k is the least power of two, k <= 9,
+    with lambda_lo^e >= 2^AXIS_MARGIN_BITS deg(h)^2.  Against its part on
+    v+, the part of e0 off the (v+, v-) plane is at most about
+    1 / (v+ . v-) < 2 deg(h)^2 / (lambda - 1/lambda)^2, and M^e shrinks that
+    ratio by lambda^-e (the complement is negative definite), so v+- err by
+    about 2^-100, far below double precision.  Near Lehmer's number the cap
+    e = 512 applies.
     """
     cls = classify(h)
     if not cls.is_loxodromic:
@@ -213,7 +223,12 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
 def _axis_data_at(h: WeylElement, lam: float, tol: float) -> LoxodromicData:
     """axis_data for an element whose dynamical degree lam is already known,
     such as a conjugate of an element already analysed."""
-    fwd, bwd = _spectrum(h).powers[:2]
+    need = AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
+    rate = math.log2(lam - tol) if lam - tol > 1 else 0.0
+    p = _spectrum(h).square(next((k for k in range(9) if rate * 2 ** k >= need), 9))
+    fwd = [row[0] for row in p]
+    # (M^e)^{-1} = J (M^e)^T J, so its first column is the signed first row
+    bwd = [p[0][0]] + [-x for x in p[0][1:]]
     v_plus = _normalized_vector(h, fwd)
     v_minus = _normalized_vector(h, bwd)
     dot = intersect(v_plus, v_minus)
@@ -277,8 +292,8 @@ def loxodromy_criterion(h: WeylElement) -> bool:
 
 
 def criterion_degrees(h: WeylElement) -> tuple[int, int]:
-    """The exact pair (deg(h^200), deg(h^400)), from the element's power data."""
-    return _spectrum(h).powers[2:]
+    """The exact pair (deg(h^200), deg(h^400)), computed once per element."""
+    return _spectrum(h).criterion
 
 
 def spectrum_report(h: WeylElement, tol: float = 1e-9) -> dict:

@@ -60,3 +60,11 @@ def loxodromic_ten(pts):
     return sigma_product(
         (p[0], p[1], p[2]), (p[3], p[4], p[5]), (p[6], p[7], p[8]), (p[9], p[0], p[3])
     )
+
+
+def power(h, n):
+    """h composed with itself n >= 1 times."""
+    g = h
+    for _ in range(n - 1):
+        g = compose(g, h)
+    return g

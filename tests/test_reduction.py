@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import counting, loxodromic_ten, random_word, sigma_product
-from cremlat import intmat
+from conftest import counting, loxodromic_ten, power, random_word, sigma_product
+from cremlat import intmat, spectral
 from cremlat.lattice import (
     ClassVector,
     e,
@@ -217,6 +217,18 @@ def test_reduce_computes_one_characteristic_polynomial(pts12, monkeypatch):
     trace = reduce(h)
     assert len(trace.steps) == 3
     assert len(charpolys) == 1
+
+
+def test_reduce_above_lambda_1e6_squares_three_times(monkeypatch):
+    # lambda(h0^20) ~ 3.1e7, so lambda^8 >= 2^100 deg^2 already holds
+    h = power(loxodromic_ten(points(10)), 20)
+    spectral._spectrum.cache_clear()
+    products = counting(monkeypatch, intmat, "mat_mul")
+    trace = reduce(h)
+    assert 3.0e7 < trace.lam < 3.2e7
+    assert 0 < len(products) <= 3 * (len(trace.steps) + 1)
+    # reduce never asks for the 200/400 criterion
+    assert all("criterion" not in vars(spectral._spectrum(g)) for g in (h, trace.final))
 
 
 def test_conjugate_inherits_the_exact_lambda(pts12):

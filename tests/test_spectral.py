@@ -1,15 +1,18 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import counting, loxodromic_ten, random_word, sigma_product
+from conftest import counting, loxodromic_ten, power, random_word, sigma_product
 from cremlat import intmat, spectral
-from cremlat.lattice import e, e0, intersect, norm_sq, points
+from cremlat.lattice import ClassVector, e, e0, intersect, norm_sq, points
 from cremlat.salem import lehmer_number
 from cremlat.spectral import (
     THREE_19,
+    LoxodromicData,
     axis_data,
     axis_displacement_check,
     char_polynomial,
@@ -219,6 +222,41 @@ def test_axis_data_at_large_lambda():
     assert data.v_plus.e0 == 1.0 and data.v_minus.e0 == 1.0
 
 
+def axis_from_m512(h, lam):
+    """Test-local oracle: the axis data read from M^512 by mat_pow, the depth
+    every element used before the depth rule."""
+    p = intmat.mat_pow(h.matrix, 512)
+
+    def unit(coords):
+        return ClassVector(1.0, {q: float(Fraction(c, coords[0]))
+                                 for q, c in zip(h.support, coords[1:]) if c})
+
+    def residual(g, v):
+        return math.sqrt(norm_sq(apply(g, v) - lam * v)) / math.sqrt(norm_sq(v))
+
+    vp = unit([row[0] for row in p])
+    vm = unit([p[0][0]] + [-x for x in p[0][1:]])
+    dot = intersect(vp, vm)
+    cosh = math.sqrt(2.0 / dot)
+    return LoxodromicData(lam, vp, vm, dot, cosh, cosh * (0.5 * (vp + vm)),
+                          residual(h, vp), residual(inverse(h), vm))
+
+
+# powers of random words with lambda ~ 4.7e6 and ~ 4.7e8, past the 10^6
+# threshold of the reduction theorem
+@example(random.Random(0), 36, 24, 2)
+@example(random.Random(5), 30, 16, 3)
+@settings(max_examples=6, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(8, 36), st.integers(12, 24),
+       st.integers(1, 2))
+def test_axis_and_criterion_agree_with_the_full_powers(rng, length, npts, n):
+    h = power(realize(random_word(rng, length, points(npts))), n)
+    assume(classify(h).is_loxodromic)
+    assert axis_data(h) == axis_from_m512(h, dynamical_degree(h))
+    s = degree_sequence(h, 400)
+    assert criterion_degrees(h) == (s[199], s[399])
+
+
 def test_displacement_bound_at_e0(pts12):
     h = loxodromic_ten(pts12)
     rep = axis_displacement_check(h, e0())
@@ -239,6 +277,8 @@ def test_criterion_on_the_three_types(pts12):
     assert criterion_degrees(s) == (1, 1)
     halphen = sigma_product((p[0], p[1], p[2]), (p[3], p[4], p[5]), (p[6], p[7], p[8]))
     d200, d400 = criterion_degrees(halphen)
+    s = degree_sequence(halphen, 400)
+    assert (d200, d400) == (s[199], s[399])
     assert not loxodromy_criterion(halphen)
     assert d400 < THREE_19 * d200
     lox = loxodromic_ten(pts12)
@@ -246,9 +286,10 @@ def test_criterion_on_the_three_types(pts12):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(1, 10))
-def test_criterion_degrees_are_the_iterated_degrees(rng, length):
-    h = realize(random_word(rng, length, points(7)))
+@given(st.randoms(use_true_random=False), st.integers(1, 10), st.sampled_from((7, 9)))
+def test_criterion_degrees_are_the_iterated_degrees(rng, length, npts):
+    # words on seven points are elliptic; on nine, elliptic or parabolic
+    h = realize(random_word(rng, length, points(npts)))
     s = degree_sequence(h, 400)
     assert criterion_degrees(h) == (s[199], s[399])
 
@@ -272,8 +313,14 @@ def test_spectrum_report_analyses_the_element_once(monkeypatch):
     rep = spectrum_report(h)
     assert rep["class"] == "loxodromic"
     assert len(charpolys) == 1
-    # nine squarings serve both the axis (M^512) and the criterion (h^200, h^400)
-    assert len(products) == 9 and not powers
+    # the axis squares to the least e = 2^k with lambda_lo^e >= 2^100 deg^2,
+    # here e = 128 (lambda ~ 2.369, deg 13), and the criterion reads M^8 from
+    # the same squares
+    lam_lo = rep["lambda"] - 1e-9
+    bound = 2 ** spectral.AXIS_MARGIN_BITS * degree(h) ** 2
+    k = next(k for k in range(10) if k == 9 or lam_lo ** 2 ** k >= bound)
+    assert k == 7
+    assert len(products) == max(k, 3) and not powers
     # one isolation at 1e-12 answers the report tolerance 1e-9 and axis_data
     assert len(isolations) == 1
     # the cached analysis answers later questions without recomputation
