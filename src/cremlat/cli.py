@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -225,6 +226,17 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite positive float (bisection to 0 never ends)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cremlat",
@@ -236,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+            p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric tolerance")
         return p
 
     p = add("classify-number", cmd_classify_number, tol=True,
@@ -290,8 +302,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # domain errors; RuntimeError covers resource guards, budget overruns
-    # and failed certificates (spectral.CertificateError)
-    except (ValueError, RuntimeError) as exc:
+    # and failed certificates (spectral.CertificateError), OverflowError a
+    # number too large for a float or infinite where a ratio is needed
+    except (ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

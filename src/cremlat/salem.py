@@ -1,20 +1,20 @@
 """Monic integer polynomials: roots, cyclotomic stripping, Salem/Pisot tests.
 
-Everything that certifies a classification is exact and runs in integers:
-cyclotomic factors are removed by trial division over Z; gcds, squarefree
-parts and Sturm chains come from primitive remainder sequences over Z, with
-one chain built per polynomial and reused by every count on it; signs at a
-rational n/d are read from the integer d^deg p(n/d).  Circle roots of
-reciprocal polynomials are located through the substitution y = x + 1/x (a
-root lies on the unit circle exactly when the transformed polynomial has a
-real root in (-2, 2)).  Floating point is used only to polish root values to
-a requested tolerance, never to decide a classification of a reciprocal
-factor.
+Every classification is decided exactly, in integers: cyclotomic factors are
+removed by trial division over Z; gcds, squarefree parts and Sturm chains
+come from primitive remainder sequences over Z, with one chain built per
+polynomial and reused by every count on it; signs at a rational n/d are read
+from the integer d^deg p(n/d).  Circle roots of reciprocal polynomials are
+located through the substitution y = x + 1/x (a root lies on the unit circle
+exactly when the transformed polynomial has a real root in (-2, 2)).  Roots
+outside the unit circle are counted by the Routh-Hurwitz theorem after the
+map w = (z - 1)/(z + 1), with Cauchy indices read off the same kind of
+remainder sequence.  Floating point only reports a root's value, to a
+requested tolerance.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import re
@@ -206,51 +206,66 @@ def _cyclotomic_indices(max_phi: int):
 
 
 def strip_cyclotomic(p: IntPolynomial) -> tuple[Optional[IntPolynomial], tuple[int, ...]]:
-    """Divide out every cyclotomic factor, repeatedly.
+    """Divide out every cyclotomic factor, with multiplicity.
 
     Returns the cyclotomic-free part, or None when p is a product of
     cyclotomic polynomials (constant quotient), together with the order n of
-    each factor Phi_n divided out, once per multiplicity.
+    each factor Phi_n divided out, once per multiplicity.  One sweep over the
+    orders suffices: each Phi_n is divided out completely before the next,
+    and the Phi_n are pairwise coprime.
     """
     coeffs = list(p.coeffs)
     orders = []
-    changed = True
-    while changed and len(coeffs) > 1:
-        changed = False
-        deg = len(coeffs) - 1
-        for n in _cyclotomic_indices(deg):
-            phi = cyclotomic(n)
-            while len(coeffs) - 1 >= phi.degree:
-                q, r = _divmod_monic(coeffs, phi.coeffs)
-                if all(c == 0 for c in r):
-                    coeffs = q
-                    orders.append(n)
-                    changed = True
-                else:
-                    break
-            if len(coeffs) == 1:
+    for n in _cyclotomic_indices(len(coeffs) - 1):
+        phi = cyclotomic(n)
+        while len(coeffs) - 1 >= phi.degree:
+            q, r = _divmod_monic(coeffs, phi.coeffs)
+            if any(r):
                 break
-    if len(coeffs) == 1:
-        return None, tuple(orders)
+            coeffs = q
+            orders.append(n)
+        if len(coeffs) == 1:
+            return None, tuple(orders)
     return IntPolynomial(coeffs), tuple(orders)
 
 
 # -- Sturm sequences and exact real-root location ---------------------------
 
+def _remainders(a, b) -> list:
+    """The signed remainder sequence a, b, -rem(a, b), ... in integers.
+
+    Each remainder is the negated pseudo-remainder of the two members before
+    it, made primitive: a positive multiple of the sequence over Q, with the
+    same signs everywhere.  It stops at a constant or when a division is
+    exact.  Needs deg a >= deg b.
+    """
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _prem(seq[-2], seq[-1])
+        if not any(r):
+            break
+        seq.append(_primitive([-c for c in r]))
+    return seq
+
+
+def _changes_at_infinity(seq) -> tuple[int, int]:
+    """Sign changes along seq at -infinity and at +infinity.
+
+    There each member has the sign of its leading term times (+-1)^degree.
+    """
+    return (_changes(c[-1] if len(c) % 2 else -c[-1] for c in seq),
+            _changes(c[-1] for c in seq))
+
+
 @lru_cache(maxsize=16)
 def _sturm_chain(p: IntPolynomial) -> tuple:
     """The Sturm chain of p's squarefree part, in integers, once per polynomial.
 
-    Each member is the negated pseudo-remainder of the two before it, made
-    primitive: a positive multiple of the chain over Q, with the same signs
-    everywhere.  The cache serves the counts that follow one another on the
-    same polynomial (a Salem candidate, a bisection).
+    The cache serves the counts that follow one another on the same
+    polynomial (a Salem candidate, a bisection).
     """
-    chain = [list(squarefree_part(p).coeffs)]
-    chain.append(_primitive(_deriv(chain[0])))
-    while len(chain[-1]) > 1:
-        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
-    return tuple(tuple(c) for c in chain)
+    sf = list(squarefree_part(p).coeffs)
+    return tuple(tuple(c) for c in _remainders(sf, _primitive(_deriv(sf))))
 
 
 def _sign_at(coeffs, x: Fraction) -> int:
@@ -272,11 +287,9 @@ def _changes(values) -> int:
 def count_real_roots(p: IntPolynomial, lo=None, hi=None) -> int:
     """Distinct real roots in (lo, hi]; None endpoints mean +-infinity."""
     chain = _sturm_chain(p)
-    # at +-infinity each member has the sign of its leading term times (+-1)^degree
-    va = (_changes(_sign_at(c, Fraction(lo)) for c in chain) if lo is not None
-          else _changes(c[-1] if len(c) % 2 else -c[-1] for c in chain))
-    vb = (_changes(_sign_at(c, Fraction(hi)) for c in chain) if hi is not None
-          else _changes(c[-1] for c in chain))
+    at_minus_inf, at_inf = _changes_at_infinity(chain)
+    va = _changes(_sign_at(c, Fraction(lo)) for c in chain) if lo is not None else at_minus_inf
+    vb = _changes(_sign_at(c, Fraction(hi)) for c in chain) if hi is not None else at_inf
     return va - vb
 
 
@@ -325,85 +338,32 @@ def dominant_real_root(p: IntPolynomial, tol: float = 1e-12) -> Optional[float]:
     return float((lo + hi) / 2)
 
 
-# -- Aberth-Ehrlich simultaneous root finding --------------------------------
+# -- roots outside the unit circle -------------------------------------------
 
-def _aberth(coeffs, tol):
-    n = len(coeffs) - 1
-    scale = max(abs(c) for c in coeffs)
-    cs = [c / scale for c in coeffs]
-    ds = _deriv(cs)
+def _count_outside(p) -> int:
+    """Roots of p with |z| > 1, with multiplicity; p has none with |z| = 1.
 
-    def ev(poly, z):
-        acc = 0j
-        for c in reversed(poly):
-            acc = acc * z + c
-        return acc
-
-    radius = 1 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
-    roots = [radius * 0.7 * cmath.exp(2j * math.pi * (k + 0.35) / n) for k in range(n)]
-    for _ in range(400):
-        moved = 0.0
-        for i in range(n):
-            z = roots[i]
-            pv = ev(cs, z)
-            dv = ev(ds, z)
-            if dv == 0:
-                roots[i] = z + (0.01 + 0.01j)
-                moved = math.inf
-                continue
-            newton = pv / dv
-            rep = sum(1 / (z - roots[j]) for j in range(n) if j != i)
-            denom = 1 - newton * rep
-            step = newton / denom if denom != 0 else newton
-            roots[i] = z - step
-            moved = max(moved, abs(step))
-        if moved < tol * 1e-3:
-            break
-    return roots
-
-
-def yun_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Squarefree factors with multiplicities (Yun's algorithm, exact)."""
-    a = list(p.coeffs)
-    g = _gcd(a, _deriv(a))
-    if len(g) == 1:
-        return [(p, 1)]
-    parts = []
-    w, _ = _divmod_monic(a, g)
-    y, _ = _divmod_monic(_deriv(a), g)
-    k = 1
-    while len(w) > 1:
-        z = _trim([yy - dd for yy, dd in itertools.zip_longest(y, _deriv(w), fillvalue=0)])
-        f = _gcd(w, z)
-        if len(f) > 1:
-            parts.append((IntPolynomial(f), k))
-        w, _ = _divmod_monic(w, f)
-        y, _ = _divmod_monic(z, f)
-        k += 1
-    return parts
-
-
-def roots(p: IntPolynomial, tol: float = 1e-10) -> list[tuple[complex, int]]:
-    """All complex roots with multiplicities, residual below tol at scale.
-
-    Multiplicities come from exact squarefree decomposition; the dominant
-    real root, when present, is replaced by its certified bisection value.
+    w = (z - 1)/(z + 1) sends |z| > 1 onto Re w > 0, and p to
+    q(w) = (1 - w)^n p((1 + w)/(1 - w)), still of degree n as p(-1) != 0.
+    Write q(iy) = A(y) + i B(y), multiplying q by i first if deg B > deg A.
+    The argument of q(iy) along the imaginary axis gives the Routh-Hurwitz
+    count (n + I(B/A))/2, where the Cauchy index I(B/A) = V(-inf) - V(+inf)
+    is read off the remainder sequence of A and B (Gantmacher, ch. XV).
     """
-    parts = yun_decomposition(p)
-    out = []
-    for fac, mult in parts:
-        if fac.degree == 0:
-            continue
-        rs = _aberth(list(fac.coeffs), tol)
-        dom = dominant_real_root(fac, tol)
-        if dom is not None:
-            best = min(range(len(rs)), key=lambda i: abs(rs[i] - dom))
-            rs[best] = complex(dom, 0.0)
-        for z in rs:
-            if abs(z.imag) < tol * max(1.0, abs(z.real)):
-                z = complex(z.real, 0.0)
-            out.append((z, mult))
-    return out
+    n = len(p) - 1
+    q, down = [p[-1]], [1]
+    for c in reversed(p[:-1]):
+        # after c = c_j: q = sum over k >= j of c_k (1 + w)^(k - j) (1 - w)^(n - k)
+        down = _mul(down, [1, -1])
+        q = [x + c * d for x, d in zip(_mul(q, [1, 1]), down)]
+    # i^j = (-1)^(j // 2) for even j, i (-1)^(j // 2) for odd j
+    s = [c if j % 4 < 2 else -c for j, c in enumerate(q)]
+    a = _trim([c if j % 2 == 0 else 0 for j, c in enumerate(s)])
+    b = _trim([c if j % 2 else 0 for j, c in enumerate(s)])
+    if len(b) > len(a):
+        a, b = [-c for c in b], a  # i q(iy) = -B + i A
+    at_minus_inf, at_inf = _changes_at_infinity(_remainders(a, b))
+    return (n + at_minus_inf - at_inf) // 2
 
 
 # -- the y = x + 1/x transform for reciprocal polynomials --------------------
@@ -507,24 +467,12 @@ def classify_number(p: IntPolynomial, tol: float = 1e-10) -> NumberClass:
             return NumberClass("salem", lam, stripped, tuple(notes))
         # reciprocal but not a Salem layout
         return NumberClass("other_perron", lam, stripped, tuple(notes))
-    # non-reciprocal part: split off the reciprocal factor carrying any
-    # circle roots, then count outside roots of the remainder numerically
-    recip_part = _gcd(sf.coeffs, sf.coeffs[::-1])
-    circle = 0
-    outside_recip = 0
-    rest = sf
-    if len(recip_part) > 1:
-        rp = IntPolynomial(recip_part)
-        rest = exact_div(sf, rp)
-        # rp divides sf and its reverse, so rp is reciprocal up to sign; odd
-        # degree or antisymmetry would give it the root -1 or 1, which
-        # strip_cyclotomic removed, so to_trace_poly applies
-        circle = 2 * count_real_roots(to_trace_poly(rp), -2, 2)
-        outside_recip = (rp.degree - circle) // 2
-    outside = outside_recip
-    if rest.degree >= 1:
-        outside += sum(m for z, m in roots(rest, tol) if abs(z) > 1 + tol)
-    if outside == 1 and circle == 0:
+    # non-reciprocal part.  A circle root z of sf is also a root 1/z = conj z
+    # of its reverse, so a trivial gcd rules them out and the count applies.
+    # A nontrivial gcd without circle roots holds pairs z, 1/z and so one
+    # root outside; its cofactor is monic and nonconstant with a nonzero
+    # constant term and no root of unity, so it has another one.
+    if len(_gcd(sf.coeffs, sf.coeffs[::-1])) == 1 and _count_outside(sf.coeffs) == 1:
         return NumberClass("pisot", lam, stripped, tuple(notes))
     return NumberClass("other_perron", lam, stripped, tuple(notes))
 

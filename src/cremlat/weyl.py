@@ -814,14 +814,4 @@ def parse_word(text: str, names: Optional[dict] = None):
 
 def print_word(w: WeylWord) -> str:
     """Inverse of parse_word for words over labelled points."""
-    if not w.letters:
-        return "s()"
-    out = []
-    for g in w.letters:
-        if isinstance(g, Sigma0):
-            out.append(f"q({g.p1!r},{g.p2!r},{g.p3!r})")
-        elif isinstance(g, Tau):
-            out.append(f"t({g.p!r},{g.q!r})")
-        else:
-            out.append("s" + ("".join(f"({a!r} {b!r})" for a, b in g.pairs) or "()"))
-    return " * ".join(out)
+    return repr(w)

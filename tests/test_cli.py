@@ -68,7 +68,14 @@ def test_malformed_word_is_a_usage_error(capsys):
                                   # --tol belongs only to the commands that read it
                                   ("weyl-eval", "--tol", "1e-3", LOXODROMIC),
                                   ("degseq", "--tol", "1e-3", "--map", "[y*z : z*x : x*y]"),
-                                  ("bounds", "--tol", "1e-3", "--lam", "2")])
+                                  ("bounds", "--tol", "1e-3", "--lam", "2"),
+                                  # --tol is a finite positive float: at 0 or less a
+                                  # bisection never ends
+                                  ("classify-number", "x^2-x-1", "--tol", "0"),
+                                  ("spectrum", LOXODROMIC, "--tol", "-1"),
+                                  ("reduce", LOXODROMIC, "--tol", "nan"),
+                                  ("fk-spectrum", "--m", "3", "--kmax", "4", "--tol", "inf"),
+                                  ("classify-number", "x^2-x-1", "--tol", "1e-400")])
 def test_seed_is_not_an_option(capsys, argv):
     rc, out, _ = run(capsys, *argv)
     assert rc == 2
@@ -143,6 +150,9 @@ def test_realizable_reads_every_config_field(capsys, monkeypatch):
     # the denominator is the field's prime, so the coefficient does not exist
     ("degseq", "--map", "[1/4611686018427387847*x*y + y*z : z*x : x*y]", "-n", "3",
      "--prime-field"),
+    # too large for a float, or infinite where an exact ratio is needed
+    ("bounds", "--lam", "1e400"),
+    ("salem-enum", "--degree-bound", "4", "--upper", "inf"),
 ])
 def test_well_formed_input_the_mathematics_refuses_is_a_domain_error(capsys, argv):
     rc, out, err = run(capsys, *argv)

@@ -2,7 +2,7 @@ import math
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import counting
@@ -23,11 +23,9 @@ from cremlat.salem import (
     lehmer_number,
     named_constants,
     parse_poly,
-    roots,
     spectral_gap_assert,
     strip_cyclotomic,
     to_trace_poly,
-    yun_decomposition,
 )
 
 
@@ -49,41 +47,9 @@ def test_parse_format_round_trip():
 # -- roots ------------------------------------------------------------------------
 
 
-def test_quadratic_roots():
-    rs = sorted(z.real for z, _ in roots(parse_poly("x^2 - 3*x + 1")))
-    assert abs(rs[0] - (3 - math.sqrt(5)) / 2) < 1e-9
-    assert abs(rs[1] - (3 + math.sqrt(5)) / 2) < 1e-9
-
-
 def test_plastic_and_lehmer_roots():
     assert abs(dominant_real_root(PLASTIC_POLYNOMIAL) - 1.324717957244746) < 1e-10
     assert abs(dominant_real_root(LEHMER_POLYNOMIAL, 1e-13) - 1.176280818259917) < 1e-11
-
-
-def test_roots_multiplicity_aware():
-    p = parse_poly("x^2 - 3*x + 1") * parse_poly("x^2 - 3*x + 1")
-    rs = roots(p)
-    assert sorted(m for _, m in rs) == [2, 2]
-    assert yun_decomposition(p) == [(parse_poly("x^2 - 3*x + 1"), 2)]
-
-
-def test_roots_residuals():
-    p = LEHMER_POLYNOMIAL
-    for z, _ in roots(p, 1e-10):
-        val = abs(p(complex(z)))
-        assert val < 1e-6
-
-
-def test_vieta_residuals():
-    p = parse_poly("x^4 - 2*x^3 + x - 5")
-    rs = [z for z, m in roots(p) for _ in range(m)]
-    prod = 1
-    total = 0
-    for z in rs:
-        prod *= z
-        total += z
-    assert abs(total - 2) < 1e-8          # -c3
-    assert abs(prod - (-5)) < 1e-8        # (-1)^4 c0
 
 
 # -- cyclotomic stripping ------------------------------------------------------------
@@ -152,16 +118,6 @@ def test_count_real_roots_counts_distinct_roots(rs, mults, k, lo, hi):
         assert count_real_roots(p, lo, hi) == len(inside)
 
 
-monic = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda c: IntPolynomial(c + [1]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(monic, st.integers(1, 3)), min_size=1, max_size=3))
-def test_yun_factors_multiply_back(factors):
-    p = product([f for f, m in factors for _ in range(m)])
-    assert product([f for f, m in yun_decomposition(p) for _ in range(m)]) == p
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_roots)
 def test_dominant_real_root_of_integer_roots(rs):
@@ -178,6 +134,33 @@ def test_dominant_real_root_builds_one_chain(monkeypatch):
     dominant_real_root(LEHMER_POLYNOMIAL)
     assert len(squarefree) == 1
     assert salem._sturm_chain.cache_info().misses == 1
+
+
+# -- roots outside the unit circle ----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=10))
+def test_outside_and_inside_counts_add_up_to_the_degree(coeffs):
+    # the roots of the reverse are the 1/z; a trivial gcd rules out |z| = 1
+    assume(coeffs[0] != 0 and coeffs[-1] != 0)
+    assume(len(salem._gcd(coeffs, coeffs[::-1])) == 1)
+    n = len(coeffs) - 1
+    assert salem._count_outside(coeffs) + salem._count_outside(coeffs[::-1]) == n
+
+
+# factors without circle roots, each with its count of roots outside
+COUNTED = [(GOLDEN_POLYNOMIAL, 1), (PLASTIC_POLYNOMIAL, 1), (parse_poly("x^3 - x^2 - 1"), 1),
+           (parse_poly("x^2 + x + 2"), 2)]
+counted = st.sampled_from(COUNTED) | st.builds(
+    lambda r: (linear(r), 1), st.integers(2, 9) | st.integers(-9, -2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(counted, min_size=1, max_size=4))
+def test_outside_count_is_additive_over_factors(factors):
+    p = product([f for f, _ in factors])
+    assert salem._count_outside(list(p.coeffs)) == sum(k for _, k in factors)
 
 
 # -- classification -----------------------------------------------------------------------
@@ -220,6 +203,18 @@ def test_classify_is_invariant_under_cyclotomic_factors(rng):
 def test_classify_mixed_product_is_other_perron():
     cls = classify_number(PLASTIC_POLYNOMIAL * LEHMER_POLYNOMIAL)
     assert cls.kind == "other_perron"
+    # x^2 - 3x + 1 holds a pair z, 1/z off the circle; the plastic factor
+    # adds a second root outside
+    cls = classify_number(parse_poly("x^2 - 3*x + 1") * PLASTIC_POLYNOMIAL)
+    assert cls.kind == "other_perron"
+    assert abs(cls.dominant_root - (3 + math.sqrt(5)) / 2) < 1e-9
+
+
+def test_repeated_pisot_factor_is_pisot():
+    cls = classify_number(PLASTIC_POLYNOMIAL * PLASTIC_POLYNOMIAL)
+    assert cls.kind == "pisot"
+    assert cls.notes == ("repeated factors; classifying the squarefree part",)
+    assert abs(cls.dominant_root - 1.324718) < 1e-6
 
 
 def test_reciprocity_is_exact():
