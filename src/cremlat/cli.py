@@ -219,6 +219,8 @@ def cmd_bounds(args) -> int:
             lam = Fraction(args.lam) if "/" in args.lam or "." not in args.lam else float(args.lam)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"(position 0) --lam {args.lam!r} is not a number") from exc
+        if lam == math.inf:  # a decimal past the float range; 1e400 fails in bounds
+            raise OverflowError(f"--lam {args.lam} is too large for a float")
         report = reduction.bounds(lam)
     else:
         raise UsageError("(position 0) bounds needs --lam or --degrees")

@@ -226,10 +226,12 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
 
     Returns (step, h_conjugated, word, data_conjugated) where ``word`` is
     the two-letter conjugator and ``data_conjugated`` the axis data of
-    h_conjugated; the conjugator is the quadratic involution rooted at the
-    support point with the largest axis-projection coefficient (re-rooting
-    per the maximality property of the axis projection) and based at the two
-    remaining points of largest averaged multiplicity.
+    h_conjugated, read from the conjugator's image of the exact columns in
+    ``data`` (no power of h_conjugated is computed); the conjugator is the
+    quadratic involution rooted at the support point with the largest
+    axis-projection coefficient (re-rooting per the maximality property of
+    the axis projection) and based at the two remaining points of largest
+    averaged multiplicity.
     """
     if data is None:
         data = axis_data(h, tol)
@@ -250,8 +252,9 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     g = sigma_omega(root, omega)
     w = sigma_omega_word(root, omega)
     h2 = compose(compose(g, h), g)  # g is an involution
-    # lambda is a conjugacy invariant: h2 keeps the lambda of h
-    data2 = _axis_data_at(h2, lam, tol)
+    # lambda is a conjugacy invariant and v+-(g h g^-1) = g v+-(h): h2 keeps
+    # the lambda of h and reads its axis from g's image of the exact columns
+    data2 = _axis_data_at(h2, lam, tol, tuple(apply(g, c) for c in data.columns))
     triple_vec = e(root) + e(omega[0]) + e(omega[1]) - e0()
     guarantee = float(intersect(triple_vec, data.E))
     step = ReductionStep(

@@ -23,8 +23,9 @@ M^(2^k) and the criterion degrees are computed once per element, each on
 first use, in one record (:func:`_spectrum`, cached by element) that every
 function below reads.  The axis squares only as deep as lambda needs (see
 :func:`axis_data`); the criterion takes deg(h^200) and deg(h^400) from
-products with M^8.  :mod:`cremlat.reduction` hands lambda on to each
-conjugate, so a conjugate's record computes only the squares of its axis.
+products with M^8.  :mod:`cremlat.reduction` hands each conjugate g h g^-1
+the lambda of h and g's image of the exact columns its axis was read from,
+so a conjugate computes neither a characteristic polynomial nor a square.
 """
 
 from __future__ import annotations
@@ -193,19 +194,24 @@ class LoxodromicData:
     E: ClassVector
     residual_plus: float
     residual_minus: float
+    # the exact integer classes (M^e e0, M^-e e0) that v+- are read from
+    columns: tuple = field(default=(), compare=False, repr=False)
 
 
-def _normalized_vector(h: WeylElement, coords) -> ClassVector:
-    lead = coords[0]
-    pts = {p: Fraction(coords[i + 1], lead) for i, p in enumerate(h.support)}
+def _normalized_vector(h: WeylElement, col: ClassVector) -> ClassVector:
+    """col / (its e0 coefficient) in floats, on the support of h only: a
+    carried column keeps a part on points that h fixes, as small against
+    its e0 coefficient as the error of the column itself."""
+    lead = col.e0
+    pts = {p: Fraction(col.coeff(p), lead) for p in h.support}
     return ClassVector(1.0, {p: float(c) for p, c in pts.items() if c != 0})
 
 
 def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     """Dynamical degree, normalized eigenvectors, and the axis projection.
 
-    v_plus and v_minus are scaled so v . e0 = 1; they come from the first
-    column of M^e and of M^-e (exact) followed by a single normalization.
+    v_plus and v_minus are scaled so v . e0 = 1; they come from the exact
+    integer columns M^e e0 and M^-e e0 followed by a single normalization.
     With lambda_lo = lambda - tol, e = 2^k is the least power of two, k <= 9,
     with lambda_lo^e >= 2^AXIS_MARGIN_BITS deg(h)^2.  Against its part on
     v+, the part of e0 off the (v+, v-) plane is at most about
@@ -213,6 +219,12 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     ratio by lambda^-e (the complement is negative definite), so v+- err by
     about 2^-100, far below double precision.  Near Lehmer's number the cap
     e = 512 applies.
+
+    The record keeps the two columns.  :func:`cremlat.reduction.reduce`
+    carries them through each conjugation, g h g^-1 getting g M^e e0 and
+    g M^-e e0: an isometric image of the first element's columns, so the
+    first element's error bound holds at every step, and no conjugate is
+    squared.
     """
     cls = classify(h)
     if not cls.is_loxodromic:
@@ -220,17 +232,20 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     return _axis_data_at(h, dynamical_degree(h, tol), tol)
 
 
-def _axis_data_at(h: WeylElement, lam: float, tol: float) -> LoxodromicData:
+def _axis_data_at(h: WeylElement, lam: float, tol: float,
+                  columns: tuple | None = None) -> LoxodromicData:
     """axis_data for an element whose dynamical degree lam is already known,
-    such as a conjugate of an element already analysed."""
-    need = AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
-    rate = math.log2(lam - tol) if lam - tol > 1 else 0.0
-    p = _spectrum(h).square(next((k for k in range(9) if rate * 2 ** k >= need), 9))
-    fwd = [row[0] for row in p]
-    # (M^e)^{-1} = J (M^e)^T J, so its first column is the signed first row
-    bwd = [p[0][0]] + [-x for x in p[0][1:]]
-    v_plus = _normalized_vector(h, fwd)
-    v_minus = _normalized_vector(h, bwd)
+    such as a conjugate of an element already analysed.  ``columns`` are
+    the exact classes (M^e e0, M^-e e0) to read v+- from; reduce passes the
+    carried ones, and by default they come from the squares of h."""
+    if columns is None:
+        need = AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
+        rate = math.log2(lam - tol) if lam - tol > 1 else 0.0
+        p = _spectrum(h).square(next((k for k in range(9) if rate * 2 ** k >= need), 9))
+        # (M^e)^{-1} = J (M^e)^T J, so its first column is the signed first row
+        columns = (ClassVector(p[0][0], {q: row[0] for q, row in zip(h.support, p[1:])}),
+                   ClassVector(p[0][0], {q: -x for q, x in zip(h.support, p[0][1:])}))
+    v_plus, v_minus = (_normalized_vector(h, c) for c in columns)
     dot = intersect(v_plus, v_minus)
     cosh_axis = math.sqrt(2.0 / dot)
     E = cosh_axis * (0.5 * (v_plus + v_minus))
@@ -239,7 +254,7 @@ def _axis_data_at(h: WeylElement, lam: float, tol: float) -> LoxodromicData:
     # float error in apply(h, v) grows with the entries of h, like lambda
     if max(res_p, res_m) > max(tol, 1e-9) * 10 * max(lam, 1.0):
         raise CertificateError(f"eigenvector residuals too large: {res_p}, {res_m}")
-    return LoxodromicData(lam, v_plus, v_minus, dot, cosh_axis, E, res_p, res_m)
+    return LoxodromicData(lam, v_plus, v_minus, dot, cosh_axis, E, res_p, res_m, columns)
 
 
 def _eig_residual(h: WeylElement, v: ClassVector, lam: float) -> float:

@@ -295,12 +295,31 @@ def identity_element() -> WeylElement:
 
 @lru_cache(maxsize=4096)
 def realize(w: WeylWord) -> WeylElement:
-    """The integer matrix of a word, on the minimal support it moves."""
+    """The integer matrix of a word, on the minimal support it moves.
+
+    Starting from the identity on the support of the word, the letters act
+    right to left as left multiplications, that is as integer row
+    operations: q(a,b,c), the reflection in e0 - e(a) - e(b) - e(c), adds
+    s = r0 + ra + rb + rc to row 0 and subtracts it from rows a, b and c;
+    t(p,q) swaps two rows and s(..)(..) permutes them.  The product is
+    pruned to the points it moves and checked on construction (form, omega,
+    degree); :meth:`WeylWord.apply` is the independent letter-by-letter
+    action.
+    """
     support = sorted(w.support())
-    images = {"e0": w.apply(e0())}
-    for p in support:
-        images[p] = w.apply(e(p))
-    return element_from_images(images)
+    at = {p: i + 1 for i, p in enumerate(support)}
+    rows = intmat.identity(len(support) + 1)
+    for g in reversed(w.letters):
+        if isinstance(g, Sigma0):
+            idx = (at[g.p1], at[g.p2], at[g.p3])
+            s = [a + b + c + d for a, b, c, d in zip(rows[0], *(rows[i] for i in idx))]
+            rows[0] = [x + y for x, y in zip(rows[0], s)]
+            for i in idx:
+                rows[i] = [x - y for x, y in zip(rows[i], s)]
+        else:
+            for p, q in (((g.p, g.q),) if isinstance(g, Tau) else g.pairs):
+                rows[at[p]], rows[at[q]] = rows[at[q]], rows[at[p]]
+    return WeylElement(*_prune(support, rows))
 
 
 def apply(h: WeylElement, v: ClassVector) -> ClassVector:

@@ -153,6 +153,8 @@ def test_realizable_reads_every_config_field(capsys, monkeypatch):
     # too large for a float, or infinite where an exact ratio is needed
     ("bounds", "--lam", "1e400"),
     ("salem-enum", "--degree-bound", "4", "--upper", "inf"),
+    # a decimal is read as a float, which overflows to infinity
+    ("bounds", "--lam", "1.0e400"),
 ])
 def test_well_formed_input_the_mathematics_refuses_is_a_domain_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -183,6 +185,39 @@ def test_spectrum_and_reduce_print_the_same_lambda(capsys):
     rc, out, _ = run(capsys, "reduce", LOXODROMIC)
     assert rc == 0
     assert json.loads(out.splitlines()[-1])["lambda"] == lam
+
+
+# conjugators of h0 = LOXODROMIC (every letter is an involution); the first
+# makes reduce take three steps, the second wraps h0^20 (lambda ~ 3.1e7),
+# whose conjugate lies below 24 lambda^3, so reduce reads one axis
+CONJUGATOR = "q(i,a,k)*q(m,f,i)*q(f,g,l)*q(h,d,k)*q(c,g,i)*q(m,b,l)"
+CONJUGATOR_20 = "t(a,k)*q(b,k,l)*s(c m)(d n)"
+
+
+def conjugated(g, core):
+    return "*".join([g, core] + g.split("*")[::-1])
+
+
+GOLDEN = [
+    (("reduce", conjugated(CONJUGATOR, LOXODROMIC)),
+     '{"root": "i", "omega": ["k", "f"], "degree_before": 2040, "degree_after": 839, "cosh_before": 59.08008611631721, "cosh_after": 37.89847106393081, "achieved_decrease": 21.181615052386398, "guaranteed_decrease": 21.18000947158684}\n'
+     '{"root": "a", "omega": ["m", "g"], "degree_before": 839, "degree_after": 413, "cosh_before": 37.89847106393081, "cosh_after": 26.869804508464945, "achieved_decrease": 11.028666555465868, "guaranteed_decrease": 11.027359702460997}\n'
+     '{"root": "l", "omega": ["i", "d"], "degree_before": 413, "degree_after": 161, "cosh_before": 26.869804508464945, "cosh_after": 17.219677051632544, "achieved_decrease": 9.6501274568324, "guaranteed_decrease": 9.648527154720533}\n'
+     '{"terminal": "reached_degree_threshold", "lambda": 2.369205407092551, "degree_threshold": 319.1680330053491, "final_degree": 161, "steps": 3, "step_bound": 2786.5961371151893}\n'),
+    (("reduce", conjugated(CONJUGATOR_20, "*".join([LOXODROMIC] * 20))),
+     '{"terminal": "reached_degree_threshold", "lambda": 31049477.957554683, "degree_threshold": 7.184129458345431e+23, "final_degree": 1076287745, "steps": 0, "step_bound": 3619193431.5289054}\n'),
+    (("spectrum", "s(a k)(b l)*q(a,b,c)*t(c,m)*q(d,e,f)*q(g,h,i)*q(j,a,d)*q(k,l,m)"),
+     '{"degree": 25, "class": "loxodromic", "evidence": "spectral radius 6.015301948 from a non-cyclotomic factor", "lambda": 6.015301948105666, "criteria": {"degree400_vs_3_19_degree200": true}, "cosh_axis_distance": 3.340716140007344, "vplus_dot_vminus": 0.17920529806158497, "residuals": {"v_plus": 7.573484034297014e-14, "v_minus": 7.516369766806198e-14}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN, ids=["reduce-h0", "reduce-h0^20", "spectrum"])
+def test_golden_output(capsys, argv, expected):
+    """Exact stdout, to the last bit of every float: the axis of a conjugate
+    is carried through the conjugation, and must read as if squared."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out == expected
 
 
 @pytest.mark.parametrize("mode", [(), ("--prime-field",)])

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import counting, loxodromic_ten, power, random_word, sigma_product
-from cremlat import intmat, spectral
+from cremlat import intmat, reduction, spectral
 from cremlat.lattice import (
     ClassVector,
     e,
@@ -236,6 +237,64 @@ def test_conjugate_inherits_the_exact_lambda(pts12):
     _, h2, _, data2 = decreasing_step(h)
     assert data2.lam == dynamical_degree(h2, 1e-12)
     assert data2.lam == axis_data(h).lam
+
+
+def recorded_steps(monkeypatch):
+    """The results of the decreasing_step calls that reduce makes."""
+    results = []
+    step = reduction.decreasing_step
+
+    def recorded(*args, **kwargs):
+        results.append(step(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(reduction, "decreasing_step", recorded)
+    return results
+
+
+def assert_reads_as_squared(h, data):
+    """Axis data carried to h equal, field for field, to the data that
+    squaring h itself gives (the columns they were read from differ)."""
+    fresh = spectral._axis_data_at(h, data.lam, 1e-9)
+    for f in dataclasses.fields(data):
+        if f.compare:
+            assert getattr(data, f.name) == getattr(fresh, f.name), f.name
+
+
+def test_carried_axis_reads_as_squared_along_reduce(pts12, monkeypatch):
+    steps = recorded_steps(monkeypatch)
+    trace = reduce(stacked_inflated(pts12))
+    assert len(trace.steps) == len(steps) == 3
+    for _, h2, _, data2 in steps:
+        assert_reads_as_squared(h2, data2)
+
+
+def test_carried_axis_reads_as_squared_past_lambda_1e6():
+    # the conjugates of h0^20 (lambda ~ 3.1e7) whose axis passes the residual
+    # check lie far below 24 lambda^3 ~ 7e23, where reduce stops at once, so
+    # walk the steps that reduce iterates
+    pts = points(13)
+    h = conjugate(power(loxodromic_ten(pts[3:]), 2), power(loxodromic_ten(pts[:10]), 20))
+    data = axis_data(h)
+    assert data.lam > 10 ** 6
+    walked = 0
+    while (result := decreasing_step(h, data=data)) and degree(result[1]) < degree(h):
+        _, h, _, data = result
+        assert_reads_as_squared(h, data)
+        walked += 1
+    assert walked >= 3
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_reduce_squares_only_its_input(pts12, monkeypatch, stacked):
+    extra = points(12)
+    h = (stacked_inflated(pts12) if stacked
+         else build_inflated(loxodromic_ten(pts12), extra[0], extra[1:11]))
+    squares = counting(monkeypatch, spectral._Spectrum, "square")
+    trace = reduce(h)
+    assert len(trace.steps) == (3 if stacked else 1)
+    # one square for the axis of h; every conjugate's axis is carried
+    assert len(squares) == 1 and squares[0][0] is spectral._spectrum(h)
 
 
 # -- realizability of base configurations ----------------------------------------------

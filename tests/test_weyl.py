@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word, sigma_product
 from cremlat.lattice import ClassVector, canonical_form, e, e0, intersect, points
@@ -86,6 +88,45 @@ def test_integer_classes_keep_int_coefficients(rng):
     assert type(img.e0) is int
     assert all(type(c) is int for c in img.point_coeffs.values())
     assert type(img.coeff(points(1)[0])) is int
+
+
+@st.composite
+def words(draw):
+    """Words of q, t and multi-pair s letters on up to nine points; half of
+    them have the shape u v u^-1, whose product moves fewer points than the
+    word names, so realize has points to prune."""
+    pts = points(draw(st.integers(4, 9)))
+
+    def letter():
+        kind = draw(st.sampled_from("qts"))
+        order = draw(st.permutations(pts))
+        if kind == "q":
+            return sigma0(*order[:3])
+        if kind == "t":
+            return tau(*order[:2])
+        pairs = draw(st.integers(1, len(pts) // 2))
+        return permutation([(order[2 * i], order[2 * i + 1]) for i in range(pairs)])
+
+    u = [letter() for _ in range(draw(st.integers(0, 6)))]
+    v = [letter() for _ in range(draw(st.integers(0, 6)))]
+    return WeylWord(tuple(u + v + (u[::-1] if draw(st.booleans()) else [])))
+
+
+_a, _b, _c, _d, _e = points(5)
+
+
+# products that move fewer points than their words: q t q on disjoint
+# points is t, and s q s is q(b,d,e)
+@example(word(sigma0(_a, _b, _c), tau(_d, _e), sigma0(_a, _b, _c)))
+@example(word(permutation([(_a, _b), (_c, _d)]), sigma0(_a, _c, _e),
+              permutation([(_a, _b), (_c, _d)])))
+@settings(max_examples=150, deadline=None)
+@given(words())
+def test_realize_agrees_with_the_word_action(w):
+    h = realize(w)
+    assert set(h.support) <= w.support()
+    for v in [e0()] + [e(p) for p in sorted(w.support())]:
+        assert apply(h, v) == w.apply(v)
 
 
 def test_degree_examples():
