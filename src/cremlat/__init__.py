@@ -12,8 +12,8 @@ Subpackages:
   cyclotomic stripping, bounded exhaustive Salem search;
 * :mod:`cremlat.reduction` -- the quadratic-conjugation degree reduction
   loop, bound formulas, base-point realizability;
-* :mod:`cremlat.orbits` -- truncated orbit models, their determinant
-  identity, the explicit quadratic-case family;
+* :mod:`cremlat.orbits` -- truncated base-point orbits of the explicit
+  quadratic-case family and their Salem spectral radii;
 * :mod:`cremlat.birmap` -- a desk-scale engine for coordinate triples and
   monomial maps.
 """
@@ -49,7 +49,6 @@ from .weyl import (
     parse_word,
     permutation,
     print_word,
-    quadratic_decompose,
     realize,
     sigma0,
     sigma_omega,
@@ -74,13 +73,6 @@ from .salem import (
     spectral_gap_assert,
 )
 from .reduction import PointConfiguration, bounds, delta, realizable_jonquieres, reduce
-from .orbits import (
-    OrbitModel,
-    build_Fk,
-    lambda_sequence,
-    quadratic_charpoly,
-    quadratic_orbit_matrix,
-    verify_P_identity,
-)
+from .orbits import lambda_sequence, quadratic_charpoly, quadratic_orbit_matrix
 
 __version__ = "0.1.0"

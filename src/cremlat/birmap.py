@@ -461,6 +461,29 @@ def compose(f: HomogeneousTriple, g: HomogeneousTriple) -> HomogeneousTriple:
     return HomogeneousTriple(comps, f.prime)
 
 
+def jacobian(f: HomogeneousTriple):
+    """The determinant of the 3x3 matrix of partial derivatives of f.  Over Q
+    it vanishes identically exactly when the components are algebraically
+    dependent, so f is not dominant.  J(f o g) = J(f)(g) J(g), and cancelling
+    a common factor keeps a nonzero determinant nonzero, so a check on a map
+    covers its iterates."""
+    p = f.prime
+
+    def partial(a, v):
+        out = {}
+        for m, c in a.items():
+            if d := (c * m[v] % p if p else c * m[v]):
+                out[m[:v] + (m[v] - 1,) + m[v + 1:]] = d
+        return out
+
+    a, b, c = ([partial(q, v) for v in range(3)] for q in f.components)
+    det = {}
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # +even, -odd permutations
+        det = poly_add(det, poly_mul(poly_mul(a[i], b[j], p), c[k], p), p)
+        det = poly_add(det, poly_scale(poly_mul(poly_mul(a[i], b[k], p), c[j], p), -1, p), p)
+    return det
+
+
 def identity_triple(prime=None) -> HomogeneousTriple:
     return triple("x", "y", "z", prime)
 

@@ -206,6 +206,9 @@ def cmd_degseq(args) -> int:
         raise UsageError("(position 0) degseq needs --map or --monomial")
     prime = birmap.DEFAULT_PRIME if args.prime_field else None
     f = birmap.parse_triple(args.map, prime)
+    if not birmap.jacobian(f):
+        raise ValueError("the Jacobian determinant of the map vanishes identically, "
+                         "so it is not birational")
     degs, truncated = birmap.iterate_degrees(f, args.n)
     _emit({"degrees": degs, "truncated": truncated})
     return 0

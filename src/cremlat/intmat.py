@@ -5,13 +5,13 @@ Fractions; the kernels only read their arguments and return lists of lists,
 so the tuple rows of a WeylElement are passed as they are.  Everything
 here is exact; the sizes involved are small (a few dozen rows), so the
 division-free Berkowitz algorithm and plain Gaussian elimination over Q are
-entirely adequate.  :func:`interpolate` is the one polynomial interpolation
-of the package, over Q or modulo a prime.
+entirely adequate.  :func:`rank` is the one Gaussian elimination and
+:func:`interpolate` the one polynomial interpolation of the package, the
+latter over Q or modulo a prime.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -121,45 +121,28 @@ def charpoly(a):
     return vec[::-1]
 
 
-def _pivots(a):
-    """Pivots of fraction Gaussian elimination with row swaps, and their parity.
+def rank(a):
+    """Rank over Q by fraction Gaussian elimination (input not modified).
 
-    Columns without a pivot are skipped, so the pivots give the rank of any
-    matrix and, for a square one, the determinant.
+    Columns without a pivot are skipped, so any matrix shape is accepted.
     """
     m = [[Fraction(x) for x in row] for row in a]
     rows, cols = len(m), len(m[0]) if m else 0
-    pivots, sign = [], 1
+    r = 0
     for c in range(cols):
-        r = len(pivots)
         if r == rows:
             break
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
+        m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][c]
         for i in range(r + 1, rows):
             f = m[i][c] * inv
             if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(m[r][c])
-    return pivots, sign
-
-
-def rank(a):
-    """Rank over Q: the number of pivots (input not modified)."""
-    return len(_pivots(a)[0])
-
-
-def det(a):
-    """Determinant over Q of a square matrix: the signed product of the pivots."""
-    pivots, sign = _pivots(a)
-    if len(pivots) < len(a):
-        return Fraction(0)
-    return sign * math.prod(pivots, start=Fraction(1))
+        r += 1
+    return r
 
 
 def interpolate(xs, ys, p=None):

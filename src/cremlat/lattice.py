@@ -19,11 +19,9 @@ so the overall sign is a pure convention; it is fixed here once and for all.
 from __future__ import annotations
 
 import itertools
-import json
-import re
 import threading
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Rational = Union[int, Fraction, str]
 
@@ -257,18 +255,3 @@ def render(v: ClassVector) -> str:
     for sign, term in parts[1:]:
         out += f" {sign} {term}"
     return out
-
-
-def to_json(v: ClassVector) -> str:
-    """JSON form {"e0": "d", "points": {"<id>": "<coeff>"}}."""
-    return json.dumps({
-        "e0": _fmt_coeff(v.e0),
-        "points": {str(p.id): _fmt_coeff(c) for p, c in sorted(v._pts.items())},
-    })
-
-
-def from_json(text: str, registry: Mapping[int, BubblePoint]) -> ClassVector:
-    """Inverse of :func:`to_json`; ``registry`` maps ids back to points."""
-    data = json.loads(text)
-    pts = {registry[int(k)]: Fraction(c) for k, c in data.get("points", {}).items()}
-    return ClassVector(Fraction(data["e0"]), pts)

@@ -27,24 +27,20 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import intmat
-from .lattice import BubblePoint, ClassVector, e, e0, intersect
-from .salem import IntPolynomial
+from .lattice import BubblePoint, e, e0, intersect
 from .spectral import (
     CertificateError, LoxodromicData, _axis_data_at, axis_data, classify, dynamical_degree,
 )
 from .weyl import (
-    Sigma0,
-    Tau,
     WeylElement,
     WeylWord,
     apply,
     compose,
     conjugate,
     degree,
-    inverse,
     multiplicity_profile,
     realize,
     sigma_omega,

@@ -405,16 +405,6 @@ def from_trace_poly(q: IntPolynomial) -> IntPolynomial:
 
 # -- classification -----------------------------------------------------------
 
-KINDS = (
-    "cyclotomic_product",
-    "reciprocal_quadratic",
-    "pisot",
-    "salem",
-    "other_perron",
-    "no_root_gt_one",
-)
-
-
 @dataclass(frozen=True)
 class NumberClass:
     kind: str

@@ -31,7 +31,6 @@ from . import intmat
 from .lattice import (
     BubblePoint,
     ClassVector,
-    canonical_form,
     e,
     e0,
     intersect,
@@ -583,24 +582,6 @@ def coxeter_generators(n: int) -> list[WeylWord]:
     for i in range(n - 1):
         gens.append(WeylWord((Tau(pts[i], pts[i + 1]),)))
     return gens
-
-
-def quadratic_decompose(h: WeylElement):
-    """Write a degree-2 element as s . sigma0 . s' with s, s' of degree 1.
-
-    Returns (s, sigma0_letter, s_prime) as (WeylElement, Sigma0, WeylElement);
-    the three recompose to h exactly.
-    """
-    if degree(h) != 2:
-        raise ValueError(f"quadratic decomposition needs degree 2, got {degree(h)}")
-    img = apply(h, e0())
-    base = sorted(img.point_coeffs)
-    assert len(base) == 3 and all(img.coeff(p) == -1 for p in base)
-    sig = Sigma0(base[0], base[1], base[2])
-    sig_elem = realize(WeylWord((sig,)))
-    s_prime = compose(sig_elem, h)
-    assert degree(s_prime) == 1
-    return identity_element(), sig, s_prime
 
 
 # ---------------------------------------------------------------------------

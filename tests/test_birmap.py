@@ -16,6 +16,7 @@ from cremlat.birmap import (
     henon_triple,
     identity_triple,
     iterate_degrees,
+    jacobian,
     linear_triple,
     monomial_degree,
     monomial_iterates,
@@ -171,6 +172,13 @@ def test_degenerate_composition_rejected():
     assert t == triple("y", "z", "x")
     with pytest.raises(ValueError):
         HomogeneousTriple([{}, {}, {}])
+
+
+@pytest.mark.parametrize("prime", [None, DEFAULT_PRIME])
+def test_jacobian_vanishes_on_dependent_components(prime):
+    assert jacobian(identity_triple(prime)) == {(0, 0, 0): 1}
+    assert jacobian(sigma_triple(prime)) == {(1, 1, 1): 2}
+    assert jacobian(parse_triple("[x^2 : x*y : y^2]", prime)) == {}
 
 
 def test_budget_guard():

@@ -155,6 +155,14 @@ def test_realizable_reads_every_config_field(capsys, monkeypatch):
     ("salem-enum", "--degree-bound", "4", "--upper", "inf"),
     # a decimal is read as a float, which overflows to infinity
     ("bounds", "--lam", "1.0e400"),
+    # the Jacobian determinant vanishes identically: a constant map, and two
+    # maps whose components are algebraically dependent
+    ("degseq", "--map", "[x : x : x]"),
+    ("degseq", "--map", "[x^2 : x*y : y^2]"),
+    ("degseq", "--map", "[x*y : x*y : z^2]"),
+    ("degseq", "--map", "[x^2 : x*y : y^2]", "--prime-field"),
+    # the truncated orbits start at trace parameter 2
+    ("fk-spectrum", "--m", "1", "--kmax", "4"),
 ])
 def test_well_formed_input_the_mathematics_refuses_is_a_domain_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -208,13 +216,17 @@ GOLDEN = [
      '{"terminal": "reached_degree_threshold", "lambda": 31049477.957554683, "degree_threshold": 7.184129458345431e+23, "final_degree": 1076287745, "steps": 0, "step_bound": 3619193431.5289054}\n'),
     (("spectrum", "s(a k)(b l)*q(a,b,c)*t(c,m)*q(d,e,f)*q(g,h,i)*q(j,a,d)*q(k,l,m)"),
      '{"degree": 25, "class": "loxodromic", "evidence": "spectral radius 6.015301948 from a non-cyclotomic factor", "lambda": 6.015301948105666, "criteria": {"degree400_vs_3_19_degree200": true}, "cosh_axis_distance": 3.340716140007344, "vplus_dot_vminus": 0.17920529806158497, "residuals": {"v_plus": 7.573484034297014e-14, "v_minus": 7.516369766806198e-14}}\n'),
+    (("fk-spectrum", "--m", "3", "--kmax", "8"),
+     '{"m": 3, "limit": 3.732050807568877, "entries": [{"k": 2, "lambda": 3.441477976029436, "class": "salem"}, {"k": 3, "lambda": 3.6615922431481485, "class": "salem"}, {"k": 4, "lambda": 3.7138483818841936, "class": "salem"}, {"k": 5, "lambda": 3.7272356224432177, "class": "salem"}, {"k": 6, "lambda": 3.7307661395356573, "class": "salem"}, {"k": 7, "lambda": 3.7317070638477468, "class": "salem"}, {"k": 8, "lambda": 3.731958742497785, "class": "salem"}]}\n'),
 ]
 
 
-@pytest.mark.parametrize("argv,expected", GOLDEN, ids=["reduce-h0", "reduce-h0^20", "spectrum"])
+@pytest.mark.parametrize("argv,expected", GOLDEN,
+                         ids=["reduce-h0", "reduce-h0^20", "spectrum", "fk-spectrum"])
 def test_golden_output(capsys, argv, expected):
-    """Exact stdout, to the last bit of every float: the axis of a conjugate
-    is carried through the conjugation, and must read as if squared."""
+    """Exact stdout, to the last bit of every float.  For reduce, the axis of
+    a conjugate is carried through the conjugation, and must read as if
+    squared."""
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
     assert out == expected

@@ -26,7 +26,6 @@ from cremlat.weyl import (
     parse_word,
     permutation,
     print_word,
-    quadratic_decompose,
     realize,
     sigma0,
     sigma_omega,
@@ -345,32 +344,6 @@ def test_coxeter_relations():
         assert order(compose(gens[0], gens[i])) == 2
     with pytest.raises(ValueError):
         coxeter_generators(2)
-
-
-# -- quadratic decomposition ------------------------------------------------------
-
-
-def test_quadratic_decompose_sigma0():
-    p1, p2, p3 = points(3)
-    h = realize(word(sigma0(p1, p2, p3)))
-    s, mid, sp = quadratic_decompose(h)
-    assert s == identity_element()
-    assert compose(compose(s, realize(word(mid))), sp) == h
-
-
-def test_quadratic_decompose_with_permutation():
-    p = points(4)
-    h = compose(realize(word(tau(p[2], p[3]))), realize(word(sigma0(p[0], p[1], p[2]))))
-    s, mid, sp = quadratic_decompose(h)
-    assert degree(sp) == 1
-    assert compose(compose(s, realize(word(mid))), sp) == h
-
-
-def test_quadratic_decompose_rejects_other_degrees():
-    p = points(5)
-    h3 = sigma_product((p[0], p[1], p[2]), (p[0], p[3], p[4]))
-    with pytest.raises(ValueError):
-        quadratic_decompose(h3)
 
 
 # -- the increasing normal form ----------------------------------------------------
