@@ -484,10 +484,6 @@ def jacobian(f: HomogeneousTriple):
     return det
 
 
-def identity_triple(prime=None) -> HomogeneousTriple:
-    return triple("x", "y", "z", prime)
-
-
 def iterate_degrees(f: HomogeneousTriple, N: int) -> tuple[list[int], bool]:
     """Exact degree sequence of the first N compositional powers.
 
@@ -507,34 +503,6 @@ def iterate_degrees(f: HomogeneousTriple, N: int) -> tuple[list[int], bool]:
             truncated = True
             break
     return out, truncated
-
-
-# -- builtins -------------------------------------------------------------------
-
-
-def sigma_triple(prime=None) -> HomogeneousTriple:
-    """The standard quadratic involution [yz : zx : xy]."""
-    return triple("y*z", "z*x", "x*y", prime)
-
-
-def henon_triple(d: int, prime=None) -> HomogeneousTriple:
-    """The degree-d polynomial automorphism (X, Y) -> (Y, X + Y^d), projectivized."""
-    if d < 2:
-        raise ValueError("need degree >= 2")
-    p = {(0, 1, d - 1): 1}
-    q = poly_add({(1, 0, d - 1): 1}, {(0, d, 0): 1})
-    r = {(0, 0, d): 1}
-    return HomogeneousTriple([p, q, r], prime)
-
-
-def linear_triple(matrix, prime=None) -> HomogeneousTriple:
-    """The projective linear map with the given invertible 3x3 matrix."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if intmat.det3(m) == 0:
-        raise ValueError("matrix is singular")
-    # zero coefficients are dropped by _canonical_coeffs
-    return HomogeneousTriple([dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], row)) for row in m],
-                             prime)
 
 
 # -- monomial maps ----------------------------------------------------------------
@@ -583,10 +551,6 @@ def _homogenized_exponents(f: MonomialMap) -> list[tuple]:
 def monomial_degree(f: MonomialMap) -> int:
     """Plane degree via exponent homogenization, pure integer arithmetic."""
     return sum(_homogenized_exponents(f)[0])
-
-
-def monomial_triple(f: MonomialMap, prime=None) -> HomogeneousTriple:
-    return HomogeneousTriple([{e: 1} for e in _homogenized_exponents(f)], prime)
 
 
 def monomial_iterates(f: MonomialMap, N: int) -> list[int]:

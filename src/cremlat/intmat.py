@@ -7,7 +7,7 @@ here is exact; the sizes involved are small (a few dozen rows), so the
 division-free Berkowitz algorithm and plain Gaussian elimination over Q are
 entirely adequate.  :func:`rank` is the one Gaussian elimination and
 :func:`interpolate` the one polynomial interpolation of the package, the
-latter over Q or modulo a prime.
+latter modulo a prime.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ def mat_vec(a, v):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def det3(m):
@@ -64,27 +60,18 @@ def mat_pow(a, n):
     return result
 
 
-def minkowski_gram(n):
-    """diag(1, -1, ..., -1) of size n."""
-    j = identity(n)
-    for i in range(1, n):
-        j[i][i] = -1
-    return j
-
-
-def preserves_form(m, gram=None) -> bool:
-    """Exact check M^T J M == J."""
-    if gram is None:
-        gram = minkowski_gram(len(m))
-    return mat_eq(mat_mul(transpose(m), mat_mul(gram, m)), gram)
-
-
 def form_inverse(m):
     """Inverse of a form-preserving matrix: M^{-1} = J M^T J, the transpose
     with the sign of entry (i, j) flipped when exactly one of i, j is 0."""
     n = len(m)
     return [[m[j][i] if (i == 0) == (j == 0) else -m[j][i] for j in range(n)]
             for i in range(n)]
+
+
+def preserves_form(m) -> bool:
+    """Exact check M^T J M == J, J = diag(1, -1, ..., -1), as one product:
+    since J^2 = I it holds exactly when (J M^T J) M = I."""
+    return mat_mul(form_inverse(m), m) == identity(len(m))
 
 
 def charpoly(a):
@@ -145,19 +132,17 @@ def rank(a):
     return r
 
 
-def interpolate(xs, ys, p=None):
+def interpolate(xs, ys, p):
     """Ascending coefficients of the polynomial of degree < len(xs) through
-    the points (xs[i], ys[i]), xs distinct, exact over Q or modulo the prime
-    p, by Newton's divided differences; trailing zeros are dropped."""
-    div = (lambda u, v: u * pow(v, -1, p) % p) if p else (lambda u, v: Fraction(u) / v)
+    the points (xs[i], ys[i]), xs distinct modulo the prime p, by Newton's
+    divided differences modulo p; trailing zeros are dropped."""
     coef = list(ys)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
-            coef[i] = div(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
     out = [coef[-1]]
     for x, c in zip(xs[-2::-1], coef[-2::-1]):  # out <- out * (t - x) + c
-        out = [u - x * v for u, v in zip([c] + out, out + [0])]
-        out = [u % p for u in out] if p else out
+        out = [(u - x * v) % p for u, v in zip([c] + out, out + [0])]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out

@@ -142,13 +142,6 @@ class ClassVector:
     def coeff(self, p: BubblePoint):
         return self._pts.get(p, 0)
 
-    @property
-    def support(self) -> list[BubblePoint]:
-        return sorted(self._pts)
-
-    def is_zero(self) -> bool:
-        return self.e0 == 0 and not self._pts
-
     def __add__(self, other):
         pts = dict(self._pts)
         for p, c in other._pts.items():
@@ -205,31 +198,12 @@ def intersect(u: ClassVector, v: ClassVector):
     return total
 
 
-def canonical_form(v: ClassVector):
-    """The invariant linear functional omega, normalized so omega(e0) = 3."""
-    return 3 * v.e0 + sum(v._pts.values())
-
-
 def norm_sq(v: ClassVector):
     """Squared Euclidean norm a0^2 + sum a_p^2 (not the intersection form)."""
     return v.e0 * v.e0 + sum(c * c for c in v._pts.values())
 
 
-def cosh_distance(u: ClassVector, v: ClassVector):
-    """cosh of the hyperbolic distance between two points of the hyperboloid.
-
-    Both arguments must have self-intersection 1 and intersect e0 positively
-    (the positive sheet).  Exact when both vectors are exact.
-    """
-    for w in (u, v):
-        if intersect(w, w) != 1:
-            raise ValueError(f"not on the hyperboloid: {w!r} has self-intersection {intersect(w, w)}")
-        if intersect(w, e0()) <= 0:
-            raise ValueError("vector lies on the wrong sheet (e0-intersection not positive)")
-    return intersect(u, v)
-
-
-# -- text and JSON rendering ------------------------------------------------
+# -- text rendering ----------------------------------------------------------
 
 def _fmt_coeff(c) -> str:
     if isinstance(c, Fraction):

@@ -7,7 +7,7 @@ element.  From degree 4 on its spectral radii are Salem numbers converging
 as k grows.  One construction serves every caller:
 
 * :func:`quadratic_orbit_matrix` is the explicit (2k+4)-square matrix,
-  indexed by the construction degree m >= 2 exactly as written, and
+  indexed by the construction degree m >= 3 exactly as written, and
   :func:`quadratic_closed_form` its characteristic polynomial in closed
   form; :func:`quadratic_charpoly` checks the two against each other;
 * :func:`quadratic_orbit_element` realizes the same action as an isometry of
@@ -17,7 +17,7 @@ as k grows.  One construction serves every caller:
   x^2 - (m+1)x + 1, which the construction realizes at degree m + 2.  (The
   two indexings differ by 2; the closed form with literal parameter mu has
   dominant roots tending to the largest root of x^2 - (mu-1)x + 1, and none
-  above 1 at mu = 2.)
+  above 1 at mu = 3.)
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def quadratic_orbit_matrix(m: int, k: int):
     Indexing follows the source display verbatim; its characteristic
     polynomial is :func:`quadratic_closed_form`.
     """
-    if m < 2 or k < 2:
-        raise ValueError("need m >= 2 and k >= 2")
+    if m < 3 or k < 2:
+        raise ValueError("need m >= 3 and k >= 2")
     size = 2 * k + 4
     M = [[0] * size for _ in range(size)]
     M[0][2 * k + 2] = 1
@@ -60,8 +60,8 @@ def quadratic_orbit_matrix(m: int, k: int):
 
 def quadratic_closed_form(m: int, k: int) -> IntPolynomial:
     """x^{2k+2}(x^2 - (m-1)x + 1) + x^{k+1}((m-1)x^2 - 4x + (m-1)) + (x^2 - (m-1)x + 1)."""
-    if m < 2 or k < 2:
-        raise ValueError("need m >= 2 and k >= 2")
+    if m < 3 or k < 2:
+        raise ValueError("need m >= 3 and k >= 2")
     c = [0] * (2 * k + 5)
     c[0] += 1
     c[1] += -(m - 1)
@@ -88,8 +88,8 @@ def quadratic_orbit_element(m: int, k: int) -> WeylElement:
     Built on 2m - 1 base-point classes plus m - 2 recycled orbit chains of
     length k; its dominant eigenvalue agrees with the explicit matrix's.
     """
-    if m < 2 or k < 1:
-        raise ValueError("need m >= 2 and k >= 1")
+    if m < 3 or k < 1:
+        raise ValueError("need m >= 3 and k >= 1")
     q = points(2 * m - 1, "q")
     chain = {(i, j): point(label=f"a{i}_{j}")
              for i in range(1, m - 1) for j in range(1, k + 1)}

@@ -61,14 +61,6 @@ class IntPolynomial:
     def is_reciprocal(self) -> bool:
         return self.coeffs == self.coeffs[::-1]
 
-    def reciprocal(self) -> "IntPolynomial":
-        rev = self.coeffs[::-1]
-        if rev[-1] == -1:
-            rev = tuple(-c for c in rev)
-        if rev[-1] != 1:
-            raise ValueError("reversal is not monic up to sign")
-        return IntPolynomial(rev)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial(_mul(self.coeffs, other.coeffs))
 
@@ -465,42 +457,6 @@ def classify_number(p: IntPolynomial, tol: float = 1e-10) -> NumberClass:
     if len(_gcd(sf.coeffs, sf.coeffs[::-1])) == 1 and _count_outside(sf.coeffs) == 1:
         return NumberClass("pisot", lam, stripped, tuple(notes))
     return NumberClass("other_perron", lam, stripped, tuple(notes))
-
-
-# -- named constants ----------------------------------------------------------
-
-LEHMER_POLYNOMIAL = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
-PLASTIC_POLYNOMIAL = IntPolynomial([-1, -1, 0, 1])
-GOLDEN_POLYNOMIAL = IntPolynomial([-1, -1, 1])
-
-
-def named_constants() -> dict:
-    """The three reference constants, computed from their polynomials."""
-    return {
-        "lambda_lehmer": {
-            "polynomial": LEHMER_POLYNOMIAL,
-            "value": dominant_real_root(LEHMER_POLYNOMIAL, 1e-13),
-        },
-        "lambda_plastic": {
-            "polynomial": PLASTIC_POLYNOMIAL,
-            "value": dominant_real_root(PLASTIC_POLYNOMIAL, 1e-13),
-        },
-        "lambda_golden": {
-            "polynomial": GOLDEN_POLYNOMIAL,
-            "value": dominant_real_root(GOLDEN_POLYNOMIAL, 1e-13),
-        },
-    }
-
-
-def lehmer_number() -> float:
-    return named_constants()["lambda_lehmer"]["value"]
-
-
-def spectral_gap_assert(lam: float, tol: float = 1e-9) -> bool:
-    """True when lam avoids the forbidden band between 1 and the Lehmer number."""
-    if lam < 1 - tol:
-        raise ValueError("dynamical degrees are at least 1")
-    return lam <= 1 + tol or lam >= lehmer_number() - tol
 
 
 # -- bounded-degree Salem enumeration ----------------------------------------

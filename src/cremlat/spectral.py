@@ -126,10 +126,6 @@ def _spectrum(h: WeylElement) -> _Spectrum:
     return _Spectrum(h.matrix)
 
 
-def char_polynomial(h: WeylElement) -> IntPolynomial:
-    return _spectrum(h).charpoly
-
-
 def classify(h: WeylElement) -> IsometryClassification:
     """Certified elliptic / parabolic / loxodromic trichotomy."""
     sp = _spectrum(h)
@@ -166,18 +162,6 @@ def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
     if sp.split[0] is None:
         return 1.0
     return sp.lam(tol)
-
-
-def degree_sequence(h: WeylElement, N: int) -> list[int]:
-    """Exact e0 . h^n(e0) for n = 1..N by iterated integer products."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    v = [1] + [0] * (len(h.matrix) - 1)
-    out = []
-    for _ in range(N):
-        v = intmat.mat_vec(h.matrix, v)
-        out.append(v[0])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -99,18 +99,6 @@ class Tau:
         return f"t({self.p!r},{self.q!r})"
 
 
-def permutation(pairs: Iterable) -> Permutation:
-    return Permutation(tuple(tuple(p) for p in pairs))
-
-
-def sigma0(p1: BubblePoint, p2: BubblePoint, p3: BubblePoint) -> Sigma0:
-    return Sigma0(p1, p2, p3)
-
-
-def tau(p: BubblePoint, q: BubblePoint) -> Tau:
-    return Tau(p, q)
-
-
 def gen_support(g) -> set:
     if isinstance(g, Permutation):
         return {x for pair in g.pairs for x in pair}
@@ -168,10 +156,6 @@ class WeylWord:
             v = gen_apply(g, v)
         return v
 
-    def inverse(self) -> "WeylWord":
-        # every letter is an involution
-        return WeylWord(tuple(reversed(self.letters)))
-
     def __repr__(self):
         return " * ".join(repr(g) for g in self.letters) if self.letters else "s()"
 
@@ -213,19 +197,6 @@ class WeylElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
-
-    # -- basic structure
-
-    @property
-    def dim(self) -> int:
-        return len(self.support) + 1
-
-    def column(self, j: int) -> ClassVector:
-        col = [self.matrix[i][j] for i in range(self.dim)]
-        return ClassVector(col[0], {p: col[i + 1] for i, p in enumerate(self.support)})
-
-    def image_e0(self) -> ClassVector:
-        return self.column(0)
 
     def __eq__(self, other):
         return (
@@ -566,22 +537,6 @@ def halphen_test(h: WeylElement, candidate: Optional[Sequence[BubblePoint]] = No
         if apply(h, K) == K:
             return K
     return None
-
-
-def coxeter_generators(n: int) -> list[WeylWord]:
-    """The n standard involutions on n fresh points.
-
-    s0 is the quadratic involution on the first three points and s_i swaps
-    points i and i+1; the realized matrices satisfy the Coxeter relations of
-    the T(2, 3, n-3) diagram.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    pts = [point(label=f"c{i + 1}") for i in range(n)]
-    gens = [WeylWord((Sigma0(pts[0], pts[1], pts[2]),))]
-    for i in range(n - 1):
-        gens.append(WeylWord((Tau(pts[i], pts[i + 1]),)))
-    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,41 @@ import random
 
 import pytest
 
-from cremlat.lattice import points
-from cremlat.weyl import WeylWord, compose, permutation, realize, sigma0, tau, word
+from cremlat.lattice import point, points
+from cremlat.salem import IntPolynomial, dominant_real_root
+from cremlat.weyl import Permutation, Sigma0, Tau, WeylWord, compose, realize, word
+
+LEHMER_POLYNOMIAL = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+LEHMER = dominant_real_root(LEHMER_POLYNOMIAL, 1e-13)  # Lehmer's number
 
 
 def random_word(rng, length, pts):
-    """A random word over sigma0 / tau / permutation letters."""
+    """A random word over Sigma0 / Tau / Permutation letters."""
     letters = []
     for _ in range(length):
         roll = rng.random()
         if roll < 0.55:
-            letters.append(sigma0(*rng.sample(pts, 3)))
+            letters.append(Sigma0(*rng.sample(pts, 3)))
         elif roll < 0.8:
-            letters.append(tau(*rng.sample(pts, 2)))
+            letters.append(Tau(*rng.sample(pts, 2)))
         else:
             a, b, c, d = rng.sample(pts, 4)
-            letters.append(permutation([(a, b), (c, d)]))
+            letters.append(Permutation(((a, b), (c, d))))
     return WeylWord(tuple(letters))
+
+
+def coxeter_generators(n):
+    """The n standard involutions on n fresh points.
+
+    s0 is the quadratic involution on the first three points and s_i swaps
+    points i and i+1; the realized matrices satisfy the Coxeter relations of
+    the T(2, 3, n-3) diagram.
+    """
+    pts = [point(label=f"c{i + 1}") for i in range(n)]
+    gens = [word(Sigma0(pts[0], pts[1], pts[2]))]
+    for i in range(n - 1):
+        gens.append(word(Tau(pts[i], pts[i + 1])))
+    return gens
 
 
 @pytest.fixture
@@ -37,7 +55,7 @@ def sigma_product(*triples):
 
     h = identity_element()
     for t in triples:
-        h = compose(h, realize(word(sigma0(*t))))
+        h = compose(h, realize(word(Sigma0(*t))))
     return h
 
 

@@ -13,22 +13,52 @@ from cremlat.birmap import (
     BudgetExceeded,
     HomogeneousTriple,
     compose,
-    henon_triple,
-    identity_triple,
     iterate_degrees,
     jacobian,
-    linear_triple,
     monomial_degree,
     monomial_iterates,
     monomial_lambda,
     monomial_map,
-    monomial_triple,
     parse_triple,
+    poly_add,
     poly_mul,
     projectively_equal,
-    sigma_triple,
     triple,
 )
+
+
+def identity_triple(prime=None):
+    return triple("x", "y", "z", prime)
+
+
+def sigma_triple(prime=None):
+    """The standard quadratic involution [yz : zx : xy]."""
+    return triple("y*z", "z*x", "x*y", prime)
+
+
+def henon_triple(d, prime=None):
+    """The degree-d polynomial automorphism (X, Y) -> (Y, X + Y^d), projectivized."""
+    p = {(0, 1, d - 1): 1}
+    q = poly_add({(1, 0, d - 1): 1}, {(0, d, 0): 1})
+    r = {(0, 0, d): 1}
+    return HomogeneousTriple([p, q, r], prime)
+
+
+def linear_triple(matrix, prime=None):
+    """The projective linear map with the given invertible 3x3 matrix."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    if intmat.det3(m) == 0:
+        raise ValueError("matrix is singular")
+    return HomogeneousTriple([dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], row)) for row in m],
+                             prime)
+
+
+def monomial_triple(f, prime=None):
+    """The monomial map f lifted by (X, Y) = (x/z, y/z) and multiplied through
+    by (xyz)^n; the triple cancels the common monomial itself."""
+    n = 2 * max(map(abs, (f.a, f.b, f.c, f.d)))
+    vecs = [(f.a, f.b, -f.a - f.b), (f.c, f.d, -f.c - f.d), (0, 0, 0)]
+    return HomogeneousTriple([{tuple(x + n for x in v): 1} for v in vecs], prime)
 
 
 def test_sigma_is_an_involution_with_full_cancellation():

@@ -1,10 +1,9 @@
 import dataclasses
 import math
-from fractions import Fraction
 
 import pytest
 
-from conftest import counting, loxodromic_ten, power, random_word, sigma_product
+from conftest import LEHMER, counting, loxodromic_ten, power, random_word
 from cremlat import intmat, reduction, spectral
 from cremlat.lattice import (
     ClassVector,
@@ -28,14 +27,11 @@ from cremlat.reduction import (
 )
 from cremlat.spectral import axis_data, classify, dynamical_degree
 from cremlat.weyl import (
-    apply,
-    compose,
+    Sigma0,
     conjugate,
     degree,
-    inverse,
     multiplicity_profile,
     realize,
-    sigma0,
     sigma_omega,
     word,
 )
@@ -64,11 +60,8 @@ def test_bounds_exact_values():
 
 
 def test_bounds_at_the_lehmer_number():
-    from cremlat.salem import lehmer_number
-
-    lam = lehmer_number()
-    rep = bounds(lam)
-    assert rep.cosh_bound >= lam
+    rep = bounds(LEHMER)
+    assert rep.cosh_bound >= LEHMER
     assert math.isfinite(rep.cosh_bound)
     assert rep.decrease_quantum > 0
 
@@ -95,7 +88,7 @@ def test_averaged_noether_on_loxodromic_samples(rng, pts12):
 def test_averaged_noether_rejects_non_loxodromic():
     p = points(3)
     with pytest.raises(ValueError):
-        averaged_noether_check(realize(word(sigma0(*p))))
+        averaged_noether_check(realize(word(Sigma0(*p))))
 
 
 def test_axis_positivity_for_normal_form_classes(pts12):
@@ -129,7 +122,7 @@ def stacked_inflated(pts12):
 
 def test_decreasing_step_requires_loxodromic():
     p = points(3)
-    h = realize(word(sigma0(*p)))
+    h = realize(word(Sigma0(*p)))
     with pytest.raises(ValueError):
         decreasing_step(h)
 

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import counting
+from conftest import LEHMER, LEHMER_POLYNOMIAL, counting
 from cremlat import salem
 from cremlat.salem import (
-    GOLDEN_POLYNOMIAL,
-    LEHMER_POLYNOMIAL,
-    PLASTIC_POLYNOMIAL,
     IntPolynomial,
     SearchSpaceError,
     classify_number,
@@ -20,13 +17,20 @@ from cremlat.salem import (
     enumerate_salem,
     format_poly,
     from_trace_poly,
-    lehmer_number,
-    named_constants,
     parse_poly,
-    spectral_gap_assert,
     strip_cyclotomic,
     to_trace_poly,
 )
+
+PLASTIC_POLYNOMIAL = IntPolynomial([-1, -1, 0, 1])
+GOLDEN_POLYNOMIAL = IntPolynomial([-1, -1, 1])
+
+
+def spectral_gap_assert(lam, tol=1e-9):
+    """True when lam avoids the forbidden band between 1 and the Lehmer number."""
+    if lam < 1 - tol:
+        raise ValueError("dynamical degrees are at least 1")
+    return lam <= 1 + tol or lam >= LEHMER - tol
 
 
 # -- polynomials and text -------------------------------------------------------
@@ -226,21 +230,17 @@ def test_reciprocity_is_exact():
 
 
 def test_named_constants():
-    consts = named_constants()
-    lam_g = consts["lambda_golden"]["value"]
-    lam_p = consts["lambda_plastic"]["value"]
-    lam_l = consts["lambda_lehmer"]["value"]
+    lam_g, lam_p = (dominant_real_root(p, 1e-13) for p in (GOLDEN_POLYNOMIAL, PLASTIC_POLYNOMIAL))
     assert abs(lam_g - (1 + math.sqrt(5)) / 2) < 1e-12
     assert abs(lam_p ** 3 - (lam_p + 1)) < 1e-12
-    assert lam_l < lam_p < lam_g
-    assert consts["lambda_golden"]["polynomial"] == GOLDEN_POLYNOMIAL
+    assert LEHMER < lam_p < lam_g
 
 
 def test_spectral_gap_assert():
     assert spectral_gap_assert(1.0)
     assert not spectral_gap_assert(1.1)
     assert spectral_gap_assert(((1 + math.sqrt(5)) / 2) ** 2)
-    assert spectral_gap_assert(lehmer_number())
+    assert spectral_gap_assert(LEHMER)
     with pytest.raises(ValueError):
         spectral_gap_assert(0.5)
 

@@ -1,18 +1,20 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_word, sigma_product
-from cremlat.lattice import ClassVector, canonical_form, e, e0, intersect, points
+from conftest import coxeter_generators, random_word, sigma_product
+from cremlat import intmat
+from cremlat.lattice import ClassVector, e, e0, points
 from cremlat.weyl import (
+    Permutation,
+    Sigma0,
+    Tau,
+    WeylElement,
     WeylWord,
     apply,
     compose,
-    conjugate,
-    coxeter_generators,
     degree,
     halphen_class,
     halphen_test,
@@ -24,13 +26,10 @@ from cremlat.weyl import (
     noether_report,
     normalize_increasing,
     parse_word,
-    permutation,
     print_word,
     realize,
-    sigma0,
     sigma_omega,
     sigma_omega_word,
-    tau,
     word,
 )
 
@@ -40,7 +39,7 @@ from cremlat.weyl import (
 
 def test_sigma0_action():
     p1, p2, p3, q = points(4)
-    h = realize(word(sigma0(p1, p2, p3)))
+    h = realize(word(Sigma0(p1, p2, p3)))
     assert apply(h, e0()) == ClassVector(2, {p1: -1, p2: -1, p3: -1})
     assert apply(h, e(p1)) == ClassVector(1, {p2: -1, p3: -1})
     assert apply(h, e(q)) == e(q)
@@ -49,7 +48,7 @@ def test_sigma0_action():
 
 def test_tau_swaps():
     p, q = points(2)
-    h = realize(word(tau(p, q)))
+    h = realize(word(Tau(p, q)))
     assert apply(h, e(p)) == e(q)
     assert apply(h, e(q)) == e(p)
     assert apply(h, e0()) == e0()
@@ -57,7 +56,7 @@ def test_tau_swaps():
 
 def test_sigma0_fixes_its_pencil_classes():
     p1, p2, p3 = points(3)
-    h = realize(word(sigma0(p1, p2, p3)))
+    h = realize(word(Sigma0(p1, p2, p3)))
     for p in (p1, p2, p3):
         v = e0() - e(p)
         assert apply(h, v) == v
@@ -65,17 +64,17 @@ def test_sigma0_fixes_its_pencil_classes():
 
 def test_realize_prunes_to_minimal_support():
     p1, p2, p3 = points(3)
-    w = word(sigma0(p1, p2, p3), sigma0(p1, p2, p3))
+    w = word(Sigma0(p1, p2, p3), Sigma0(p1, p2, p3))
     assert realize(w) == identity_element()
     assert realize(w).support == ()
 
 
 def test_compose_and_inverse():
     p = points(6)
-    h3 = compose(realize(word(sigma0(p[0], p[1], p[2]))), realize(word(sigma0(p[0], p[3], p[4]))))
+    h3 = compose(realize(word(Sigma0(p[0], p[1], p[2]))), realize(word(Sigma0(p[0], p[3], p[4]))))
     assert degree(h3) == 3
     assert apply(h3, e0()) == ClassVector(3, {p[0]: -2, p[1]: -1, p[2]: -1, p[3]: -1, p[4]: -1})
-    s = realize(word(sigma0(p[0], p[1], p[2])))
+    s = realize(word(Sigma0(p[0], p[1], p[2])))
     assert inverse(s) == s
     assert degree(compose(h3, inverse(h3))) == 1
     assert compose(h3, inverse(h3)) == identity_element()
@@ -100,11 +99,11 @@ def words(draw):
         kind = draw(st.sampled_from("qts"))
         order = draw(st.permutations(pts))
         if kind == "q":
-            return sigma0(*order[:3])
+            return Sigma0(*order[:3])
         if kind == "t":
-            return tau(*order[:2])
+            return Tau(*order[:2])
         pairs = draw(st.integers(1, len(pts) // 2))
-        return permutation([(order[2 * i], order[2 * i + 1]) for i in range(pairs)])
+        return Permutation(tuple((order[2 * i], order[2 * i + 1]) for i in range(pairs)))
 
     u = [letter() for _ in range(draw(st.integers(0, 6)))]
     v = [letter() for _ in range(draw(st.integers(0, 6)))]
@@ -116,9 +115,9 @@ _a, _b, _c, _d, _e = points(5)
 
 # products that move fewer points than their words: q t q on disjoint
 # points is t, and s q s is q(b,d,e)
-@example(word(sigma0(_a, _b, _c), tau(_d, _e), sigma0(_a, _b, _c)))
-@example(word(permutation([(_a, _b), (_c, _d)]), sigma0(_a, _c, _e),
-              permutation([(_a, _b), (_c, _d)])))
+@example(word(Sigma0(_a, _b, _c), Tau(_d, _e), Sigma0(_a, _b, _c)))
+@example(word(Permutation(((_a, _b), (_c, _d))), Sigma0(_a, _c, _e),
+              Permutation(((_a, _b), (_c, _d)))))
 @settings(max_examples=150, deadline=None)
 @given(words())
 def test_realize_agrees_with_the_word_action(w):
@@ -130,16 +129,14 @@ def test_realize_agrees_with_the_word_action(w):
 
 def test_degree_examples():
     p = points(6)
-    assert degree(realize(word(sigma0(p[0], p[1], p[2])))) == 2
-    assert degree(realize(word(permutation([(p[0], p[1])])))) == 1
+    assert degree(realize(word(Sigma0(p[0], p[1], p[2])))) == 2
+    assert degree(realize(word(Permutation(((p[0], p[1]),))))) == 1
     h4 = sigma_product((p[0], p[1], p[2]), (p[3], p[4], p[5]))
     assert degree(h4) == 4
     assert degree(h4) == degree(inverse(h4))
 
 
 def test_form_preservation_checked_on_construction():
-    from cremlat.weyl import WeylElement
-
     with pytest.raises(ValueError):
         WeylElement((), ((2,),))  # scales the form
     p = points(1)
@@ -147,12 +144,30 @@ def test_form_preservation_checked_on_construction():
         WeylElement(p, ((1, 0), (0, -1)))  # sends e(p) to -e(p): breaks omega
 
 
+def form_check(m):
+    """M^T J M == J with J = diag(1, -1, ..., -1), by two plain products."""
+    n = len(m)
+    j = [[(1 if i == 0 else -1) if i == k else 0 for k in range(n)] for i in range(n)]
+    return intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(j, m)) == j
+
+
+@settings(max_examples=100, deadline=None)
+@given(words(), st.data())
+def test_preserves_form_agrees_with_the_definition(w, data):
+    # realized matrices preserve the form; one entry off by one breaks it
+    m = [list(row) for row in realize(w).matrix]
+    assert intmat.preserves_form(m) and form_check(m)
+    i, k = (data.draw(st.integers(0, len(m) - 1)) for _ in range(2))
+    m[i][k] += data.draw(st.sampled_from((-1, 1)))
+    assert intmat.preserves_form(m) == form_check(m)
+
+
 # -- profiles and degree identities ---------------------------------------------
 
 
 def test_profile_of_sigma0():
     p1, p2, p3 = points(3)
-    prof = multiplicity_profile(realize(word(sigma0(p1, p2, p3))))
+    prof = multiplicity_profile(realize(word(Sigma0(p1, p2, p3))))
     assert prof.degree == 2
     assert prof.a == (1, 1, 1) and prof.b == (1, 1, 1)
     assert prof.c == (1, 1, 1)
@@ -175,7 +190,7 @@ def test_profile_of_identity():
 
 def test_noether_report_sigma0():
     p1, p2, p3 = points(3)
-    rep = noether_report(realize(word(sigma0(p1, p2, p3))))
+    rep = noether_report(realize(word(Sigma0(p1, p2, p3))))
     assert rep.applicable and rep.ok
 
 
@@ -237,9 +252,9 @@ def test_sigma_omega_rejects_bad_input():
 
 def test_jonquieres_center():
     p = points(6)
-    s = realize(word(sigma0(p[0], p[1], p[2])))
+    s = realize(word(Sigma0(p[0], p[1], p[2])))
     assert jonquieres_center(s) == p[0]  # ties broken by smallest id
-    shared = compose(s, realize(word(sigma0(p[0], p[3], p[4]))))
+    shared = compose(s, realize(word(Sigma0(p[0], p[3], p[4]))))
     assert jonquieres_center(shared) == p[0]
     disjoint = sigma_product((p[0], p[1], p[2]), (p[3], p[4], p[5]))
     assert jonquieres_center(disjoint) is None
@@ -274,7 +289,7 @@ def test_halphen_test_with_candidate():
     p = points(9)
     K = halphen_class(p)
     assert halphen_test(identity_element(), p) == K
-    s = realize(word(sigma0(p[0], p[1], p[2])))
+    s = realize(word(Sigma0(p[0], p[1], p[2])))
     assert halphen_test(s, p) == K  # any triple among the nine fixes K
 
 
@@ -342,8 +357,6 @@ def test_coxeter_relations():
     assert order(compose(gens[0], gens[3])) == 3  # the branch edge
     for i in range(4, 10):
         assert order(compose(gens[0], gens[i])) == 2
-    with pytest.raises(ValueError):
-        coxeter_generators(2)
 
 
 # -- the increasing normal form ----------------------------------------------------
@@ -351,7 +364,7 @@ def test_coxeter_relations():
 
 def test_normalize_trivial_word():
     p1, p2, p3 = points(3)
-    w = word(sigma0(p1, p2, p3), sigma0(p1, p2, p3))
+    w = word(Sigma0(p1, p2, p3), Sigma0(p1, p2, p3))
     nw = normalize_increasing(w, e0())
     assert len(nw.letters) == 1
     assert realize(nw) == identity_element() or apply(realize(nw), e0()) == e0()
@@ -386,7 +399,7 @@ def test_normalize_matches_matrix_images(rng):
 def test_normalize_rejects_other_shapes():
     p1, p2, p3 = points(3)
     with pytest.raises(ValueError):
-        normalize_increasing(word(sigma0(p1, p2, p3)), ClassVector(2, {p1: -1}))
+        normalize_increasing(word(Sigma0(p1, p2, p3)), ClassVector(2, {p1: -1}))
 
 
 # -- the word grammar ---------------------------------------------------------------
@@ -403,8 +416,8 @@ def test_grammar_right_to_left_composition():
     w, names = parse_word("t(a,b) * q(a,c,d)")
     h = realize(w)
     direct = compose(
-        realize(word(tau(names["a"], names["b"]))),
-        realize(word(sigma0(names["a"], names["c"], names["d"]))),
+        realize(word(Tau(names["a"], names["b"]))),
+        realize(word(Sigma0(names["a"], names["c"], names["d"]))),
     )
     assert h == direct
 
