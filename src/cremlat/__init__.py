@@ -11,8 +11,9 @@ Modules:
   degrees, axis data, the big-power loxodromy criterion;
 * :mod:`cremlat.salem` -- polynomial classification (Salem, Pisot, ...),
   cyclotomic stripping, bounded exhaustive Salem search;
+* :mod:`cremlat.bounds` -- the bound formulas of the reduction theorem;
 * :mod:`cremlat.reduction` -- the quadratic-conjugation degree reduction
-  loop, bound formulas, base-point realizability;
+  loop, base-point realizability;
 * :mod:`cremlat.orbits` -- truncated base-point orbits of the explicit
   quadratic-case family and their Salem spectral radii;
 * :mod:`cremlat.birmap` -- a desk-scale engine for coordinate triples and
@@ -21,3 +22,8 @@ Modules:
 """
 
 __version__ = "0.1.0"
+
+
+class InputSyntaxError(ValueError):
+    """Text that does not parse; each parser raises its own subclass, and the
+    command line exits 2 on any of them."""

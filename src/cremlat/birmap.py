@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import intmat
+from . import InputSyntaxError, intmat
 
 DEGREE_BUDGET = 512
 TERM_BUDGET = 200_000
@@ -37,7 +37,7 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-class TripleSyntaxError(ValueError):
+class TripleSyntaxError(InputSyntaxError):
     """Text that does not parse as a polynomial or a bracketed triple."""
 
 
@@ -508,22 +508,17 @@ def iterate_degrees(f: HomogeneousTriple, N: int) -> tuple[list[int], bool]:
 # -- monomial maps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """(X, Y) -> (X^a Y^b, X^c Y^d) for an integer matrix of determinant +-1."""
+class MonomialMap(NamedTuple):
+    """(X, Y) -> (X^a Y^b, X^c Y^d) for an integer matrix of determinant +-1.
+
+    :func:`monomial_map` checks the determinant; a product of two such maps
+    has determinant +-1 again.
+    """
 
     a: int
     b: int
     c: int
     d: int
-
-    def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) != 1:
-            raise ValueError("exponent matrix must have determinant +-1")
-
-    @property
-    def matrix(self):
-        return [[self.a, self.b], [self.c, self.d]]
 
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
         m = [[self.a * other.a + self.b * other.c, self.a * other.b + self.b * other.d],
@@ -533,6 +528,8 @@ class MonomialMap:
 
 def monomial_map(matrix) -> MonomialMap:
     (a, b), (c, d) = matrix
+    if abs(a * d - b * c) != 1:
+        raise ValueError("exponent matrix must have determinant +-1")
     return MonomialMap(a, b, c, d)
 
 

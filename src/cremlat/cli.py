@@ -4,58 +4,81 @@ Exit codes: 0 on success, 1 on a domain error (a well-formed request whose
 mathematics refuses: non-loxodromic input to reduce, resource guards, ...),
 2 on a usage error (unknown flags, malformed words/polynomials/triples; the
 message carries the offending position where the parsers provide one).
-Each parser raises its own syntax error type, so the exit code follows the
-type of the exception, never its message.
+Each parser raises its own subclass of :class:`cremlat.InputSyntaxError`, so
+the exit code follows the type of the exception, never its message.
+
+A subcommand loads only the layer modules it runs: ``bounds`` runs no
+lattice code, ``classify-number`` only :mod:`cremlat.salem`.  Importing this
+module binds every layer module through :class:`importlib.util.LazyLoader`,
+which puts it in ``sys.modules`` at once and runs it on its first attribute
+access.  Function-local imports would load as little, but leave the layers
+out of ``sys.modules`` until a command runs, where outside-in tracers (such
+as ``bench/tracer.py``) look for them right after ``import cremlat.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import re
 import sys
 from fractions import Fraction
 
-from . import birmap, orbits, reduction, salem, spectral, weyl
-from .lattice import (BubblePoint, ClassVector, e, e0, infinitely_near, point, proper_point,
-                      render)
-from .weyl import WordSyntaxError, parse_word, print_word, realize
+from . import InputSyntaxError
 
 
-class UsageError(ValueError):
+def _lazy(name: str):
+    """The module cremlat.<name>, in sys.modules now and run on first use."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = loader
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+# intmat too, which no command calls directly, so that every layer module is
+# in sys.modules once this module is imported
+birmap, bounds, intmat, lattice, orbits, reduction, salem, spectral, weyl = map(
+    _lazy, ("birmap", "bounds", "intmat", "lattice", "orbits", "reduction", "salem",
+            "spectral", "weyl"))
+
+
+class UsageError(InputSyntaxError):
     pass
 
 
-SYNTAX_ERRORS = (UsageError, WordSyntaxError, birmap.TripleSyntaxError,
-                 salem.PolynomialSyntaxError)
-
-
-def _parse_vector(text: str, names: dict) -> ClassVector:
+def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
     """The four normal-form shapes: e0, e(q), e0-e(q), 3e0-e(q1)-...-e(qk)."""
     text = text.replace(" ", "")
     if text == "e0":
-        return e0()
+        return lattice.e0()
     m = re.fullmatch(r"e\((\w+)\)", text)
     if m:
-        return e(_named_point(m.group(1), names))
+        return lattice.e(_named_point(m.group(1), names))
     m = re.fullmatch(r"e0-e\((\w+)\)", text)
     if m:
-        return e0() - e(_named_point(m.group(1), names))
+        return lattice.e0() - lattice.e(_named_point(m.group(1), names))
     m = re.fullmatch(r"3\*?e0((?:-e\(\w+\))+)", text)
     if m:
         pts = re.findall(r"-e\((\w+)\)", m.group(1))
-        vec = ClassVector(3, {})
+        vec = lattice.ClassVector(3, {})
         for name in pts:
-            vec = vec - e(_named_point(name, names))
+            vec = vec - lattice.e(_named_point(name, names))
         return vec
     raise UsageError(f"cannot parse vector {text!r} (position 0): "
                      "expected e0, e(q), e0-e(q) or 3e0-e(q1)-...")
 
 
-def _named_point(name: str, names: dict) -> BubblePoint:
+def _named_point(name: str, names: dict) -> lattice.BubblePoint:
     if name not in names:
-        names[name] = point(label=name)
+        names[name] = lattice.point(label=name)
     return names[name]
 
 
@@ -84,39 +107,39 @@ def cmd_salem_enum(args) -> int:
 
 
 def cmd_weyl_eval(args) -> int:
-    w, _ = parse_word(args.word)
-    h = realize(w)
+    w, _ = weyl.parse_word(args.word)
+    h = weyl.realize(w)
     _emit({
         "degree": weyl.degree(h),
-        "image_e0": render(weyl.apply(h, e0())),
+        "image_e0": lattice.render(weyl.apply(h, lattice.e0())),
         "support": [repr(p) for p in h.support],
-        "word": print_word(w),
+        "word": weyl.print_word(w),
     })
     return 0
 
 
 def cmd_weyl_normalize(args) -> int:
-    w, names = parse_word(args.word)
+    w, names = weyl.parse_word(args.word)
     v = _parse_vector(args.vector, names)
     nw = weyl.normalize_increasing(w, v)
     _emit({
-        "word": print_word(nw),
-        "image": render(nw.apply(v)),
+        "word": weyl.print_word(nw),
+        "image": lattice.render(nw.apply(v)),
         "partial_degrees": [str(d) for d in weyl.increasing_degrees(nw, v)],
     })
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    w, _ = parse_word(args.word)
-    h = realize(w)
+    w, _ = weyl.parse_word(args.word)
+    h = weyl.realize(w)
     _emit(spectral.spectrum_report(h, args.tol))
     return 0
 
 
 def cmd_reduce(args) -> int:
-    w, _ = parse_word(args.word)
-    h = realize(w)
+    w, _ = weyl.parse_word(args.word)
+    h = weyl.realize(w)
     trace = reduction.reduce(h, budget=args.budget, tol=args.tol)
     for line in trace.json_lines():
         print(line)
@@ -158,11 +181,11 @@ def cmd_realizable(args) -> int:
                 coords = []
             if len(coords) != 3:
                 raise UsageError(f"(position 0) --config: coords of {name!r} are not three numbers")
-            pt = proper_point(*coords, label=name)
+            pt = lattice.proper_point(*coords, label=name)
         elif "parent" in spec:
-            pt = infinitely_near(named(spec["parent"]), label=name)
+            pt = lattice.infinitely_near(named(spec["parent"]), label=name)
         else:
-            pt = point(label=name)
+            pt = lattice.point(label=name)
         names[name] = pt
         points.append(pt)
     k_max = data.get("k_max", 6)
@@ -216,7 +239,7 @@ def cmd_degseq(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.degrees:
-        report = reduction.bounds(args.degrees[0], args.degrees[1])
+        report = bounds.bounds(args.degrees[0], args.degrees[1])
     elif args.lam is not None:
         try:
             lam = Fraction(args.lam) if "/" in args.lam or "." not in args.lam else float(args.lam)
@@ -224,7 +247,7 @@ def cmd_bounds(args) -> int:
             raise UsageError(f"(position 0) --lam {args.lam!r} is not a number") from exc
         if lam == math.inf:  # a decimal past the float range; 1e400 fails in bounds
             raise OverflowError(f"--lam {args.lam} is too large for a float")
-        report = reduction.bounds(lam)
+        report = bounds.bounds(lam)
     else:
         raise UsageError("(position 0) bounds needs --lam or --degrees")
     _emit(report.as_dict())
@@ -303,7 +326,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SYNTAX_ERRORS as exc:
+    except InputSyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # domain errors; RuntimeError covers resource guards, budget overruns

@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+from . import InputSyntaxError
 
 
 class IntPolynomial:
@@ -397,8 +398,7 @@ def from_trace_poly(q: IntPolynomial) -> IntPolynomial:
 
 # -- classification -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumberClass:
+class NumberClass(NamedTuple):
     kind: str
     dominant_root: float
     stripped: Optional[IntPolynomial]
@@ -556,7 +556,7 @@ def _check_candidate(qcoeffs, n, a, big_a, found):
 # -- text format --------------------------------------------------------------
 
 
-class PolynomialSyntaxError(ValueError):
+class PolynomialSyntaxError(InputSyntaxError):
     """Text that does not parse as an integer polynomial in x."""
 
 

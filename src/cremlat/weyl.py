@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from . import intmat
+from . import InputSyntaxError, intmat
 from .lattice import (
     BubblePoint,
     ClassVector,
@@ -142,9 +142,6 @@ class WeylWord:
     def __mul__(self, other: "WeylWord") -> "WeylWord":
         return WeylWord(self.letters + other.letters)
 
-    def __len__(self):
-        return len(self.letters)
-
     def support(self) -> set:
         s = set()
         for g in self.letters:
@@ -158,10 +155,6 @@ class WeylWord:
 
     def __repr__(self):
         return " * ".join(repr(g) for g in self.letters) if self.letters else "s()"
-
-
-def word(*letters) -> WeylWord:
-    return WeylWord(tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +679,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<op>\*)|(?P<kind>[qts])\s*(?P<args>(?:\([^()]*\))
 _GROUP = re.compile(r"\(([^()]*)\)")
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(InputSyntaxError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position

@@ -4,10 +4,15 @@ import pytest
 
 from cremlat.lattice import point, points
 from cremlat.salem import IntPolynomial, dominant_real_root
-from cremlat.weyl import Permutation, Sigma0, Tau, WeylWord, compose, realize, word
+from cremlat.weyl import Permutation, Sigma0, Tau, WeylWord, compose, realize
 
 LEHMER_POLYNOMIAL = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER = dominant_real_root(LEHMER_POLYNOMIAL, 1e-13)  # Lehmer's number
+
+
+def word(*letters):
+    """The word of the given letters, the leftmost applied last."""
+    return WeylWord(tuple(letters))
 
 
 def random_word(rng, length, pts):

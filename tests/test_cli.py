@@ -170,6 +170,60 @@ def test_well_formed_input_the_mathematics_refuses_is_a_domain_error(capsys, arg
     assert out == "" and err.startswith("error:")
 
 
+# for every subcommand an input that exits 0 (JSON on stdout), 1 (a domain
+# error) and 2 (a usage error); realizable reads the last item from stdin.
+# weyl-eval has no domain error, since every well-formed word realizes, and
+# spectrum refuses only on a failed certificate, which
+# test_failed_certificate_is_a_domain_error forces
+EXIT_CODES = [
+    (("classify-number", LEHMER), 0),
+    (("classify-number", "2*x^2 + 1"), 1),
+    (("classify-number", "x^2 +* 1"), 2),
+    (("salem-enum", "--degree-bound", "6", "--upper", "1.5"), 0),
+    (("salem-enum", "--degree-bound", "5", "--upper", "1.5"), 1),
+    (("salem-enum", "--degree-bound", "six", "--upper", "1.5"), 2),
+    (("weyl-eval", LOXODROMIC), 0),
+    (("weyl-eval", "q(a,b"), 2),
+    (("weyl-normalize", LOXODROMIC, "--vector", "e0-e(a)"), 0),
+    (("weyl-normalize", LOXODROMIC, "--vector", "3e0-e(a)-e(a)"), 1),
+    (("weyl-normalize", LOXODROMIC, "--vector", "xx"), 2),
+    (("spectrum", LOXODROMIC), 0),
+    (("spectrum", "q(a,a,b)"), 2),
+    (("reduce", LOXODROMIC), 0),
+    (("reduce", "q(a,b,c)"), 1),
+    (("reduce", LOXODROMIC, "--budget", "many"), 2),
+    (("realizable", "--m", "3", "--config", "-", five_points()), 0),
+    (("realizable", "--m", "2", "--config", "-", five_points()), 1),
+    (("realizable", "--m", "2", "--config", "-", "[1, 2]"), 2),
+    (("fk-spectrum", "--m", "3", "--kmax", "4"), 0),
+    (("fk-spectrum", "--m", "1", "--kmax", "4"), 1),
+    (("fk-spectrum", "--m", "3"), 2),
+    (("degseq", "--map", CANCELLING_MAP, "-n", "3"), 0),
+    (("degseq", "--map", "[x : x : x]"), 1),
+    (("degseq", "--map", "[x : y]"), 2),
+    (("bounds", "--degrees", "2", "3"), 0),
+    (("bounds", "--lam", "1"), 1),
+    (("bounds", "--lam", "abc"), 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", EXIT_CODES,
+                         ids=[f"{argv[0]}-{code}" for argv, code in EXIT_CODES])
+def test_exit_code_of_every_subcommand(capsys, monkeypatch, argv, code):
+    if argv[0] == "realizable":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(argv[-1]))
+        argv = argv[:-1]
+    rc, out, err = run(capsys, *argv)
+    assert rc == code, err
+    if code == 0:
+        assert out and err == ""
+        for line in out.splitlines():
+            json.loads(line)
+    else:
+        assert out == ""
+        assert err.startswith("error:" if code == 1 else "usage")
+
+
 def test_failed_certificate_is_a_domain_error(capsys, monkeypatch):
     monkeypatch.setattr(spectral, "_eig_residual", lambda h, v, lam: 1.0)
     rc, out, err = run(capsys, "spectrum", LOXODROMIC)
@@ -265,3 +319,70 @@ def test_sympy_is_never_imported(mode):
     # sigma contracts the line y = 0 onto [0:1:0], which A fixes and sigma
     # blows up, so the second iterate has degree 3, not 4
     assert json.loads(proc.stdout) == {"degrees": [2, 3, 4], "truncated": False}
+
+
+def child(*args, stdin=None):
+    """A fresh Python process, run with the cremlat that this test imports."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cremlat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, input=stdin,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "q(a,b"),
+                                  ("degseq", "--map", "[x : y]"),
+                                  ("classify-number", "x^2 +* 1")],
+                         ids=["word", "triple", "polynomial"])
+def test_syntax_error_exits_2_in_a_fresh_interpreter(argv):
+    """In a fresh interpreter the parser modules are not loaded when main
+    starts, so the syntax error reaches main through a lazy module."""
+    proc = child("-m", "cremlat.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage error:")
+
+
+RUN_AND_LIST_MODULES = textwrap.dedent("""
+    import json, sys, types
+    from cremlat.cli import main
+
+    rc = main(sys.argv[1:])
+    ran = sorted(name[len("cremlat."):] for name, module in sys.modules.items()
+                 if name.startswith("cremlat.") and type(module) is types.ModuleType)
+    print(json.dumps([rc, ran, "dataclasses" in sys.modules]), file=sys.stderr)
+""")
+
+# the modules whose code runs (a lazy module that was never used is still
+# of the pending type), besides cremlat and cremlat.cli; intmat runs only
+# where a matrix or an interpolation is computed
+MODULES_RUN = {
+    "bounds": (("bounds", "--lam", "2"), {"bounds"}),
+    "classify-number": (("classify-number", LEHMER), {"salem"}),
+    "salem-enum": (("salem-enum", "--degree-bound", "6", "--upper", "1.5"), {"salem"}),
+    "degseq-cancelling": (("degseq", "--map", CANCELLING_MAP, "-n", "3"), {"birmap", "intmat"}),
+    "degseq-generic": (("degseq", "--map", GENERIC_MAP, "-n", "3"), {"birmap"}),
+    "degseq-monomial": (("degseq", "--monomial", "1,1,1,0"), {"birmap"}),
+    "fk-spectrum": (("fk-spectrum", "--m", "3", "--kmax", "4"),
+                    {"orbits", "salem", "weyl", "lattice"}),
+    "weyl-eval": (("weyl-eval", LOXODROMIC), {"weyl", "lattice", "intmat"}),
+    "weyl-normalize": (("weyl-normalize", LOXODROMIC, "--vector", "e0-e(a)"),
+                       {"weyl", "lattice"}),
+    "spectrum": (("spectrum", LOXODROMIC), {"spectral", "salem", "weyl", "lattice", "intmat"}),
+    "reduce": (("reduce", LOXODROMIC),
+               {"reduction", "bounds", "spectral", "salem", "weyl", "lattice", "intmat"}),
+    "realizable": (("realizable", "--m", "3", "--config", "-", five_points()),
+                   {"reduction", "bounds", "spectral", "salem", "weyl", "lattice", "intmat"}),
+}
+# dataclasses imports inspect, a large share of a short call's start-up
+NO_DATACLASSES = {"bounds", "classify-number", "salem-enum", "degseq"}
+
+
+@pytest.mark.parametrize("argv,modules", MODULES_RUN.values(), ids=MODULES_RUN.keys())
+def test_each_subcommand_runs_only_the_modules_it_needs(argv, modules):
+    stdin = argv[-1] if argv[0] == "realizable" else None
+    proc = child("-c", RUN_AND_LIST_MODULES, *(argv[:-1] if stdin else argv), stdin=stdin)
+    rc, ran, dataclasses = json.loads(proc.stderr.splitlines()[-1])
+    assert rc == 0
+    assert set(ran) == modules | {"cli"}
+    if argv[0] in NO_DATACLASSES:
+        assert not dataclasses

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import word
 from cremlat.lattice import (
     BubblePoint,
     ClassVector,
@@ -15,7 +16,7 @@ from cremlat.lattice import (
     proper_point,
     render,
 )
-from cremlat.weyl import Sigma0, apply, realize, word
+from cremlat.weyl import Sigma0, apply, realize
 
 
 def canonical_form(v):

@@ -1,10 +1,13 @@
 """Only what a command runs, and the paper checks, live in src/cremlat.
 
 The walk parses every module with ``ast``.  Starting from the top-level
-statements of ``cli.py``, it follows the names they use (``Name`` ids and
-attribute names) to the top-level definitions of that name in any module,
-and on through the names those use.  Matching is by name alone, so two
-definitions that share a name are reached together.
+statements of ``cli.py``, it follows the names they use to the top-level
+definitions of that name in any module, and on through the names those use.
+A use is a name read that no enclosing function, lambda or comprehension
+binds (so a local ``points`` does not reach ``lattice.points``), or an
+attribute read off a module of the package (``lattice.point``, not
+``self.points``).  Matching is by name alone, so two definitions that share
+a name are reached together.
 """
 
 import ast
@@ -13,6 +16,7 @@ from pathlib import Path
 import cremlat
 
 SRC = Path(cremlat.__file__).parent
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 # Checks of the paper's statements that no command calls yet, with what only
 # they use.  A check leaves this set once a command runs it.
@@ -33,6 +37,7 @@ PAPER_CHECKS = {
     "orbits.quadratic_charpoly",
     "orbits.quadratic_orbit_matrix",
     "orbits.quadratic_orbit_element",
+    "lattice.points",
 }
 
 
@@ -53,9 +58,46 @@ def top_level_definitions():
                     yield path.stem, name, node
 
 
-def used_names(node):
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_names(scope):
+    """The names a function, lambda or comprehension binds for itself: its
+    parameters and its assignment, loop, ``with`` and comprehension targets
+    (nested scopes and class bodies keep their own)."""
+    args = getattr(scope, "args", None)
+    names = set()
+    if args is not None:
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        names = {a.arg for a in params if a is not None}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def used_names(node, local=frozenset()):
+    """The names read that no enclosing scope binds, and the attributes read
+    off a module of the package, such as ``lattice.point``."""
+    if isinstance(node, SCOPES):
+        local = local | local_names(node)
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in MODULES):
+        uses = {node.attr}
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        uses = set() if node.id in local else {node.id}
+    else:
+        uses = set()
+    for child in ast.iter_child_nodes(node):
+        uses |= used_names(child, local)
+    return uses
 
 
 def test_every_definition_is_reached_from_the_cli_or_is_a_paper_check():

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from conftest import LEHMER, counting, loxodromic_ten, power, random_word
+from conftest import LEHMER, counting, loxodromic_ten, power, random_word, word
 from cremlat import intmat, reduction, spectral
+from cremlat.bounds import bounds, delta
 from cremlat.lattice import (
     ClassVector,
     e,
@@ -18,9 +19,7 @@ from cremlat.lattice import (
 from cremlat.reduction import (
     PointConfiguration,
     averaged_noether_check,
-    bounds,
     decreasing_step,
-    delta,
     realizable_jonquieres,
     reduce,
     verify_conjugation,
@@ -33,7 +32,6 @@ from cremlat.weyl import (
     multiplicity_profile,
     realize,
     sigma_omega,
-    word,
 )
 
 
@@ -304,7 +302,7 @@ def general_position_points(n):
 def test_realizable_quadratic_general_position():
     pts = [proper_point(1, 0, 0), proper_point(0, 1, 0), proper_point(0, 0, 1)]
     config = PointConfiguration(pts)
-    assert realizable_jonquieres(config, 2).ok
+    assert realizable_jonquieres(config, 2).status == "pass"
 
 
 def test_realizable_fails_on_collinear_triple():
@@ -386,7 +384,7 @@ def test_realizable_passes_in_general_position():
               (8, 4, 7), (10, 5, 12), (12, 11, 9)]
     pts = [proper_point(*c) for c in coords]
     report = realizable_jonquieres(PointConfiguration(pts, k_max=6), 4)
-    assert report.ok, report
+    assert report.status == "pass", report
 
 
 def test_realizable_wrong_count():

@@ -14,6 +14,7 @@ from conftest import (
     power,
     random_word,
     sigma_product,
+    word,
 )
 from cremlat import intmat, spectral
 from cremlat.lattice import ClassVector, e0, intersect, norm_sq, points
@@ -38,7 +39,6 @@ from cremlat.weyl import (
     identity_element,
     inverse,
     realize,
-    word,
 )
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coxeter_generators, random_word, sigma_product
+from conftest import coxeter_generators, random_word, sigma_product, word
 from cremlat import intmat
 from cremlat.lattice import ClassVector, e, e0, points
 from cremlat.weyl import (
@@ -30,7 +30,6 @@ from cremlat.weyl import (
     realize,
     sigma_omega,
     sigma_omega_word,
-    word,
 )
 
 
