@@ -23,13 +23,12 @@ as k grows.  One construction serves every caller:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from . import intmat
-from .lattice import ClassVector, e, e0, point, points
+# bound as modules, so that a caller which has bound them lazily (as the
+# command line does) runs them only for the lattice realization
+from . import intmat, lattice, weyl
 from .salem import IntPolynomial, classify_number, dominant_real_root
-from .weyl import WeylElement, element_from_images
 
 
 def quadratic_orbit_matrix(m: int, k: int):
@@ -82,7 +81,7 @@ def quadratic_charpoly(m: int, k: int):
     return cp, cp == quadratic_closed_form(m, k)
 
 
-def quadratic_orbit_element(m: int, k: int) -> WeylElement:
+def quadratic_orbit_element(m: int, k: int) -> weyl.WeylElement:
     """A genuine lattice isometry realizing the quadratic-case action.
 
     Built on 2m - 1 base-point classes plus m - 2 recycled orbit chains of
@@ -90,26 +89,26 @@ def quadratic_orbit_element(m: int, k: int) -> WeylElement:
     """
     if m < 3 or k < 1:
         raise ValueError("need m >= 3 and k >= 1")
-    q = points(2 * m - 1, "q")
-    chain = {(i, j): point(label=f"a{i}_{j}")
+    e = lattice.e
+    q = lattice.points(2 * m - 1, "q")
+    chain = {(i, j): lattice.point(label=f"a{i}_{j}")
              for i in range(1, m - 1) for j in range(1, k + 1)}
     p = {i: chain[(i, k)] if i <= m - 2 else q[i - 1] for i in range(1, 2 * m)}
-    sum_q = sum((e(q[i]) for i in range(1, 2 * m - 1)), ClassVector(0, {}))
+    sum_q = sum((e(q[i]) for i in range(1, 2 * m - 1)), lattice.ClassVector(0, {}))
     images = {
-        "e0": ClassVector(m, {}) - (m - 1) * e(q[0]) - sum_q,
-        p[1]: ClassVector(m - 1, {}) - (m - 2) * e(q[0]) - sum_q,
+        "e0": lattice.ClassVector(m, {}) - (m - 1) * e(q[0]) - sum_q,
+        p[1]: lattice.ClassVector(m - 1, {}) - (m - 2) * e(q[0]) - sum_q,
     }
     for i in range(2, 2 * m):
-        images[p[i]] = e0() - e(q[0]) - e(q[i - 1])
+        images[p[i]] = lattice.e0() - e(q[0]) - e(q[i - 1])
     for i in range(1, m - 1):
         images[q[i - 1]] = e(chain[(i, 1)])
         for j in range(1, k):
             images[chain[(i, j)]] = e(chain[(i, j + 1)])
-    return element_from_images(images)
+    return weyl.element_from_images(images)
 
 
-@dataclass(frozen=True)
-class LambdaEntry:
+class LambdaEntry(NamedTuple):
     k: int
     value: float
     kind: str

@@ -11,6 +11,12 @@ outside the unit circle are counted by the Routh-Hurwitz theorem after the
 map w = (z - 1)/(z + 1), with Cauchy indices read off the same kind of
 remainder sequence.  Floating point only reports a root's value, to a
 requested tolerance.
+
+Two exact prefilters skip work that cannot succeed.  Stripping divides by
+Phi_n only when Phi_n(2) divides p(2), as it must when Phi_n divides p.  The
+Salem search rejects a candidate Q of degree n before any Sturm chain when
+Descartes' rule of signs, applied to (x + 1)^n Q((2x - 2)/(x + 1)), leaves
+room for fewer than n - 1 roots in (-2, 2] (Collins-Akritas).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence
 
 from . import InputSyntaxError
@@ -176,26 +182,33 @@ def cyclotomic(n: int) -> IntPolynomial:
     return result
 
 
-def _euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(max_phi: int) -> tuple[tuple[int, int], ...]:
+    """Every (n, phi(n)) with phi(n) <= max_phi, by ascending n.
+
+    Built from factorizations, phi(prod p^a) = prod p^(a-1) (p - 1): a prime
+    p divides such an n only when p - 1 <= max_phi.
+    """
+    found = [(1, 1)]
+    for p in range(2, max_phi + 2):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        for n, phi in list(found):
+            pk, phik = p, p - 1
+            while phi * phik <= max_phi:
+                found.append((n * pk, phi * phik))
+                pk, phik = pk * p, phik * p
+    return tuple(sorted(found))
 
 
-def _cyclotomic_indices(max_phi: int):
-    # phi(n) >= sqrt(n/2), so n <= 2 max_phi^2 bounds the search
-    for n in range(1, 2 * max_phi * max_phi + 3):
-        if _euler_phi(n) <= max_phi:
-            yield n
+@lru_cache(maxsize=None)
+def _cyclotomic_at_2(n: int) -> int:
+    """Phi_n(2), from 2^n - 1 = prod over d | n of Phi_d(2)."""
+    divisors = {e for d in range(1, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
+    value = 2 ** n - 1
+    for d in divisors - {n}:
+        value //= _cyclotomic_at_2(d)
+    return value
 
 
 def strip_cyclotomic(p: IntPolynomial) -> tuple[Optional[IntPolynomial], tuple[int, ...]]:
@@ -205,17 +218,19 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[Optional[IntPolynomial], tuple[i
     cyclotomic polynomials (constant quotient), together with the order n of
     each factor Phi_n divided out, once per multiplicity.  One sweep over the
     orders suffices: each Phi_n is divided out completely before the next,
-    and the Phi_n are pairwise coprime.
+    and the Phi_n are pairwise coprime.  A division is tried only where it
+    can be exact: Phi_n | p in Z[x] forces Phi_n(2) | p(2).
     """
     coeffs = list(p.coeffs)
+    at_2 = p(2)
     orders = []
-    for n in _cyclotomic_indices(len(coeffs) - 1):
-        phi = cyclotomic(n)
-        while len(coeffs) - 1 >= phi.degree:
-            q, r = _divmod_monic(coeffs, phi.coeffs)
+    for n, phi in _cyclotomic_orders(len(coeffs) - 1):
+        while len(coeffs) - 1 >= phi and at_2 % _cyclotomic_at_2(n) == 0:
+            q, r = _divmod_monic(coeffs, cyclotomic(n).coeffs)
             if any(r):
                 break
             coeffs = q
+            at_2 //= _cyclotomic_at_2(n)
             orders.append(n)
         if len(coeffs) == 1:
             return None, tuple(orders)
@@ -261,9 +276,8 @@ def _sturm_chain(p: IntPolynomial) -> tuple:
     return tuple(tuple(c) for c in _remainders(sf, _primitive(_deriv(sf))))
 
 
-def _sign_at(coeffs, x: Fraction) -> int:
+def _sign_at(coeffs, n: int, d: int) -> int:
     """Sign of p(n/d), from the integer sum c_i n^i d^(deg - i) (d > 0)."""
-    n, d = x.numerator, x.denominator
     acc, dpow = 0, 1
     for c in reversed(coeffs):
         acc = acc * n + c * dpow
@@ -277,17 +291,23 @@ def _changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _changes_at(chain, x) -> int:
+    """Sign changes along a Sturm chain at the rational x."""
+    x = Fraction(x)
+    return _changes(_sign_at(c, x.numerator, x.denominator) for c in chain)
+
+
 def count_real_roots(p: IntPolynomial, lo=None, hi=None) -> int:
     """Distinct real roots in (lo, hi]; None endpoints mean +-infinity."""
     chain = _sturm_chain(p)
     at_minus_inf, at_inf = _changes_at_infinity(chain)
-    va = _changes(_sign_at(c, Fraction(lo)) for c in chain) if lo is not None else at_minus_inf
-    vb = _changes(_sign_at(c, Fraction(hi)) for c in chain) if hi is not None else at_inf
+    va = _changes_at(chain, lo) if lo is not None else at_minus_inf
+    vb = _changes_at(chain, hi) if hi is not None else at_inf
     return va - vb
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
-    return 1 + max(abs(Fraction(c)) for c in p.coeffs[:-1])
+    return Fraction(1 + max(abs(c) for c in p.coeffs[:-1]))
 
 
 def dominant_real_root(p: IntPolynomial, tol: float = 1e-12) -> Optional[float]:
@@ -311,24 +331,30 @@ def dominant_real_root(p: IntPolynomial, tol: float = 1e-12) -> Optional[float]:
             else:
                 hi = mid
     # now exactly one simple root in (lo, hi]: certified sign bisection
-    if _sign_at(sf, hi) == 0:
+    if _sign_at(sf, hi.numerator, hi.denominator) == 0:
         return float(hi)
-    slo = _sign_at(sf, lo)
+    slo = _sign_at(sf, lo.numerator, lo.denominator)
     if slo == 0:
         lo += min(Fraction(1, 10 ** 6), (hi - lo) / 4)
-        slo = _sign_at(sf, lo)
-    while hi - lo > Fraction(tol).limit_denominator(10 ** 15) / 4:
-        mid = (lo + hi) / 2
-        sm = _sign_at(sf, mid)
+        slo = _sign_at(sf, lo.numerator, lo.denominator)
+    # in integers from here: lo = a/den and hi = b/den, and each step
+    # doubles all three so that the midpoint stays an integer
+    width = Fraction(tol).limit_denominator(10 ** 15) / 4
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    while (b - a) * width.denominator > width.numerator * den:
+        a, b, den = 2 * a, 2 * b, 2 * den
+        mid = (a + b) // 2
+        sm = _sign_at(sf, mid, den)
         if sm == 0:
-            return float(mid)
+            return mid / den
         if (sm > 0) == (slo > 0):
-            lo, slo = mid, sm
+            a, slo = mid, sm
         else:
-            hi = mid
-        if float(hi - lo) < tol / 4:
+            b = mid
+        if (b - a) / den < tol / 4:
             break
-    return float((lo + hi) / 2)
+    return (a + b) / (2 * den)
 
 
 # -- roots outside the unit circle -------------------------------------------
@@ -470,12 +496,14 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
 
     The search is exhaustive: a Salem polynomial of degree 2n with root in
     (1, a] is x^n Q(x + 1/x) for a monic integer Q of degree n having one
-    root in (2, a + 1/a] and n - 1 roots in [-2, 2].  Power sums of such
-    roots obey s_k in (2^k - (n-1) 2^k, (a + 1/a)^k + (n-1) 2^k], which via
-    the Newton identities bounds each coefficient of Q given the previous
-    ones; this is the symmetric-function coefficient bound made effective.
-    Every candidate surviving the interval pruning is checked exactly with
-    Sturm counts, so the output is complete and certified.
+    root in (2, A], A = a + 1/a, and n - 1 roots in [-2, 2].  Power sums of
+    such roots obey s_k in (2^k - (n-1) 2^k, A^k + (n-1) 2^k], which via the
+    Newton identities bounds each coefficient of Q given the previous ones;
+    this is the symmetric-function coefficient bound made effective.  With
+    A = N/D every bound is an integer over D^k, so each node takes floor
+    divisions only.  Every candidate surviving the interval pruning is
+    checked exactly, first by Descartes' rule and then with Sturm counts, so
+    the output is complete and certified.
 
     Returns (polynomial, root) pairs sorted by root.
     """
@@ -485,13 +513,17 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
         raise ValueError("upper bound must exceed 1")
     a = Fraction(upper).limit_denominator(10 ** 12)
     big_a = a + 1 / a
+    big_n, big_d = big_a.numerator, big_a.denominator
     found = {}
     visited = 0
     for n in range(2, degree_bound // 2 + 1):
-        # per n, not per node: the powers of big_a and the power-sum bounds
-        apow = [big_a ** k for k in range(n + 1)]
-        s_bounds = [None] + [(Fraction(2 ** k - (n - 1) * 2 ** k * (k % 2)),
-                              apow[k] + (n - 1) * 2 ** k) for k in range(1, n + 1)]
+        # per n, not per node: the power-sum bounds, the upper one times D^k,
+        # and the terms N^(n-i) D^i of D^n Q(A) = sum q_i N^(n-i) D^i
+        dpow = [big_d ** k for k in range(n + 1)]
+        s_lo = [2 ** k - (n - 1) * 2 ** k * (k % 2) for k in range(n + 1)]
+        s_hi = [big_n ** k + (n - 1) * 2 ** k * dpow[k] for k in range(n + 1)]
+        at_a = [big_n ** (n - i) * dpow[i] for i in range(n + 1)]
+        descartes = _descartes_rows(n)
 
         def extend(qs, ss):
             nonlocal visited
@@ -500,11 +532,10 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
                 raise SearchSpaceError(
                     f"search space exceeded {node_limit} nodes; tighten the bounds")
             k = len(qs) + 1
-            lo, hi = s_bounds[k]
             # newton: s_k = -(k q_k + sum_{i<k} q_i s_{k-i})
             tail = sum(qs[i] * ss[k - 2 - i] for i in range(k - 1))
-            q_lo = math.ceil((-hi - tail) / k)
-            q_hi = math.floor((-lo - tail) / k)
+            q_lo = -((s_hi[k] + tail * dpow[k]) // (k * dpow[k]))
+            q_hi = (-s_lo[k] - tail) // k
             if k == n:
                 # last coefficient: intersect with sign conditions, linear in
                 # q_n.  Q(2) = prod(2 - y_i) <= 0 (one root above 2), Q(A) =
@@ -512,15 +543,15 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
                 # of (-1)^n since every factor is <= 0.
                 base2 = 2 ** n + sum(qs[i] * 2 ** (n - 1 - i) for i in range(n - 1))
                 basem2 = (-2) ** n + sum(qs[i] * (-2) ** (n - 1 - i) for i in range(n - 1))
-                basea = apow[n] + sum(qs[i] * apow[n - 1 - i] for i in range(n - 1))
-                q_hi = min(q_hi, math.floor(-base2))
-                q_lo = max(q_lo, math.ceil(-basea))
+                basea = at_a[0] + sum(qs[i] * at_a[i + 1] for i in range(n - 1))
+                q_hi = min(q_hi, -base2)
+                q_lo = max(q_lo, -(basea // dpow[n]))
                 if n % 2 == 1:
-                    q_hi = min(q_hi, math.floor(-basem2))
+                    q_hi = min(q_hi, -basem2)
                 else:
-                    q_lo = max(q_lo, math.ceil(-basem2))
+                    q_lo = max(q_lo, -basem2)
                 for qn in range(q_lo, q_hi + 1):
-                    _check_candidate(qs + [qn], n, a, big_a, found)
+                    _check_candidate(qs + [qn], big_a, descartes, found)
                 return
             for qk in range(q_lo, q_hi + 1):
                 sk = -(k * qk + tail)
@@ -531,9 +562,37 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
     return [(poly, root) for poly, root in result]
 
 
-def _check_candidate(qcoeffs, n, a, big_a, found):
+def _descartes_rows(n: int) -> list:
+    """Row i gives the x^i coefficient of (x + 1)^n Q((2x - 2)/(x + 1)) as
+    a dot product with the coefficients of Q, from y^n down to y^0.
+
+    y = (2x - 2)/(x + 1) sends x in (0, inf) onto y in (-2, 2); the x^n
+    coefficient of the transform is Q(2).
+    """
+    cols = [reduce(_mul, [[-2, 2]] * j + [[1, 1]] * (n - j), [1])
+            for j in range(n, -1, -1)]
+    return [[col[i] for col in cols] for i in range(n + 1)]
+
+
+def _band_root_bound(desc, rows) -> int:
+    """A bound on Q's distinct roots in (-2, 2], by Descartes' rule of signs.
+
+    desc holds Q's coefficients from y^n down and rows is
+    :func:`_descartes_rows`: the sign changes of the transform bound the
+    roots in (-2, 2), and a zero x^n coefficient adds the root y = 2.
+    """
+    transformed = [sum(r * c for r, c in zip(row, desc)) for row in rows]
+    return _changes(transformed) + (transformed[-1] == 0)
+
+
+def _check_candidate(qcoeffs, big_a, descartes, found):
     # qcoeffs = [q1, ..., qn] with Q = y^n + q1 y^{n-1} + ... + qn
-    q = IntPolynomial(list(reversed(qcoeffs)) + [1])
+    n = len(qcoeffs)
+    desc = [1] + qcoeffs
+    # the Sturm count below needs n - 1 roots in (-2, 2]
+    if _band_root_bound(desc, descartes) < n - 1:
+        return
+    q = IntPolynomial(desc[::-1])
     if count_real_roots(q, 2, big_a) != 1:
         return
     if count_real_roots(q, -2, 2) != n - 1:

@@ -36,11 +36,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
 from . import intmat
+from .bounds import LOXODROMY_CONSTANT
 from .lattice import ClassVector, intersect, norm_sq
 from .salem import IntPolynomial, dominant_real_root, strip_cyclotomic
 from .weyl import WeylElement, apply, degree, inverse
 
-THREE_19 = 3 ** 19
 DISPLACEMENT_FACTOR = 28  # hyperbolicity constant in the axis-distance bound
 
 KIND_ELLIPTIC = "elliptic"
@@ -287,7 +287,7 @@ def axis_displacement_check(h: WeylElement, x: ClassVector, tol: float = 1e-9) -
 def loxodromy_criterion(h: WeylElement) -> bool:
     """deg(h^400) >= 3^19 deg(h^200), decided with exact integer powers."""
     d200, d400 = criterion_degrees(h)
-    return d400 >= THREE_19 * d200
+    return d400 >= LOXODROMY_CONSTANT * d200
 
 
 def criterion_degrees(h: WeylElement) -> tuple[int, int]:

@@ -362,19 +362,19 @@ MODULES_RUN = {
     "degseq-cancelling": (("degseq", "--map", CANCELLING_MAP, "-n", "3"), {"birmap", "intmat"}),
     "degseq-generic": (("degseq", "--map", GENERIC_MAP, "-n", "3"), {"birmap"}),
     "degseq-monomial": (("degseq", "--monomial", "1,1,1,0"), {"birmap"}),
-    "fk-spectrum": (("fk-spectrum", "--m", "3", "--kmax", "4"),
-                    {"orbits", "salem", "weyl", "lattice"}),
+    "fk-spectrum": (("fk-spectrum", "--m", "3", "--kmax", "4"), {"orbits", "salem"}),
     "weyl-eval": (("weyl-eval", LOXODROMIC), {"weyl", "lattice", "intmat"}),
     "weyl-normalize": (("weyl-normalize", LOXODROMIC, "--vector", "e0-e(a)"),
                        {"weyl", "lattice"}),
-    "spectrum": (("spectrum", LOXODROMIC), {"spectral", "salem", "weyl", "lattice", "intmat"}),
+    "spectrum": (("spectrum", LOXODROMIC),
+                 {"spectral", "bounds", "salem", "weyl", "lattice", "intmat"}),
     "reduce": (("reduce", LOXODROMIC),
                {"reduction", "bounds", "spectral", "salem", "weyl", "lattice", "intmat"}),
     "realizable": (("realizable", "--m", "3", "--config", "-", five_points()),
                    {"reduction", "bounds", "spectral", "salem", "weyl", "lattice", "intmat"}),
 }
 # dataclasses imports inspect, a large share of a short call's start-up
-NO_DATACLASSES = {"bounds", "classify-number", "salem-enum", "degseq"}
+NO_DATACLASSES = {"bounds", "classify-number", "salem-enum", "degseq", "fk-spectrum"}
 
 
 @pytest.mark.parametrize("argv,modules", MODULES_RUN.values(), ids=MODULES_RUN.keys())

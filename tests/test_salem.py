@@ -1,8 +1,8 @@
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEHMER, LEHMER_POLYNOMIAL, counting
@@ -73,6 +73,52 @@ def test_strip_repeated_factors():
     rq = parse_poly("x^2 - 3*x + 1")
     prod = rq * cyclotomic(1) * cyclotomic(1) * cyclotomic(12)
     assert strip_cyclotomic(prod) == (rq, (1, 1, 12))
+
+
+@lru_cache(maxsize=None)
+def phi_by_gcd(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def test_cyclotomic_orders_are_every_n_with_small_phi():
+    # phi(n) >= sqrt(n/2), so n <= 2 d^2 + 2 holds every n with phi(n) <= d
+    for d in range(1, 41):
+        want = [(n, phi_by_gcd(n)) for n in range(1, 2 * d * d + 3) if phi_by_gcd(n) <= d]
+        assert list(salem._cyclotomic_orders(d)) == want
+
+
+def test_cyclotomic_at_2_is_the_value_at_2():
+    for n in range(1, 131):
+        assert salem._cyclotomic_at_2(n) == cyclotomic(n)(2)
+
+
+def strip_by_trial_division(p):
+    """Divide by every Phi_n with phi(n) <= deg p, each as often as it goes."""
+    coeffs, orders = list(p.coeffs), []
+    deg = p.degree
+    for n in range(1, 2 * deg * deg + 3):
+        if phi_by_gcd(n) > deg:
+            continue
+        while True:
+            rest, phi = list(coeffs), cyclotomic(n).coeffs
+            quotient = [0] * max(1, len(rest) - len(phi) + 1)
+            for i in range(len(rest) - len(phi), -1, -1):
+                quotient[i] = rest[i + len(phi) - 1]
+                for j, c in enumerate(phi):
+                    rest[i + j] -= quotient[i] * c
+            if any(rest):
+                break
+            coeffs = quotient
+            orders.append(n)
+    return (None if len(coeffs) == 1 else IntPolynomial(coeffs)), tuple(orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 16), max_size=3),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+def test_strip_cyclotomic_matches_trial_division(orders, low):
+    p = product([cyclotomic(n) for n in orders] + [IntPolynomial(low + [1])])
+    assert strip_cyclotomic(p) == strip_by_trial_division(p)
 
 
 # -- trace transform -------------------------------------------------------------------
@@ -282,3 +328,85 @@ def test_enumerate_salem_rejects_bad_input():
         enumerate_salem(5, 1.3)
     with pytest.raises(ValueError):
         enumerate_salem(4, 0.9)
+
+
+# the lists found before the search ran in integers with a Descartes prefilter
+
+LEHMER_TO_1_3 = [
+    ("x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1", 1.176280818261148),
+    ("x^10 - x^6 - x^5 - x^4 + 1", 1.216391661138914),
+    ("x^10 - x^7 - x^5 - x^3 + 1", 1.230391434401099),
+    ("x^10 - x^8 - x^5 - x^2 + 1", 1.2612309611358796),
+    ("x^8 - x^5 - x^4 - x^3 + 1", 1.2806381562622846),
+    ("x^10 - x^8 - x^7 + x^5 - x^3 - x^2 + 1", 1.2934859531305847),
+]
+
+DEGREE_8_TO_2 = [
+    "x^8 - x^5 - x^4 - x^3 + 1",
+    "x^8 - x^7 + x^6 - 2*x^5 + x^4 - 2*x^3 + x^2 - x + 1",
+    "x^6 - x^4 - x^3 - x^2 + 1",
+    "x^8 - x^7 - x^5 + x^4 - x^3 - x + 1",
+    "x^8 - x^6 - x^5 - x^3 - x^2 + 1",
+    "x^6 - x^5 - x^3 - x + 1",
+    "x^8 - x^7 - x^6 + x^4 - x^2 - x + 1",
+    "x^8 - 2*x^7 + 2*x^6 - 3*x^5 + 3*x^4 - 3*x^3 + 2*x^2 - 2*x + 1",
+    "x^6 - x^5 - x^4 + x^3 - x^2 - x + 1",
+    "x^6 - x^4 - 2*x^3 - x^2 + 1",
+    "x^8 - 2*x^7 + x^6 - x^4 + x^2 - 2*x + 1",
+    "x^6 - 2*x^5 + 2*x^4 - 3*x^3 + 2*x^2 - 2*x + 1",
+    "x^8 - 2*x^6 - x^5 + x^4 - x^3 - 2*x^2 + 1",
+    "x^8 - 2*x^7 + x^6 - x^5 + x^4 - x^3 + x^2 - 2*x + 1",
+    "x^8 - x^7 - x^6 - x^2 - x + 1",
+    "x^8 - x^7 - x^5 - x^4 - x^3 - x + 1",
+    "x^4 - x^3 - x^2 - x + 1",
+    "x^6 - x^5 - x^4 - x^2 - x + 1",
+    "x^8 - x^7 - x^6 - x^4 - x^2 - x + 1",
+    "x^8 - 3*x^7 + 4*x^6 - 5*x^5 + 5*x^4 - 5*x^3 + 4*x^2 - 3*x + 1",
+    "x^8 - x^7 - 2*x^5 - 2*x^3 - x + 1",
+    "x^8 - 2*x^7 + x^5 - x^4 + x^3 - 2*x + 1",
+    "x^6 - 2*x^5 + x^3 - 2*x + 1",
+    "x^8 - x^6 - 2*x^5 - 3*x^4 - 2*x^3 - x^2 + 1",
+    "x^8 + x^7 - x^6 - 4*x^5 - 5*x^4 - 4*x^3 - x^2 + x + 1",
+    "x^8 - x^7 - 2*x^6 + 2*x^4 - 2*x^2 - x + 1",
+    "x^4 - 2*x^3 + x^2 - 2*x + 1",
+    "x^8 - x^7 - x^6 - x^5 - x^3 - x^2 - x + 1",
+    "x^8 - 3*x^7 + 3*x^6 - 2*x^5 + x^4 - 2*x^3 + 3*x^2 - 3*x + 1",
+    "x^8 - 2*x^6 - 2*x^5 - x^4 - 2*x^3 - 2*x^2 + 1",
+    "x^6 - x^5 - x^4 - x^3 - x^2 - x + 1",
+    "x^8 - 2*x^7 - x^5 + 3*x^4 - x^3 - 2*x + 1",
+    "x^6 - 2*x^5 - x^4 + 3*x^3 - x^2 - 2*x + 1",
+    "x^6 - 2*x^5 + x^4 - 2*x^3 + x^2 - 2*x + 1",
+    "x^6 - 2*x^4 - 3*x^3 - 2*x^2 + 1",
+    "x^8 - 2*x^7 + x^6 - 2*x^5 + x^4 - 2*x^3 + x^2 - 2*x + 1",
+]
+
+
+def test_enumerate_salem_degree_ten_starts_at_lehmer():
+    found = enumerate_salem(10, 1.3)
+    assert [(format_poly(p), r) for p, r in found] == LEHMER_TO_1_3
+    assert found[0][0] == LEHMER_POLYNOMIAL
+
+
+@pytest.mark.parametrize("upper,count", [(1.4, 2), (1.428, 4), (1.5, 5), (2.0, 36)])
+def test_enumerate_salem_degree_eight(upper, count):
+    assert [format_poly(p) for p, _ in enumerate_salem(8, upper)] == DEGREE_8_TO_2[:count]
+
+
+@pytest.mark.parametrize("upper,nodes", [(1.4, 1575), (2.0, 2010)])
+def test_enumerate_salem_degree_eight_visits_the_same_tree(upper, nodes):
+    enumerate_salem(8, upper, node_limit=nodes)
+    with pytest.raises(SearchSpaceError):
+        enumerate_salem(8, upper, node_limit=nodes - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=6))
+# (y - 1)(y - 2): one sign change, and the root y = 2
+@example([-3, 2])
+def test_descartes_bound_never_undercounts(qcoeffs):
+    # Q = y^n + q1 y^(n-1) + ... + qn: a candidate that the bound rejects
+    # (bound < n - 1) has fewer than n - 1 roots in (-2, 2]
+    n = len(qcoeffs)
+    q = IntPolynomial([*reversed(qcoeffs), 1])
+    bound = salem._band_root_bound([1] + qcoeffs, salem._descartes_rows(n))
+    assert count_real_roots(q, -2, 2) <= bound

@@ -17,10 +17,10 @@ from conftest import (
     word,
 )
 from cremlat import intmat, spectral
+from cremlat.bounds import LOXODROMY_CONSTANT
 from cremlat.lattice import ClassVector, e0, intersect, norm_sq, points
 from cremlat.salem import IntPolynomial
 from cremlat.spectral import (
-    THREE_19,
     LoxodromicData,
     axis_data,
     axis_displacement_check,
@@ -294,7 +294,7 @@ def test_criterion_on_the_three_types(pts12):
     s = degree_sequence(halphen, 400)
     assert (d200, d400) == (s[199], s[399])
     assert not loxodromy_criterion(halphen)
-    assert d400 < THREE_19 * d200
+    assert d400 < LOXODROMY_CONSTANT * d200
     lox = loxodromic_ten(pts12)
     assert loxodromy_criterion(lox)
 
