@@ -12,8 +12,10 @@ cosh(dist(e0, axis)) by at least
 Above the degree threshold 24 lambda^3 the hypothesis always holds once
 lambda > 10^6; the loop below runs for any lambda but only guarantees
 termination in that regime, so a step budget is mandatory.  Each step is a
-genuine conjugation in the Weyl group and is recorded with an exactly
-verifiable two-letter conjugator word.
+genuine conjugation in the Weyl group, kept only as its two-letter
+conjugator word: the word conjugates the matrix by row operations
+(:func:`weyl.conjugate_by_word`) and carries the axis columns letter by
+letter, and the product of the words is verifiable exactly.
 
 The geometric half of the story, deciding whether a configuration of base
 points is realized by an actual plane Jonquieres transformation, is exposed
@@ -38,13 +40,11 @@ from .spectral import (
 from .weyl import (
     WeylElement,
     WeylWord,
-    apply,
-    compose,
     conjugate,
+    conjugate_by_word,
     degree,
     multiplicity_profile,
     realize,
-    sigma_omega,
     sigma_omega_word,
 )
 
@@ -148,8 +148,9 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     """One conjugation step, or None when the triple hypothesis fails.
 
     Returns (step, h_conjugated, word, data_conjugated) where ``word`` is
-    the two-letter conjugator and ``data_conjugated`` the axis data of
-    h_conjugated, read from the conjugator's image of the exact columns in
+    the two-letter conjugator, which alone makes h_conjugated (no matrix of
+    the conjugator and no matrix product), and ``data_conjugated`` the axis
+    data of h_conjugated, read from the word's image of the exact columns in
     ``data`` (no power of h_conjugated is computed); the conjugator is the
     quadratic involution rooted at the support point with the largest
     axis-projection coefficient (re-rooting per the maximality property of
@@ -172,12 +173,11 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     root = min(h.support, key=lambda p: (-alpha.get(p, 0.0), p.id))
     rest = [p for p, _, _, _ in ranked if p != root]
     omega = tuple(sorted(rest[:2]))
-    g = sigma_omega(root, omega)
     w = sigma_omega_word(root, omega)
-    h2 = compose(compose(g, h), g)  # g is an involution
+    h2 = conjugate_by_word(w, h)
     # lambda is a conjugacy invariant and v+-(g h g^-1) = g v+-(h): h2 keeps
-    # the lambda of h and reads its axis from g's image of the exact columns
-    data2 = _axis_data_at(h2, lam, tol, tuple(apply(g, c) for c in data.columns))
+    # the lambda of h and reads its axis from w's image of the exact columns
+    data2 = _axis_data_at(h2, lam, tol, tuple(w.apply(c) for c in data.columns))
     triple_vec = e(root) + e(omega[0]) + e(omega[1]) - e0()
     guarantee = float(intersect(triple_vec, data.E))
     step = ReductionStep(

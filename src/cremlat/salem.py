@@ -605,11 +605,13 @@ def _check_candidate(qcoeffs, big_a, descartes, found):
         # carries roots of unity; the cyclotomic-free core, if Salem, is
         # found at its own (smaller) degree
         return
-    cls = classify_number(p)
-    if cls.kind != "salem":
-        return
-    if p not in found:
-        found[p] = cls.dominant_root
+    # p is Salem with no further test.  The counts give q n distinct real
+    # roots, none at +-2 (p would have the factor (x -+ 1)^2), so p is
+    # squarefree with one root > 1, its inverse, and n - 1 conjugate pairs
+    # on the unit circle.  p has no cyclotomic factor, so by Kronecker every
+    # factor has a root off the circle, and p is irreducible.
+    # classify_number(p) would isolate this same polynomial at 1e-10.
+    found.setdefault(p, dominant_real_root(p, 1e-10))
 
 
 # -- text format --------------------------------------------------------------

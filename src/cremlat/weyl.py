@@ -11,6 +11,8 @@ form omega.  An element is represented in two ways:
   (e0, e(p_1), ..., e(p_n)) spanned by its support, acting as the identity
   on every other basis class.
 
+A word acts on matrices by integer row operations, one per letter, both in
+:func:`realize` and in :func:`conjugate_by_word`, with no matrix product.
 Realized matrices are checked on construction: M^T J M = J with
 J = diag(1, -1, ..., -1), omega-invariance, and positive degree.  The group
 here is the finite-support part of the full symmetric-group completion;
@@ -57,13 +59,6 @@ class Permutation:
                     raise ValueError("transpositions must be disjoint")
                 seen.add(x)
 
-    def mapping(self) -> dict:
-        m = {}
-        for a, b in self.pairs:
-            m[a] = b
-            m[b] = a
-        return m
-
     def __repr__(self):
         return "s" + "".join(f"({a!r} {b!r})" for a, b in self.pairs) if self.pairs else "s()"
 
@@ -95,38 +90,35 @@ class Tau:
         if self.p == self.q:
             raise ValueError("tau needs two distinct points")
 
+    @property
+    def pairs(self) -> tuple:
+        """The one transposition, as a :class:`Permutation` lists its pairs."""
+        return ((self.p, self.q),)
+
     def __repr__(self):
         return f"t({self.p!r},{self.q!r})"
 
 
 def gen_support(g) -> set:
-    if isinstance(g, Permutation):
-        return {x for pair in g.pairs for x in pair}
     if isinstance(g, Sigma0):
         return {g.p1, g.p2, g.p3}
-    if isinstance(g, Tau):
-        return {g.p, g.q}
-    raise TypeError(f"not a generator: {g!r}")
+    return {x for pair in g.pairs for x in pair}
 
 
 def gen_apply(g, v: ClassVector) -> ClassVector:
     """Action of a single generator on a class vector."""
-    if isinstance(g, Permutation):
-        m = g.mapping()
-        return ClassVector(v.e0, {m.get(p, p): c for p, c in v.point_coeffs.items()})
-    if isinstance(g, Tau):
-        pts = v.point_coeffs
-        cp, cq = pts.pop(g.p, 0), pts.pop(g.q, 0)
-        if cq:
-            pts[g.p] = cq
-        if cp:
-            pts[g.q] = cp
-        return ClassVector(v.e0, pts)
     if isinstance(g, Sigma0):
         # reflection in w = e0 - e(p1) - e(p2) - e(p3), of self-intersection -2
         w = e0() - e(g.p1) - e(g.p2) - e(g.p3)
         return v + intersect(v, w) * w
-    raise TypeError(f"not a generator: {g!r}")
+    pts = v.point_coeffs
+    for p, q in g.pairs:
+        cp, cq = pts.pop(p, 0), pts.pop(q, 0)
+        if cq:
+            pts[p] = cq
+        if cp:
+            pts[q] = cp
+    return ClassVector(v.e0, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -252,26 +244,15 @@ def element_from_images(images: dict) -> WeylElement:
     return WeylElement(support2, matrix2)
 
 
-def identity_element() -> WeylElement:
-    return WeylElement((), ((1,),), validate=False)
+def _left_multiply(w: WeylWord, rows: list, at: dict) -> None:
+    """Replace ``rows`` by realize(w) times them, letter by letter.
 
-
-@lru_cache(maxsize=4096)
-def realize(w: WeylWord) -> WeylElement:
-    """The integer matrix of a word, on the minimal support it moves.
-
-    Starting from the identity on the support of the word, the letters act
-    right to left as left multiplications, that is as integer row
-    operations: q(a,b,c), the reflection in e0 - e(a) - e(b) - e(c), adds
-    s = r0 + ra + rb + rc to row 0 and subtracts it from rows a, b and c;
-    t(p,q) swaps two rows and s(..)(..) permutes them.  The product is
-    pruned to the points it moves and checked on construction (form, omega,
-    degree); :meth:`WeylWord.apply` is the independent letter-by-letter
-    action.
+    The letters act right to left as integer row operations, row ``at[p]``
+    belonging to e(p) and row 0 to e0: q(a,b,c), the reflection in
+    e0 - e(a) - e(b) - e(c), adds s = r0 + ra + rb + rc to row 0 and
+    subtracts it from rows a, b and c; t(p,q) swaps two rows and s(..)(..)
+    swaps each of its pairs.
     """
-    support = sorted(w.support())
-    at = {p: i + 1 for i, p in enumerate(support)}
-    rows = intmat.identity(len(support) + 1)
     for g in reversed(w.letters):
         if isinstance(g, Sigma0):
             idx = (at[g.p1], at[g.p2], at[g.p3])
@@ -280,8 +261,22 @@ def realize(w: WeylWord) -> WeylElement:
             for i in idx:
                 rows[i] = [x - y for x, y in zip(rows[i], s)]
         else:
-            for p, q in (((g.p, g.q),) if isinstance(g, Tau) else g.pairs):
+            for p, q in g.pairs:
                 rows[at[p]], rows[at[q]] = rows[at[q]], rows[at[p]]
+
+
+@lru_cache(maxsize=4096)
+def realize(w: WeylWord) -> WeylElement:
+    """The integer matrix of a word, on the minimal support it moves.
+
+    The identity on the support of the word, left-multiplied by its letters
+    (:func:`_left_multiply`), pruned to the points the product moves and
+    checked on construction (form, omega, degree); :meth:`WeylWord.apply`
+    is the independent letter-by-letter action.
+    """
+    support = sorted(w.support())
+    rows = intmat.identity(len(support) + 1)
+    _left_multiply(w, rows, {p: i + 1 for i, p in enumerate(support)})
     return WeylElement(*_prune(support, rows))
 
 
@@ -306,20 +301,13 @@ def compose(h1: WeylElement, h2: WeylElement) -> WeylElement:
 
 
 def _embed(h: WeylElement, support):
+    """The matrix of h on a sorted superset of its support."""
     idx = {p: i + 1 for i, p in enumerate(support)}
-    own = {p: i + 1 for i, p in enumerate(h.support)}
-    n = len(support) + 1
-    m = [[0] * n for _ in range(n)]
-    m[0][0] = h.matrix[0][0]
-    for p in support:
-        if p in own:
-            m[idx[p]][0] = h.matrix[own[p]][0]
-            m[0][idx[p]] = h.matrix[0][own[p]]
-            for q in support:
-                if q in own:
-                    m[idx[p]][idx[q]] = h.matrix[own[p]][own[q]]
-        else:
-            m[idx[p]][idx[p]] = 1
+    at = [0] + [idx[p] for p in h.support]
+    m = intmat.identity(len(support) + 1)
+    for r, row in zip(at, h.matrix):
+        for c, x in zip(at, row):
+            m[r][c] = x
     return m
 
 
@@ -333,6 +321,24 @@ def inverse(h: WeylElement) -> WeylElement:
 def conjugate(g: WeylElement, h: WeylElement) -> WeylElement:
     """g h g^{-1}."""
     return compose(compose(g, h), inverse(g))
+
+
+def conjugate_by_word(w: WeylWord, h: WeylElement) -> WeylElement:
+    """realize(w) h realize(w)^{-1}, by row operations alone.
+
+    For an isometry g, g M g^{-1} = (g (g M)^{-1})^{-1}, and every inverse
+    is read off the form (J M^T J); so the conjugate is h embedded on the
+    union of the supports, left-multiplied by w, inverted, left-multiplied
+    by w again, inverted and pruned, with no matrix product.
+    """
+    support = sorted(w.support() | set(h.support))
+    at = {p: i + 1 for i, p in enumerate(support)}
+    rows = _embed(h, support)
+    _left_multiply(w, rows, at)
+    rows = intmat.form_inverse(rows)
+    _left_multiply(w, rows, at)
+    support, rows = _prune(support, intmat.form_inverse(rows))
+    return WeylElement(support, rows, validate=False)
 
 
 def degree(h: WeylElement) -> int:
@@ -365,19 +371,20 @@ class MultiplicityProfile:
 
 def multiplicity_profile(h: WeylElement) -> MultiplicityProfile:
     d = degree(h)
-    hinv = inverse(h)
-    av = {p: -c for p, c in apply(h, e0()).point_coeffs.items()}
-    bv = {p: -c for p, c in apply(hinv, e0()).point_coeffs.items()}
-    pts = sorted(set(av) | set(bv))
-    a = tuple(int(av.get(p, 0)) for p in pts)
-    b = tuple(int(bv.get(p, 0)) for p in pts)
+    m = h.matrix
+    # a_i = -M[i][0] from the column h(e0); b_i = M[0][i] from the first
+    # row, since h^{-1}(e0) = J M^T J e0 is row 0 with its point signs flipped
+    idx = [i for i in range(1, len(m)) if m[i][0] or m[0][i]]
+    pts = tuple(h.support[i - 1] for i in idx)
+    a = tuple(-m[i][0] for i in idx)
+    b = tuple(m[0][i] for i in idx)
     if any(x < 0 for x in a) or any(x < 0 for x in b):
         raise ValueError("negative multiplicity: input is not in the Weyl group orbit of e0")
     c = tuple(Fraction(x + y, 2) for x, y in zip(a, b))
     # the degree identities are forced by form and omega invariance
     assert sum(x * x for x in a) == d * d - 1 and sum(a) == 3 * d - 3
     assert sum(x * x for x in b) == d * d - 1 and sum(b) == 3 * d - 3
-    return MultiplicityProfile(d, tuple(pts), a, b, c)
+    return MultiplicityProfile(d, pts, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -432,8 +439,9 @@ def noether_report(h: WeylElement) -> NoetherReport:
 # special families
 
 
-def sigma_omega(p1: BubblePoint, omega: Iterable[BubblePoint]) -> WeylElement:
-    """The involution rooted at p1 with an even satellite set omega.
+def sigma_omega_word(p1: BubblePoint, omega: Iterable[BubblePoint]) -> WeylWord:
+    """The involution sigma_omega rooted at p1 with an even satellite set
+    omega, as a word of two letters per satellite pair, q(p1,a,b) * t(a,b).
 
     With 2m - 2 = len(omega) it sends e0 to m e0 - (m-1) e(p1) - sum e(q),
     e(p1) to (m-1) e0 - (m-2) e(p1) - sum e(q), and e(q) to
@@ -441,26 +449,6 @@ def sigma_omega(p1: BubblePoint, omega: Iterable[BubblePoint]) -> WeylElement:
     product of the commuting half-integer reflections attached to the points
     of omega, which is an integer map exactly because len(omega) is even.
     """
-    omega = sorted(set(omega))
-    if p1 in omega:
-        raise ValueError("the root point cannot belong to omega")
-    if len(omega) % 2 != 0:
-        raise ValueError("omega must contain an even number of points")
-    if not omega:
-        return identity_element()
-    m = len(omega) // 2 + 1
-    s_om = sum((e(q) for q in omega), ClassVector(0, {}))
-    images = {
-        "e0": ClassVector(m, {}) - (m - 1) * e(p1) - s_om,
-        p1: ClassVector(m - 1, {}) - (m - 2) * e(p1) - s_om,
-    }
-    for q in omega:
-        images[q] = e0() - e(p1) - e(q)
-    return element_from_images(images)
-
-
-def sigma_omega_word(p1: BubblePoint, omega: Iterable[BubblePoint]) -> WeylWord:
-    """A word realizing sigma_omega: two letters per satellite pair."""
     omega = sorted(set(omega))
     if len(omega) % 2 != 0 or p1 in omega:
         raise ValueError("omega must be even and avoid the root")

@@ -54,10 +54,13 @@ def pts12():
     return points(12)
 
 
+def identity_element():
+    """The identity, on no points: the matrix of the empty word."""
+    return realize(WeylWord(()))
+
+
 def sigma_product(*triples):
     """Realized product of quadratic involutions on the given point triples."""
-    from cremlat.weyl import identity_element
-
     h = identity_element()
     for t in triples:
         h = compose(h, realize(word(Sigma0(*t))))

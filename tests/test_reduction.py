@@ -31,7 +31,7 @@ from cremlat.weyl import (
     degree,
     multiplicity_profile,
     realize,
-    sigma_omega,
+    sigma_omega_word,
 )
 
 
@@ -107,8 +107,7 @@ def test_axis_positivity_for_normal_form_classes(pts12):
 
 
 def build_inflated(core, root, omega):
-    g = sigma_omega(root, omega)
-    return conjugate(g, core)
+    return conjugate(realize(sigma_omega_word(root, omega)), core)
 
 
 def stacked_inflated(pts12):
@@ -221,6 +220,15 @@ def test_reduce_above_lambda_1e6_squares_three_times(monkeypatch):
     assert 0 < len(products) <= 3 * (len(trace.steps) + 1)
     # reduce never asks for the 200/400 criterion
     assert all("criterion" not in vars(spectral._spectrum(g)) for g in (h, trace.final))
+
+
+def test_a_step_makes_no_matrix_product(pts12, monkeypatch):
+    # the conjugator acts by row operations and the axis data is carried
+    h = stacked_inflated(pts12)
+    data = axis_data(h)
+    products = counting(monkeypatch, intmat, "mat_mul")
+    assert decreasing_step(h, data=data) is not None
+    assert products == []
 
 
 def test_conjugate_inherits_the_exact_lambda(pts12):

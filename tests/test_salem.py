@@ -399,6 +399,16 @@ def test_enumerate_salem_degree_eight_visits_the_same_tree(upper, nodes):
         enumerate_salem(8, upper, node_limit=nodes - 1)
 
 
+def test_every_found_polynomial_classifies_as_salem():
+    # the search keeps a candidate without classify_number; the classifier
+    # agrees on each found polynomial, and on the root to the last bit
+    for text, root in LEHMER_TO_1_3:
+        cls = classify_number(parse_poly(text))
+        assert cls.kind == "salem" and cls.dominant_root == root
+    for text in DEGREE_8_TO_2:
+        assert classify_number(parse_poly(text)).kind == "salem"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=6))
 # (y - 1)(y - 2): one sign change, and the root y = 2

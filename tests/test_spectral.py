@@ -10,6 +10,7 @@ from conftest import (
     LEHMER,
     counting,
     coxeter_generators,
+    identity_element,
     loxodromic_ten,
     power,
     random_word,
@@ -36,7 +37,6 @@ from cremlat.weyl import (
     apply,
     compose,
     degree,
-    identity_element,
     inverse,
     realize,
 )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coxeter_generators, random_word, sigma_product, word
+from conftest import coxeter_generators, identity_element, random_word, sigma_product, word
 from cremlat import intmat
 from cremlat.lattice import ClassVector, e, e0, points
 from cremlat.weyl import (
@@ -15,10 +15,11 @@ from cremlat.weyl import (
     WeylWord,
     apply,
     compose,
+    conjugate,
+    conjugate_by_word,
     degree,
     halphen_class,
     halphen_test,
-    identity_element,
     increasing_degrees,
     inverse,
     jonquieres_center,
@@ -28,7 +29,6 @@ from cremlat.weyl import (
     parse_word,
     print_word,
     realize,
-    sigma_omega,
     sigma_omega_word,
 )
 
@@ -88,11 +88,11 @@ def test_integer_classes_keep_int_coefficients(rng):
 
 
 @st.composite
-def words(draw):
-    """Words of q, t and multi-pair s letters on up to nine points; half of
-    them have the shape u v u^-1, whose product moves fewer points than the
-    word names, so realize has points to prune."""
-    pts = points(draw(st.integers(4, 9)))
+def words(draw, pts=None):
+    """Words of q, t and multi-pair s letters on ``pts`` or on up to nine
+    fresh points; half of them have the shape u v u^-1, whose product moves
+    fewer points than the word names, so realize has points to prune."""
+    pts = pts or points(draw(st.integers(4, 9)))
 
     def letter():
         kind = draw(st.sampled_from("qts"))
@@ -124,6 +124,20 @@ def test_realize_agrees_with_the_word_action(w):
     assert set(h.support) <= w.support()
     for v in [e0()] + [e(p) for p in sorted(w.support())]:
         assert apply(h, v) == w.apply(v)
+
+
+_p = points(10)
+
+
+# the empty word; letters on points that h fixes
+@example(WeylWord(()), word(Sigma0(_p[0], _p[1], _p[2])))
+@example(word(Tau(_p[8], _p[9]), Sigma0(_p[2], _p[7], _p[8])), word(Sigma0(_p[0], _p[1], _p[2])))
+@settings(max_examples=150, deadline=None)
+@given(words(_p[3:]), words(_p[:7]))
+def test_conjugate_by_word_matches_the_dense_conjugate(w, u):
+    # row operations against compose and inverse, matrix for matrix
+    h = realize(u)
+    assert conjugate_by_word(w, h) == conjugate(realize(w), h)
 
 
 def test_degree_examples():
@@ -187,6 +201,21 @@ def test_profile_of_identity():
     assert prof.degree == 1 and prof.points == ()
 
 
+@example(WeylWord(()))
+@settings(max_examples=100, deadline=None)
+@given(words())
+def test_profile_reads_the_images_of_e0(w):
+    # a_i = e(p_i).h(e0) and b_i = e(p_i).h^-1(e0), from the images
+    h = realize(w)
+    av = {p: -c for p, c in apply(h, e0()).point_coeffs.items()}
+    bv = {p: -c for p, c in apply(inverse(h), e0()).point_coeffs.items()}
+    pts = sorted(set(av) | set(bv))
+    prof = multiplicity_profile(h)
+    assert prof.points == tuple(pts)
+    assert prof.a == tuple(av.get(p, 0) for p in pts)
+    assert prof.b == tuple(bv.get(p, 0) for p in pts)
+
+
 def test_noether_report_sigma0():
     p1, p2, p3 = points(3)
     rep = noether_report(realize(word(Sigma0(p1, p2, p3))))
@@ -221,32 +250,50 @@ def test_noether_property_sweep(rng):
 # -- special families -----------------------------------------------------------
 
 
-def test_sigma_omega_formulas():
-    p1, q2, q3 = points(3)
-    so = sigma_omega(p1, [q2, q3])
-    assert apply(so, e0()) == ClassVector(2, {p1: -1, q2: -1, q3: -1})
-    assert apply(so, e(q2)) == e0() - e(p1) - e(q2)
-    assert compose(so, so) == identity_element()
-    assert sigma_omega(p1, []) == identity_element()
-
-
-def test_sigma_omega_larger_and_word_form(rng):
-    pts = points(9)
-    root, omega = pts[0], pts[1:9]
-    so = sigma_omega(root, omega)
+def sigma_omega_images(p1, omega):
+    """The images of e0, e(p1) and each e(q) under sigma_omega: with
+    2m - 2 = len(omega), m e0 - (m-1) e(p1) - sum e(q),
+    (m-1) e0 - (m-2) e(p1) - sum e(q) and e0 - e(p1) - e(q)."""
     m = len(omega) // 2 + 1
-    img = apply(so, e0())
-    assert img.e0 == m and img.coeff(root) == -(m - 1)
+    s_om = ClassVector(0, {q: 1 for q in omega})
+    images = {e0(): ClassVector(m, {p1: -(m - 1)}) - s_om,
+              e(p1): ClassVector(m - 1, {p1: -(m - 2)}) - s_om}
+    for q in omega:
+        images[e(q)] = e0() - e(p1) - e(q)
+    return images
+
+
+def test_sigma_omega_formulas():
+    p1, q2, q3, r = points(4)
+    so = realize(sigma_omega_word(p1, [q3, q2]))
+    for v, image in sigma_omega_images(p1, [q2, q3]).items():
+        assert apply(so, v) == image
+    assert apply(so, e0()) == ClassVector(2, {p1: -1, q2: -1, q3: -1})
+    assert apply(so, e(r)) == e(r)
     assert compose(so, so) == identity_element()
-    assert realize(sigma_omega_word(root, omega)) == so
+    assert realize(sigma_omega_word(p1, [])) == identity_element()
+
+
+def test_sigma_omega_larger_and_word_form():
+    pts = points(10)
+    root, omega = pts[0], pts[1:9]
+    w = sigma_omega_word(root, omega)
+    assert len(w.letters) == len(omega)
+    so = realize(w)
+    assert so.support == tuple(pts[:9])
+    for v, image in sigma_omega_images(root, omega).items():
+        assert apply(so, v) == image
+        assert w.apply(v) == image
+    assert apply(so, e(pts[9])) == e(pts[9])
+    assert compose(so, so) == identity_element()
 
 
 def test_sigma_omega_rejects_bad_input():
     pts = points(4)
     with pytest.raises(ValueError):
-        sigma_omega(pts[0], [pts[1]])
+        sigma_omega_word(pts[0], [pts[1]])
     with pytest.raises(ValueError):
-        sigma_omega(pts[0], [pts[0], pts[1]])
+        sigma_omega_word(pts[0], [pts[0], pts[1]])
 
 
 def test_jonquieres_center():
