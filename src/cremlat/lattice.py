@@ -4,9 +4,8 @@ The lattice is Z e0 + sum_p Z e(p), where e0 is the class of a line and p
 runs over bubble points (points of the plane together with all infinitely
 near points).  The intersection form is diag(1, -1, -1, ...) in this basis.
 Vectors are stored sparsely; coefficients are exact: ``int`` values stay
-``int`` and every other rational becomes a ``Fraction``, unless a caller
-deliberately injects floats (the spectral code does this for eigenvector
-data, see :mod:`cremlat.spectral`).
+``int`` and every other value becomes a ``Fraction`` (a float exactly so),
+so this module alone decides the number type of the lattice.
 
 Sign convention for the canonical form: we normalize the invariant linear
 functional so that omega(e0) = 3 and omega(e(p)) = 1 for every bubble point.
@@ -108,9 +107,7 @@ def infinitely_near(parent: BubblePoint, label=None) -> BubblePoint:
 
 
 def _coerce(c):
-    if isinstance(c, (int, float)):
-        return c
-    return Fraction(c)
+    return c if isinstance(c, int) else Fraction(c)
 
 
 class ClassVector:
@@ -198,34 +195,16 @@ def intersect(u: ClassVector, v: ClassVector):
     return total
 
 
-def norm_sq(v: ClassVector):
-    """Squared Euclidean norm a0^2 + sum a_p^2 (not the intersection form)."""
-    return v.e0 * v.e0 + sum(c * c for c in v._pts.values())
-
-
 # -- text rendering ----------------------------------------------------------
-
-def _fmt_coeff(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return repr(c)
-
 
 def render(v: ClassVector) -> str:
     """Text form ``d*e0 - a1*e(p1) - ...`` with exact rationals as num/den."""
-    parts = []
-    if v.e0 != 0:
-        parts.append(("+", f"{_fmt_coeff(abs(v.e0))}*e0" if abs(v.e0) != 1 else "e0") if v.e0 > 0
-                     else ("-", f"{_fmt_coeff(abs(v.e0))}*e0" if abs(v.e0) != 1 else "e0"))
-    for p in sorted(v._pts):
-        c = v._pts[p]
-        mag = abs(c)
-        term = f"e({p!r})" if mag == 1 else f"{_fmt_coeff(mag)}*e({p!r})"
-        parts.append(("+" if c > 0 else "-", term))
+    terms = [("e0", v.e0)] if v.e0 else []
+    terms += [(f"e({p!r})", v._pts[p]) for p in sorted(v._pts)]
+    parts = [(c < 0, name if abs(c) == 1 else f"{abs(c)}*{name}") for name, c in terms]
     if not parts:
         return "0"
-    sign0, term0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + term0
-    for sign, term in parts[1:]:
-        out += f" {sign} {term}"
+    out = ("-" if parts[0][0] else "") + parts[0][1]
+    for negative, term in parts[1:]:
+        out += f" {'-' if negative else '+'} {term}"
     return out

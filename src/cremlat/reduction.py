@@ -35,7 +35,8 @@ from . import intmat
 from .bounds import DEGREE_THRESHOLD_COEFF, delta
 from .lattice import BubblePoint, e, e0, intersect
 from .spectral import (
-    CertificateError, LoxodromicData, _axis_data_at, axis_data, classify, dynamical_degree,
+    CertificateError, LoxodromicData, _axis_data_at, _sqrt_ratio, axis_data, classify,
+    dynamical_degree,
 )
 from .weyl import (
     WeylElement,
@@ -165,12 +166,14 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     ranked = prof.sorted_by_c()
     if len(ranked) < 3:
         return None
-    top3_sum = float(ranked[0][3] + ranked[1][3] + ranked[2][3])
-    if top3_sum < d + 2.5 * math.sqrt(d / lam):
+    # the hypothesis c1 + c2 + c3 >= d + (5/2) sqrt(d / lambda), decided exactly
+    excess = ranked[0][3] + ranked[1][3] + ranked[2][3] - d
+    if excess < 0 or 4 * excess ** 2 * Fraction(lam) < 25 * d:
         return None
-    # e(p) . E is minus the stored coefficient of e(p) in E
-    alpha = {p: -data.E.coeff(p) for p in h.support}
-    root = min(h.support, key=lambda p: (-alpha.get(p, 0.0), p.id))
+    # the axis projection E = (cosh / 2)(v+ + v-) pairs most with e(p) where
+    # v+ + v- has its least coefficient
+    v_sum = data.v_plus + data.v_minus
+    root = min(h.support, key=lambda p: (v_sum.coeff(p), p.id))
     rest = [p for p, _, _, _ in ranked if p != root]
     omega = tuple(sorted(rest[:2]))
     w = sigma_omega_word(root, omega)
@@ -178,8 +181,11 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     # lambda is a conjugacy invariant and v+-(g h g^-1) = g v+-(h): h2 keeps
     # the lambda of h and reads its axis from w's image of the exact columns
     data2 = _axis_data_at(h2, lam, tol, tuple(w.apply(c) for c in data.columns))
-    triple_vec = e(root) + e(omega[0]) + e(omega[1]) - e0()
-    guarantee = float(intersect(triple_vec, data.E))
+    # the guarantee triple . E = (cosh / 2) pairing is rounded once from its
+    # exact square pairing^2 / (2 v+ . v-), as cosh^2 = 2 / (v+ . v-)
+    pairing = intersect(e(root) + e(omega[0]) + e(omega[1]) - e0(), v_sum)
+    square = Fraction(pairing ** 2, 2 * intersect(data.v_plus, data.v_minus))
+    guarantee = math.copysign(_sqrt_ratio(square.numerator, square.denominator), pairing)
     step = ReductionStep(
         root=root,
         omega=omega,
@@ -229,8 +235,6 @@ def reduce(h: WeylElement, budget: int = 200, tol: float = 1e-9) -> ReductionTra
         step, cur, w, data = result
         steps.append(step)
         conj = w * conj
-    else:
-        terminal = "step_budget_exhausted"
     if terminal == "step_budget_exhausted" and degree(cur) <= threshold:
         terminal = "reached_degree_threshold"
     return ReductionTrace(

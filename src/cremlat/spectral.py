@@ -26,6 +26,8 @@ function below reads.  The axis squares only as deep as lambda needs (see
 products with M^8.  :mod:`cremlat.reduction` hands each conjugate g h g^-1
 the lambda of h and g's image of the exact columns its axis was read from,
 so a conjugate computes neither a characteristic polynomial nor a square.
+The axis is exact as well: v+- are rationals, and each float it reports is
+rounded once from an exact value.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from functools import cached_property, lru_cache, reduce
 
 from . import intmat
 from .bounds import LOXODROMY_CONSTANT
-from .lattice import ClassVector, intersect, norm_sq
+from .lattice import ClassVector, intersect
 from .salem import IntPolynomial, dominant_real_root, strip_cyclotomic
-from .weyl import WeylElement, apply, degree, inverse
+from .weyl import WeylElement, apply, degree
 
 DISPLACEMENT_FACTOR = 28  # hyperbolicity constant in the axis-distance bound
 
@@ -171,38 +173,31 @@ def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
 @dataclass(frozen=True)
 class LoxodromicData:
     lam: float
-    v_plus: ClassVector
-    v_minus: ClassVector
+    # v+- = c+-(p) / c+-_0 on the support of h, exact rationals
+    v_plus: ClassVector = field(compare=False, repr=False)
+    v_minus: ClassVector = field(compare=False, repr=False)
     vplus_dot_vminus: float
     cosh_axis_distance: float
-    E: ClassVector
     residual_plus: float
     residual_minus: float
-    # the exact integer classes (M^e e0, M^-e e0) that v+- are read from
+    # the exact integer classes c+- = (M^e e0, M^-e e0) that v+- are read from
     columns: tuple = field(default=(), compare=False, repr=False)
 
 
-def _normalized_vector(h: WeylElement, col: ClassVector) -> ClassVector:
-    """col / (its e0 coefficient) in floats, on the support of h only: a
-    carried column keeps a part on points that h fixes, as small against
-    its e0 coefficient as the error of the column itself."""
-    lead = col.e0
-    pts = {p: Fraction(col.coeff(p), lead) for p in h.support}
-    return ClassVector(1.0, {p: float(c) for p, c in pts.items() if c != 0})
-
-
 def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
-    """Dynamical degree, normalized eigenvectors, and the axis projection.
+    """Dynamical degree, normalized eigenvectors, and the distance to the axis.
 
-    v_plus and v_minus are scaled so v . e0 = 1; they come from the exact
-    integer columns M^e e0 and M^-e e0 followed by a single normalization.
-    With lambda_lo = lambda - tol, e = 2^k is the least power of two, k <= 9,
-    with lambda_lo^e >= 2^AXIS_MARGIN_BITS deg(h)^2.  Against its part on
-    v+, the part of e0 off the (v+, v-) plane is at most about
-    1 / (v+ . v-) < 2 deg(h)^2 / (lambda - 1/lambda)^2, and M^e shrinks that
-    ratio by lambda^-e (the complement is negative definite), so v+- err by
-    about 2^-100, far below double precision.  Near Lehmer's number the cap
-    e = 512 applies.
+    v_plus and v_minus are the exact integer columns c+ = M^e e0 and
+    c- = M^-e e0 on the support of h, divided by their e0 coefficients, so
+    v . e0 = 1 in exact rationals.  With lambda_lo = lambda - tol, e = 2^k
+    is the least power of two, k <= 9, with lambda_lo^e >= 2^AXIS_MARGIN_BITS
+    deg(h)^2.  Against its part on v+, the part of e0 off the (v+, v-) plane
+    is at most about 1 / (v+ . v-) < 2 deg(h)^2 / (lambda - 1/lambda)^2, and
+    M^e shrinks that ratio by lambda^-e (the complement is negative
+    definite), so v+- err by about 2^-100, far below double precision.  Near
+    Lehmer's number the cap e = 512 applies.  v+ . v-, cosh dist(e0, axis) =
+    sqrt(2 / (v+ . v-)) and the two eigenvector residuals are each rounded
+    once from their exact values.
 
     The record keeps the two columns.  :func:`cremlat.reduction.reduce`
     carries them through each conjugation, g h g^-1 getting g M^e e0 and
@@ -229,29 +224,45 @@ def _axis_data_at(h: WeylElement, lam: float, tol: float,
         # (M^e)^{-1} = J (M^e)^T J, so its first column is the signed first row
         columns = (ClassVector(p[0][0], {q: row[0] for q, row in zip(h.support, p[1:])}),
                    ClassVector(p[0][0], {q: -x for q, x in zip(h.support, p[0][1:])}))
-    v_plus, v_minus = (_normalized_vector(h, c) for c in columns)
-    dot = intersect(v_plus, v_minus)
-    cosh_axis = math.sqrt(2.0 / dot)
-    E = cosh_axis * (0.5 * (v_plus + v_minus))
-    res_p = _eig_residual(h, v_plus, lam)
-    res_m = _eig_residual(inverse(h), v_minus, lam)
-    # float error in apply(h, v) grows with the entries of h, like lambda
+    # a carried column keeps a part on points that h fixes, as small against
+    # its e0 coefficient as the error of the column itself: read the support
+    cp, cm = ([c.e0] + [c.coeff(q) for q in h.support] for c in columns)
+    v_plus, v_minus = (ClassVector(1, {q: Fraction(x, c[0]) for q, x in zip(h.support, c[1:])})
+                       for c in (cp, cm))
+    # v+ . v- = <c+, c-> / (c+_0 c-_0)
+    den = cp[0] * cm[0]
+    num = den - sum(a * b for a, b in zip(cp[1:], cm[1:]))
+    res_p = _residual(h.matrix, cp, lam)
+    res_m = _residual(intmat.form_inverse(h.matrix), cm, lam)
     if max(res_p, res_m) > max(tol, 1e-9) * 10 * max(lam, 1.0):
         raise CertificateError(f"eigenvector residuals too large: {res_p}, {res_m}")
-    return LoxodromicData(lam, v_plus, v_minus, dot, cosh_axis, E, res_p, res_m, columns)
+    return LoxodromicData(lam, v_plus, v_minus, num / den, _sqrt_ratio(2 * den, num),
+                          res_p, res_m, columns)
 
 
-def _eig_residual(h: WeylElement, v: ClassVector, lam: float) -> float:
-    image = apply(h, v)
-    diff = image - lam * v
-    return math.sqrt(norm_sq(diff)) / math.sqrt(norm_sq(v))
+def _residual(m, c: list, lam: float) -> float:
+    """||M c - lam c|| / ||c|| (Euclidean) for an integer column c, exact
+    with lam = a / b read off the float, and rounded once."""
+    a, b = lam.as_integer_ratio()
+    diff = [b * x - a * y for x, y in zip(intmat.mat_vec(m, c), c)]
+    return _sqrt_ratio(sum(x * x for x in diff), b * b * sum(y * y for y in c))
+
+
+def _sqrt_ratio(n: int, m: int) -> float:
+    """sqrt(n / m) for ints n >= 0 and m > 0, rounded once to the nearest
+    float: an integer square root with at least 109 bits, the last of them
+    set when inexact (round to odd), then one correctly rounded division."""
+    k = max(0, 110 - (n.bit_length() - m.bit_length()) // 2)
+    n <<= 2 * k
+    r = math.isqrt(n // m)
+    return (r | (r * r * m != n)) / (1 << k)
 
 
 def cosh_distance_to_axis(data: LoxodromicData, x: ClassVector) -> float:
     """cosh dist(x, axis) = sqrt(2 (x.v+)(x.v-) / (v+.v-)) for x on the sheet."""
-    a = intersect(x, data.v_plus)
-    b = intersect(x, data.v_minus)
-    return math.sqrt(max(2.0 * a * b / data.vplus_dot_vminus, 1.0))
+    r = max(2 * intersect(x, data.v_plus) * intersect(x, data.v_minus)
+            / intersect(data.v_plus, data.v_minus), 1)
+    return _sqrt_ratio(r.numerator, r.denominator)
 
 
 @dataclass(frozen=True)

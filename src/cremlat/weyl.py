@@ -284,10 +284,8 @@ def apply(h: WeylElement, v: ClassVector) -> ClassVector:
     """h(v): matrix action on the support, identity elsewhere."""
     coords = [v.e0] + [v.coeff(p) for p in h.support]
     out = intmat.mat_vec(h.matrix, coords)
-    pts = {p: c for p, c in v.point_coeffs.items() if p not in set(h.support)}
-    for i, p in enumerate(h.support):
-        if out[i + 1]:
-            pts[p] = pts.get(p, 0) + out[i + 1]
+    pts = v.point_coeffs
+    pts.update(zip(h.support, out[1:]))  # zeros are dropped by ClassVector
     return ClassVector(out[0], pts)
 
 

@@ -88,6 +88,16 @@ def loxodromic_ten(pts):
     )
 
 
+def axis_point(data):
+    """The projection of e0 to the axis, E = (cosh / 2)(v+ + v-)."""
+    return (data.cosh_axis_distance / 2) * (data.v_plus + data.v_minus)
+
+
+def norm_sq(v):
+    """Squared Euclidean norm a0^2 + sum a_p^2 (not the intersection form)."""
+    return v.e0 * v.e0 + sum(c * c for c in v.point_coeffs.values())
+
+
 def power(h, n):
     """h composed with itself n >= 1 times."""
     g = h

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import word
+from conftest import norm_sq, word
 from cremlat.lattice import (
     BubblePoint,
     ClassVector,
@@ -10,7 +10,6 @@ from cremlat.lattice import (
     e0,
     infinitely_near,
     intersect,
-    norm_sq,
     point,
     points,
     proper_point,
@@ -119,6 +118,16 @@ def test_norm_sq():
     assert norm_sq(e0() - e(p1)) == 2
     assert norm_sq(ClassVector(0, {})) == 0
     assert norm_sq(ClassVector(2, {p1: -1, p2: -1, p3: -1})) == 7
+
+
+def test_coefficients_are_exact_rationals():
+    # a float is read exactly, and no vector holds one
+    p1, p2 = points(2)
+    v = ClassVector(0.5, {p1: "1/3", p2: 3})
+    assert v.e0 == Fraction(1, 2) and type(v.e0) is Fraction
+    assert v.coeff(p1) == Fraction(1, 3) and type(v.coeff(p2)) is int
+    w = 0.1 * v
+    assert w.e0 == Fraction(0.1) / 2 and type(w.e0) is Fraction
 
 
 def test_sparse_canonical_pruning_and_equality():

@@ -24,6 +24,7 @@ PAPER_CHECKS = {
     "weyl.NoetherReport",
     "weyl.noether_report",
     "weyl.conjugate",
+    "weyl.inverse",
     "weyl.element_from_images",
     "weyl.jonquieres_center",
     "weyl.halphen_class",

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import LEHMER, counting, loxodromic_ten, power, random_word, word
+from conftest import LEHMER, axis_point, counting, loxodromic_ten, power, random_word, word
 from cremlat import intmat, reduction, spectral
 from cremlat.bounds import bounds, delta
 from cremlat.lattice import (
@@ -93,7 +93,7 @@ def test_axis_positivity_for_normal_form_classes(pts12):
     # e0, e(p), e0 - e(p) and 3 e0 - sum of nine pair non-negatively with
     # the axis projection
     h = loxodromic_ten(pts12)
-    E = axis_data(h).E
+    E = axis_point(axis_data(h))
     tol = 1e-9
     assert intersect(e0(), E) >= -tol
     for p in h.support:
@@ -268,20 +268,41 @@ def test_carried_axis_reads_as_squared_along_reduce(pts12, monkeypatch):
         assert_reads_as_squared(h2, data2)
 
 
-def test_carried_axis_reads_as_squared_past_lambda_1e6():
-    # the conjugates of h0^20 (lambda ~ 3.1e7) whose axis passes the residual
-    # check lie far below 24 lambda^3 ~ 7e23, where reduce stops at once, so
-    # walk the steps that reduce iterates
-    pts = points(13)
-    h = conjugate(power(loxodromic_ten(pts[3:]), 2), power(loxodromic_ten(pts[:10]), 20))
-    data = axis_data(h)
-    assert data.lam > 10 ** 6
-    walked = 0
-    while (result := decreasing_step(h, data=data)) and degree(result[1]) < degree(h):
-        _, h, _, data = result
-        assert_reads_as_squared(h, data)
-        walked += 1
-    assert walked >= 3
+def theorem_regime_conjugate():
+    """g^19 h0^20 g^-19 with g and h0 standard samples on overlapping points:
+    lambda ~ 3.1e7 > 10^6 and degree ~ 3.1e24 > 24 lambda^3 ~ 7.2e23."""
+    pts = points(15)
+    return conjugate(power(loxodromic_ten(pts[5:]), 19), power(loxodromic_ten(pts[:10]), 20))
+
+
+def test_reduce_in_the_theorem_regime():
+    h = theorem_regime_conjugate()
+    trace = reduce(h)
+    assert trace.lam > 10 ** 6 and degree(h) > trace.degree_threshold
+    assert trace.terminal == "reached_degree_threshold"
+    assert len(trace.steps) >= 3
+    assert verify_conjugation(trace, h)
+    q = delta(trace.lam)
+    for step in trace.steps:
+        assert step.achieved >= q
+        assert step.guarantee >= q
+        assert step.degree_after < step.degree_before
+
+
+def test_no_decreasing_triple_above_the_threshold_is_an_error(monkeypatch):
+    # past lambda = 10^6 the averaged Noether bound promises a triple
+    monkeypatch.setattr(reduction, "decreasing_step", lambda *args: None)
+    with pytest.raises(spectral.CertificateError):
+        reduce(theorem_regime_conjugate())
+
+
+def test_carried_axis_reads_as_squared_past_lambda_1e6(monkeypatch):
+    steps = recorded_steps(monkeypatch)
+    trace = reduce(theorem_regime_conjugate())
+    assert trace.lam > 10 ** 6
+    assert len(trace.steps) == len(steps) >= 3
+    for _, h2, _, data2 in steps:
+        assert_reads_as_squared(h2, data2)
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     LEHMER,
+    axis_point,
     counting,
     coxeter_generators,
     identity_element,
     loxodromic_ten,
+    norm_sq,
     power,
     random_word,
     sigma_product,
@@ -19,7 +21,7 @@ from conftest import (
 )
 from cremlat import intmat, spectral
 from cremlat.bounds import LOXODROMY_CONSTANT
-from cremlat.lattice import ClassVector, e0, intersect, norm_sq, points
+from cremlat.lattice import ClassVector, e0, intersect, points
 from cremlat.salem import IntPolynomial
 from cremlat.spectral import (
     LoxodromicData,
@@ -208,7 +210,7 @@ def test_axis_data_quality(pts12):
     assert data.residual_plus < 1e-9 and data.residual_minus < 1e-9
     assert abs(intersect(data.v_plus, data.v_plus)) < 1e-9
     assert abs(intersect(data.v_minus, data.v_minus)) < 1e-9
-    assert abs(intersect(data.E, data.E) - 1) < 1e-9
+    assert abs(intersect(axis_point(data), axis_point(data)) - 1) < 1e-9
     assert data.cosh_axis_distance >= 1
     # the eigenvector normalization v . e0 = 1
     assert data.v_plus.e0 == 1.0 and data.v_minus.e0 == 1.0
@@ -217,9 +219,9 @@ def test_axis_data_quality(pts12):
     assert data.cosh_axis_distance < 2 * d / (lam - 1 / lam)
     # eigenvector approximation by normalized images of e0
     hinv_e0 = apply(inverse(h), e0())
-    assert math.sqrt(norm_sq((1.0 / d) * hinv_e0 - data.v_minus)) < math.sqrt(2 / (lam * d))
+    assert math.sqrt(norm_sq(Fraction(1, d) * hinv_e0 - data.v_minus)) < math.sqrt(2 / (lam * d))
     h_e0 = apply(h, e0())
-    assert math.sqrt(norm_sq((1.0 / d) * h_e0 - data.v_plus)) < math.sqrt(2 / (lam * d))
+    assert math.sqrt(norm_sq(Fraction(1, d) * h_e0 - data.v_plus)) < math.sqrt(2 / (lam * d))
     # the pairing bounds
     assert (lam - 1 / lam) ** 2 / (2 * d * d) < data.vplus_dot_vminus < (1 / lam + lam + 2) / d
 
@@ -236,24 +238,40 @@ def test_axis_data_at_large_lambda():
     assert data.v_plus.e0 == 1.0 and data.v_minus.e0 == 1.0
 
 
+def neighbour_sums(f):
+    """(f + its lower neighbour, f + its upper neighbour), exact: the float
+    f >= 0 is nearest to x >= 0 when 2 x lies between them."""
+    return tuple(Fraction(f) + Fraction(math.nextafter(f, t)) for t in (0, math.inf))
+
+
+def nearest_root(q):
+    """The float nearest sqrt(q) for a rational q >= 0, by exact bracketing."""
+    f = math.sqrt(q)
+    while True:
+        lo, hi = neighbour_sums(f)
+        if hi ** 2 < 4 * q:
+            f = math.nextafter(f, math.inf)
+        elif lo ** 2 > 4 * q:
+            f = math.nextafter(f, 0)
+        else:
+            return f
+
+
 def axis_from_m512(h, lam):
     """Test-local oracle: the axis data read from M^512 by mat_pow, the depth
-    every element used before the depth rule."""
+    every element used before the depth rule, in exact rationals and each
+    float rounded once."""
     p = intmat.mat_pow(h.matrix, 512)
+    cp = ClassVector(p[0][0], {q: row[0] for q, row in zip(h.support, p[1:])})
+    cm = ClassVector(p[0][0], {q: -x for q, x in zip(h.support, p[0][1:])})
 
-    def unit(coords):
-        return ClassVector(1.0, {q: float(Fraction(c, coords[0]))
-                                 for q, c in zip(h.support, coords[1:]) if c})
+    def residual(g, c):
+        return nearest_root(norm_sq(apply(g, c) - Fraction(lam) * c) / norm_sq(c))
 
-    def residual(g, v):
-        return math.sqrt(norm_sq(apply(g, v) - lam * v)) / math.sqrt(norm_sq(v))
-
-    vp = unit([row[0] for row in p])
-    vm = unit([p[0][0]] + [-x for x in p[0][1:]])
+    vp, vm = (Fraction(1, c.e0) * c for c in (cp, cm))
     dot = intersect(vp, vm)
-    cosh = math.sqrt(2.0 / dot)
-    return LoxodromicData(lam, vp, vm, dot, cosh, cosh * (0.5 * (vp + vm)),
-                          residual(h, vp), residual(inverse(h), vm))
+    return LoxodromicData(lam, vp, vm, float(dot), nearest_root(2 / dot),
+                          residual(h, cp), residual(inverse(h), cm))
 
 
 # powers of random words with lambda ~ 4.7e6 and ~ 4.7e8, past the 10^6
@@ -271,6 +289,24 @@ def test_axis_and_criterion_agree_with_the_full_powers(rng, length, npts, n):
     assert criterion_degrees(h) == (s[199], s[399])
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(6, 24), st.integers(10, 16),
+       st.integers(1, 3))
+def test_axis_floats_are_nearest_to_their_exact_values(rng, length, npts, n):
+    h = power(realize(random_word(rng, length, points(npts))), n)
+    assume(classify(h).is_loxodromic)
+    data = axis_data(h)
+    dot = intersect(data.v_plus, data.v_minus)
+    lo, hi = neighbour_sums(data.vplus_dot_vminus)
+    assert lo <= 2 * dot <= hi
+    # cosh^2 = 2 / (v+ . v-)
+    assert data.cosh_axis_distance == nearest_root(2 / dot)
+    lam = Fraction(data.lam)
+    for g, v, res in ((h, data.v_plus, data.residual_plus),
+                      (inverse(h), data.v_minus, data.residual_minus)):
+        assert res == nearest_root(norm_sq(apply(g, v) - lam * v) / norm_sq(v))
+
+
 def test_displacement_bound_at_e0(pts12):
     h = loxodromic_ten(pts12)
     rep = axis_displacement_check(h, e0())
@@ -278,7 +314,7 @@ def test_displacement_bound_at_e0(pts12):
     assert rep.displacement >= math.log(LEHMER) - 1e-9
     data = axis_data(h)
     # a point on the axis is at distance zero from it
-    assert abs(cosh_distance_to_axis(data, data.E) - 1) < 1e-6
+    assert abs(cosh_distance_to_axis(data, axis_point(data)) - 1) < 1e-6
 
 
 # -- the big-power criterion ---------------------------------------------------------
