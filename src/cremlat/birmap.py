@@ -27,11 +27,10 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import InputSyntaxError, intmat
+from . import InputSyntaxError, crt, intmat, primes
 
 DEGREE_BUDGET = 512
 TERM_BUDGET = 200_000
-DEFAULT_PRIME = 4611686018427387847  # 62-bit prime
 
 class BudgetExceeded(RuntimeError):
     pass
@@ -245,18 +244,6 @@ def _homogenize(points, k, a, p):
     return {mono: c for mono, c in out.items() if c}
 
 
-def _is_prime(n) -> bool:
-    """Deterministic Miller-Rabin for odd n in (37, 3.1e23)."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
-    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = [pow(b, (n - 1) >> s, n)]
-        while len(x) < s:
-            x.append(x[-1] * x[-1] % n)
-        if x[0] != 1 and n - 1 not in x:
-            return False
-    return True
-
-
 def _rational_gcd(polys):
     """The primitive gcd G over Z of integer polys, with the quotients.  At
     the center O, v = polys[i](O) is nonzero and G(O) divides it (Gauss's
@@ -267,8 +254,8 @@ def _rational_gcd(polys):
     the combination is accepted by exact division (Brown, J. ACM 1971)."""
     a, v = _center(polys)
     images, modulus, k = {}, 1, None
-    for prime in range(DEFAULT_PRIME, 37, -2):
-        if v % prime == 0 or not _is_prime(prime):
+    for prime in primes():
+        if v % prime == 0:
             continue
         img, _ = _pencil_gcd(_canonical_coeffs(polys, prime), prime, a)
         if k is None or poly_degree(img) < k:
@@ -277,11 +264,10 @@ def _rational_gcd(polys):
             continue
         if k == 0:
             return img, polys
-        inv = _inv_mod(modulus, prime)
-        for mono in set(images) | set(img):
-            r = images.get(mono, 0)
-            images[mono] = r + modulus * ((v * img.get(mono, 0) - r) * inv % prime)
-        modulus *= prime
+        monos = list(set(images) | set(img))
+        lifted, modulus = crt([images.get(mono, 0) for mono in monos], modulus,
+                              [v * img.get(mono, 0) for mono in monos], prime)
+        images.update(zip(monos, lifted))
         cand = {mono: c - modulus if 2 * c > modulus else c for mono, c in images.items()}
         content = math.gcd(*cand.values())
         cand = {mono: c // content for mono, c in cand.items() if c}

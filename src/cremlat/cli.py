@@ -26,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import InputSyntaxError
+from . import DEFAULT_PRIME, InputSyntaxError
 
 
 def _lazy(name: str):
@@ -227,7 +227,7 @@ def cmd_degseq(args) -> int:
         return 0
     if not args.map:
         raise UsageError("(position 0) degseq needs --map or --monomial")
-    prime = birmap.DEFAULT_PRIME if args.prime_field else None
+    prime = DEFAULT_PRIME if args.prime_field else None
     f = birmap.parse_triple(args.map, prime)
     if not birmap.jacobian(f):
         raise ValueError("the Jacobian determinant of the map vanishes identically, "

@@ -3,16 +3,19 @@
 Matrices are sequences of rows (lists or tuples) of Python ints or
 Fractions; the kernels only read their arguments and return lists of lists,
 so the tuple rows of a WeylElement are passed as they are.  Everything
-here is exact; the sizes involved are small (a few dozen rows), so the
-division-free Berkowitz algorithm and plain Gaussian elimination over Q are
-entirely adequate.  :func:`rank` is the one Gaussian elimination and
-:func:`interpolate` the one polynomial interpolation of the package, the
-latter modulo a prime.
+here is exact.  :func:`charpoly` is multimodular (Hessenberg forms modulo
+62-bit primes, O(n^3) each, and CRT), :func:`rank` is the one Gaussian
+elimination and :func:`interpolate` the one polynomial interpolation of the
+package, the latter modulo a prime.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
+
+from . import crt, primes
 
 
 def identity(n):
@@ -20,17 +23,12 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
     bt = list(zip(*b))
-    return [[sum(ar[t] * bc[t] for t in range(k)) for bc in bt] for ar in a]
+    return [[sum(map(mul, ar, bc)) for bc in bt] for ar in a]
 
 
 def mat_vec(a, v):
-    return [sum(r[i] * v[i] for i in range(len(v))) for r in a]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [sum(map(mul, r, v)) for r in a]
 
 
 def det3(m):
@@ -74,38 +72,54 @@ def preserves_form(m) -> bool:
     return mat_mul(form_inverse(m), m) == identity(len(m))
 
 
-def charpoly(a):
-    """Characteristic polynomial det(xI - A) by Berkowitz, division-free.
+def charpoly(a, outside=None):
+    """det(xI - A) of an integer matrix, ascending [c0, c1, ..., 1].
 
-    Returns coefficients in ascending order [c0, c1, ..., 1], exact for int
-    or Fraction entries.
+    Each |c_k| <= C(n, k) M(chi), M the Mahler measure (Mignotte), and no
+    root exceeds ||A||_inf, the largest absolute row sum; so with at most
+    ``outside`` roots off the closed unit disc (n by default), primes with a
+    product above 2 C(n, n // 2) max(1, ||A||_inf)^outside give chi by CRT
+    in the symmetric range, their number fixed before the first is used.
     """
     n = len(a)
-    if n == 0:
-        return [1]
-    # descending coefficient vector of the leading 1x1 block: x - a00
-    vec = [1, -a[0][0]]
-    for i in range(1, n):
-        # grow to the (i+1)x(i+1) leading block with corner a[i][i]
-        row = a[i][:i]
-        col = [a[t][i] for t in range(i)]
-        sub = [r[:i] for r in a[:i]]
-        # first column of the Berkowitz Toeplitz matrix:
-        # [1, -a_ii, -row.col, -row.sub.col, -row.sub^2.col, ...]
-        toep = [1, -a[i][i]]
-        w = col
-        for _ in range(i):
-            toep.append(-sum(row[t] * w[t] for t in range(i)))
-            w = mat_vec(sub, w)
-        # truncated convolution: new[k] = sum_j vec[j] * toep[k - j]
-        new = [0] * (i + 2)
-        for j, vj in enumerate(vec):
-            if vj:
-                top = min(len(toep), i + 2 - j)
-                for t in range(top):
-                    new[j + t] += vj * toep[t]
-        vec = new
-    return vec[::-1]
+    bound = 2 * math.comb(n, n // 2) * max([1] + [sum(map(abs, r)) for r in a]) ** (outside or n)
+    residues, modulus = [0] * (n + 1), 1
+    for _, p in zip(range(-(-bound.bit_length() // 61)), primes()):  # each p > 2^61
+        residues, modulus = crt(residues, modulus, _charpoly_mod(a, p), p)
+    return [c - modulus if 2 * c > modulus else c for c in residues]
+
+
+def _charpoly_mod(a, p):
+    """det(xI - A) modulo the prime p, ascending, from an upper Hessenberg
+    form H of A: the charpoly of each leading block of H from those before."""
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv, top = pow(h[j + 1][j], -1, p), h[j + 1]
+        f = [h[i][j] * inv % p for i in range(j + 2, n)]
+        for i, fi in enumerate(f, j + 2):  # row i -= fi row j+1, column j+1 += fi column i
+            if fi:
+                h[i][j:] = [(x - fi * y) % p for x, y in zip(h[i][j:], top[j:])]
+        for row in h:
+            row[j + 1] = (row[j + 1] + sum(map(mul, row[j + 2:], f))) % p
+    polys = [[1]]
+    for m in range(n):
+        # chi_(m+1) = (x - h_mm) chi_m - sum_i h_im h_(i+1,i) ... h_(m,m-1) chi_i
+        new = [x - h[m][m] * y for x, y in zip([0] + polys[m], polys[m] + [0])]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            c = h[i][m] * t
+            new[:i + 1] = [x - c * y for x, y in zip(new, polys[i])]
+        polys.append([x % p for x in new])
+    return polys[n]
 
 
 def rank(a):

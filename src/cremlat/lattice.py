@@ -107,7 +107,7 @@ def infinitely_near(parent: BubblePoint, label=None) -> BubblePoint:
 
 
 def _coerce(c):
-    return c if isinstance(c, int) else Fraction(c)
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
 class ClassVector:

@@ -18,16 +18,16 @@ with isotropic image moves nothing), so the linear-growth branch below is
 never reached by realized words; it is kept so the trichotomy is total and
 violations surface loudly.
 
-The characteristic polynomial, its cyclotomic split, lambda, the squares
-M^(2^k) and the criterion degrees are computed once per element, each on
-first use, in one record (:func:`_spectrum`, cached by element) that every
-function below reads.  The axis squares only as deep as lambda needs (see
-:func:`axis_data`); the criterion takes deg(h^200) and deg(h^400) from
-products with M^8.  :mod:`cremlat.reduction` hands each conjugate g h g^-1
-the lambda of h and g's image of the exact columns its axis was read from,
-so a conjugate computes neither a characteristic polynomial nor a square.
-The axis is exact as well: v+- are rationals, and each float it reports is
-rounded once from an exact value.
+The characteristic polynomial chi (:func:`cremlat.intmat.charpoly`), its
+cyclotomic split, lambda, one Krylov pass and the criterion degrees are
+computed once per element, on first use, in one record (:func:`_spectrum`)
+that every function below reads.  No matrix is squared: by Cayley-Hamilton
+(Fiduccia, SIAM J. Comput. 1985), M^e e0 and e0^T M^e are read off the
+Krylov pass with the coefficients of x^e mod chi, for the axis and for the
+criterion alike.  :mod:`cremlat.reduction` gives each conjugate g h g^-1
+the lambda of h and g's image of the exact columns of its axis, so a
+conjugate makes neither a characteristic polynomial nor a Krylov pass.
+v+- are exact rationals; each axis float is rounded once.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from operator import mul
 
 from . import intmat
 from .bounds import LOXODROMY_CONSTANT
@@ -73,16 +74,19 @@ class IsometryClassification:
 class _Spectrum:
     """Spectral data of one element, each part computed on first use: the
     characteristic polynomial split once into its cyclotomic orders and
-    cyclotomic-free part, lambda, the squares M^(2^k) made so far, and the
-    criterion degrees."""
+    cyclotomic-free part, lambda, the Krylov pass and the criterion degrees."""
 
     matrix: tuple
     lams: dict = field(default_factory=dict)
-    squares: list = field(default_factory=list)
 
     @cached_property
     def charpoly(self) -> IntPolynomial:
-        return IntPolynomial(intmat.charpoly(self.matrix))
+        """chi, with its Mahler measure bounded by max(1, ||M||_inf): realize
+        validates each element as an isometry of a form of signature (1, n),
+        and products, inverses and conjugates of isometries are isometries.
+        Such an isometry has at most one eigenvalue off the closed unit disc,
+        so the Mahler measure is lambda, at most ||M||_inf."""
+        return IntPolynomial(intmat.charpoly(self.matrix, outside=1))
 
     @cached_property
     def split(self) -> tuple:
@@ -103,24 +107,30 @@ class _Spectrum:
             self.lams[t] = lam
         return self.lams[min(self.lams)]
 
-    def square(self, k: int):
-        """M^(2^k), squaring on from the largest square held."""
-        sq = self.squares
-        while len(sq) <= k:
-            sq.append(intmat.mat_mul(sq[-1], sq[-1]) if sq else self.matrix)
-        return sq[k]
+    @cached_property
+    def krylov(self) -> tuple:
+        """(K, L): column i of K is M^i e0 and of L the row e0^T M^i, for
+        i < n, from 2(n - 1) products with a vector."""
+        m, mt = self.matrix, intmat.transpose(self.matrix)
+        cols = rows = [[1] + [0] * (len(m) - 1)]
+        for _ in range(len(m) - 1):
+            cols, rows = cols + [intmat.mat_vec(m, cols[-1])], rows + [intmat.mat_vec(mt, rows[-1])]
+        return intmat.transpose(cols), intmat.transpose(rows)
+
+    def power_e0(self, e: int) -> tuple:
+        """(M^e e0, e0^T M^e) = (K r, L r), exact, with r = x^e mod chi."""
+        c = self.charpoly.coeffs[:-1]
+        r = [1] + [0] * (len(c) - 1)
+        for _ in range(e):
+            r = [x - r[-1] * y for x, y in zip([0] + r[:-1], c)]
+        return tuple(intmat.mat_vec(k, r) for k in self.krylov)
 
     @cached_property
     def criterion(self) -> tuple:
-        """(deg(h^200), deg(h^400)), exact: v = M^200 e0 and u = M^-200 e0 take
-        25 products each with M^8 and its form inverse, and by invariance of
-        the form deg(h^400) = e0 . M^400 e0 = u . v."""
-        m8 = self.square(3)
-        inv8 = intmat.form_inverse(m8)
-        v = u = [1] + [0] * (len(m8) - 1)
-        for _ in range(25):
-            v, u = intmat.mat_vec(m8, v), intmat.mat_vec(inv8, u)
-        return v[0], u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
+        """(deg(h^200), deg(h^400)), exact: with v = M^200 e0 and
+        w = e0^T M^200, deg(h^200) = v_0 and deg(h^400) = w v."""
+        v, w = self.power_e0(200)
+        return v[0], sum(map(mul, w, v))
 
 
 @lru_cache(maxsize=256)
@@ -137,20 +147,14 @@ def classify(h: WeylElement) -> IsometryClassification:
         return IsometryClassification(
             KIND_LOXODROMIC, f"spectral radius {lam:.9f} from a non-cyclotomic factor")
     k = reduce(math.lcm, orders, 1)
-    m = h.matrix
-    mk = intmat.mat_pow(m, k)
-    n = len(m)
-    nil = intmat.mat_sub(mk, intmat.identity(n))
-    if all(all(x == 0 for x in row) for row in nil):
-        return IsometryClassification(KIND_ELLIPTIC, f"finite order dividing {k}")
-    nil2 = intmat.mat_mul(nil, nil)
-    if all(all(x == 0 for x in row) for row in nil2):
-        return IsometryClassification(
-            KIND_PARABOLIC_LINEAR, f"M^{k} unipotent with (M^k - I)^2 = 0")
-    nil3 = intmat.mat_mul(nil2, nil)
-    if all(all(x == 0 for x in row) for row in nil3):
-        return IsometryClassification(
-            KIND_PARABOLIC_QUADRATIC, f"M^{k} unipotent with (M^k - I)^3 = 0")
+    power = nil = [[x - (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(intmat.mat_pow(h.matrix, k))]
+    for kind, evidence in ((KIND_ELLIPTIC, f"finite order dividing {k}"),
+                           (KIND_PARABOLIC_LINEAR, f"M^{k} unipotent with (M^k - I)^2 = 0"),
+                           (KIND_PARABOLIC_QUADRATIC, f"M^{k} unipotent with (M^k - I)^3 = 0")):
+        if not any(map(any, power)):
+            return IsometryClassification(kind, evidence)
+        power = intmat.mat_mul(power, nil)
     raise CertificateError("unipotent part with a Jordan block of size > 3")
 
 
@@ -202,8 +206,8 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     The record keeps the two columns.  :func:`cremlat.reduction.reduce`
     carries them through each conjugation, g h g^-1 getting g M^e e0 and
     g M^-e e0: an isometric image of the first element's columns, so the
-    first element's error bound holds at every step, and no conjugate is
-    squared.
+    first element's error bound holds at every step, and no conjugate
+    makes a Krylov pass.
     """
     cls = classify(h)
     if not cls.is_loxodromic:
@@ -216,14 +220,15 @@ def _axis_data_at(h: WeylElement, lam: float, tol: float,
     """axis_data for an element whose dynamical degree lam is already known,
     such as a conjugate of an element already analysed.  ``columns`` are
     the exact classes (M^e e0, M^-e e0) to read v+- from; reduce passes the
-    carried ones, and by default they come from the squares of h."""
+    carried ones, and by default they come from the Krylov pass of h."""
     if columns is None:
         need = AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
         rate = math.log2(lam - tol) if lam - tol > 1 else 0.0
-        p = _spectrum(h).square(next((k for k in range(9) if rate * 2 ** k >= need), 9))
+        k = next((k for k in range(9) if rate * 2 ** k >= need), 9)
+        col, row = _spectrum(h).power_e0(2 ** k)
         # (M^e)^{-1} = J (M^e)^T J, so its first column is the signed first row
-        columns = (ClassVector(p[0][0], {q: row[0] for q, row in zip(h.support, p[1:])}),
-                   ClassVector(p[0][0], {q: -x for q, x in zip(h.support, p[0][1:])}))
+        columns = (ClassVector(col[0], dict(zip(h.support, col[1:]))),
+                   ClassVector(row[0], {q: -x for q, x in zip(h.support, row[1:])}))
     # a carried column keeps a part on points that h fixes, as small against
     # its e0 coefficient as the error of the column itself: read the support
     cp, cm = ([c.e0] + [c.coeff(q) for q in h.support] for c in columns)

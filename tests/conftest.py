@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -78,6 +79,52 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def counting_property(monkeypatch, cls, name):
+    """Replace the cached property cls.name by one that records each instance
+    it is computed for; returns the record."""
+    calls = []
+    orig = vars(cls)[name].func
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+def berkowitz(a):
+    """Oracle: det(xI - A) ascending, by the division-free Berkowitz
+    algorithm, exact for int or Fraction entries."""
+    n = len(a)
+    if n == 0:
+        return [1]
+    # descending coefficient vector of the leading 1x1 block: x - a00
+    vec = [1, -a[0][0]]
+    for i in range(1, n):
+        # grow to the (i+1)x(i+1) leading block with corner a[i][i]
+        row = a[i][:i]
+        col = [a[t][i] for t in range(i)]
+        sub = [r[:i] for r in a[:i]]
+        # first column of the Berkowitz Toeplitz matrix:
+        # [1, -a_ii, -row.col, -row.sub.col, -row.sub^2.col, ...]
+        toep = [1, -a[i][i]]
+        w = col
+        for _ in range(i):
+            toep.append(-sum(x * y for x, y in zip(row, w)))
+            w = [sum(x * y for x, y in zip(r, w)) for r in sub]
+        # truncated convolution: new[k] = sum_j vec[j] * toep[k - j]
+        new = [0] * (i + 2)
+        for j, vj in enumerate(vec):
+            if vj:
+                for t in range(min(len(toep), i + 2 - j)):
+                    new[j + t] += vj * toep[t]
+        vec = new
+    return vec[::-1]
 
 
 def loxodromic_ten(pts):

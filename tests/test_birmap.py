@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import counting
-from cremlat import birmap, intmat
+from cremlat import DEFAULT_PRIME, birmap, intmat
 from cremlat.birmap import (
-    DEFAULT_PRIME,
     BudgetExceeded,
     HomogeneousTriple,
     compose,

@@ -3,7 +3,16 @@ import math
 
 import pytest
 
-from conftest import LEHMER, axis_point, counting, loxodromic_ten, power, random_word, word
+from conftest import (
+    LEHMER,
+    axis_point,
+    counting,
+    counting_property,
+    loxodromic_ten,
+    power,
+    random_word,
+    word,
+)
 from cremlat import intmat, reduction, spectral
 from cremlat.bounds import bounds, delta
 from cremlat.lattice import (
@@ -211,13 +220,16 @@ def test_reduce_computes_one_characteristic_polynomial(pts12, monkeypatch):
 
 
 def test_reduce_above_lambda_1e6_squares_three_times(monkeypatch):
-    # lambda(h0^20) ~ 3.1e7, so lambda^8 >= 2^100 deg^2 already holds
+    # lambda(h0^20) ~ 3.1e7, so lambda^8 >= 2^100 deg^2 already holds: the
+    # input's M^8 e0 and e0^T M^8 come from its one Krylov pass, and no
+    # matrix is multiplied
     h = power(loxodromic_ten(points(10)), 20)
     spectral._spectrum.cache_clear()
     products = counting(monkeypatch, intmat, "mat_mul")
+    passes = counting_property(monkeypatch, spectral._Spectrum, "krylov")
     trace = reduce(h)
     assert 3.0e7 < trace.lam < 3.2e7
-    assert 0 < len(products) <= 3 * (len(trace.steps) + 1)
+    assert passes == [spectral._spectrum(h)] and products == []
     # reduce never asks for the 200/400 criterion
     assert all("criterion" not in vars(spectral._spectrum(g)) for g in (h, trace.final))
 
@@ -310,11 +322,12 @@ def test_reduce_squares_only_its_input(pts12, monkeypatch, stacked):
     extra = points(12)
     h = (stacked_inflated(pts12) if stacked
          else build_inflated(loxodromic_ten(pts12), extra[0], extra[1:11]))
-    squares = counting(monkeypatch, spectral._Spectrum, "square")
+    spectral._spectrum.cache_clear()
+    passes = counting_property(monkeypatch, spectral._Spectrum, "krylov")
     trace = reduce(h)
     assert len(trace.steps) == (3 if stacked else 1)
-    # one square for the axis of h; every conjugate's axis is carried
-    assert len(squares) == 1 and squares[0][0] is spectral._spectrum(h)
+    # one Krylov pass for the axis of h; every conjugate's axis is carried
+    assert len(passes) == 1 and passes[0] is spectral._spectrum(h)
 
 
 # -- realizability of base configurations ----------------------------------------------

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from conftest import (
     LEHMER,
     axis_point,
+    berkowitz,
     counting,
+    counting_property,
     coxeter_generators,
     identity_element,
     loxodromic_ten,
@@ -360,17 +362,18 @@ def test_spectrum_report_analyses_the_element_once(monkeypatch):
     isolations = counting(monkeypatch, spectral, "dominant_real_root")
     products = counting(monkeypatch, intmat, "mat_mul")
     powers = counting(monkeypatch, intmat, "mat_pow")
+    passes = counting_property(monkeypatch, spectral._Spectrum, "krylov")
     rep = spectrum_report(h)
     assert rep["class"] == "loxodromic"
     assert len(charpolys) == 1
-    # the axis squares to the least e = 2^k with lambda_lo^e >= 2^100 deg^2,
-    # here e = 128 (lambda ~ 2.369, deg 13), and the criterion reads M^8 from
-    # the same squares
+    # the axis reads M^e e0 at the least e = 2^k with
+    # lambda_lo^e >= 2^100 deg^2, here e = 128 (lambda ~ 2.369, deg 13), and
+    # the criterion reads its degrees from the same Krylov pass
     lam_lo = rep["lambda"] - 1e-9
     bound = 2 ** spectral.AXIS_MARGIN_BITS * degree(h) ** 2
     k = next(k for k in range(10) if k == 9 or lam_lo ** 2 ** k >= bound)
     assert k == 7
-    assert len(products) == max(k, 3) and not powers
+    assert len(passes) == 1 and not products and not powers
     # one isolation at 1e-12 answers the report tolerance 1e-9 and axis_data
     assert len(isolations) == 1
     # the cached analysis answers later questions without recomputation
@@ -384,3 +387,67 @@ def test_char_polynomial_is_reciprocal_up_to_sign(pts12):
     h = loxodromic_ten(pts12)
     cp = IntPolynomial(intmat.charpoly(h.matrix)).coeffs
     assert cp == cp[::-1] or cp == tuple(-c for c in cp[::-1])
+
+
+# -- the multimodular characteristic polynomial and the Krylov pass ------------------
+
+
+def isometry_bound_bits(m):
+    """Bits of 2 C(n, n // 2) ||M||_inf, the bound that fixes the primes of an
+    isometry's characteristic polynomial, each prime exceeding 2^61."""
+    n = len(m)
+    return (2 * math.comb(n, n // 2) * max(sum(map(abs, row)) for row in m)).bit_length()
+
+
+def charpoly_and_primes(m, **kwargs):
+    """intmat.charpoly(m) and the number of primes it reduced m modulo."""
+    with pytest.MonkeyPatch.context() as mp:
+        images = counting(mp, intmat, "_charpoly_mod")
+        return intmat.charpoly(m, **kwargs), len(images)
+
+
+@example(random.Random(0), 16, 12)
+@settings(max_examples=8, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(4, 24), st.integers(8, 16))
+def test_charpoly_equals_the_oracle_on_words_and_powers(rng, length, npts):
+    h = realize(random_word(rng, length, points(npts)))
+    oracle = berkowitz(h.matrix)
+    assert intmat.charpoly(h.matrix) == oracle
+    assert list(spectral._Spectrum(h.matrix).charpoly.coeffs) == oracle
+    # the least power whose isometry bound needs a second prime
+    assume(dynamical_degree(h) > 2)
+    g = h
+    while isometry_bound_bits(g.matrix) <= 61:
+        g = compose(g, h)
+    cp, primes = charpoly_and_primes(g.matrix, outside=1)
+    assert primes >= 2
+    assert cp == berkowitz(g.matrix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-99, 99), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_charpoly_equals_the_oracle_on_any_integer_matrix(a):
+    # not an isometry: the default bound max(1, ||A||_inf)^n
+    assert intmat.charpoly(a) == berkowitz(a)
+
+
+@pytest.mark.parametrize("build", [loxodromic_ten, lambda pts: coxeter_element()],
+                         ids=["loxodromic_ten", "coxeter_10"])
+def test_krylov_columns_are_those_of_the_squares(pts12, build):
+    h = build(pts12)
+    sp = spectral._spectrum(h)
+    for k in range(10):
+        p = intmat.mat_pow(h.matrix, 2 ** k)
+        col, row = sp.power_e0(2 ** k)
+        assert col == [r[0] for r in p] and row == p[0]
+    # the axis reads the first column and the signed first row of M^(2^k)
+    data = axis_data(h)
+    need = spectral.AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
+    k = next((k for k in range(9) if math.log2(data.lam - 1e-9) * 2 ** k >= need), 9)
+    assert k == (7 if build is loxodromic_ten else 9)
+    p = intmat.mat_pow(h.matrix, 2 ** k)
+    cp, cm = data.columns
+    assert cp == ClassVector(p[0][0], {q: r[0] for q, r in zip(h.support, p[1:])})
+    assert cm == ClassVector(p[0][0], {q: -x for q, x in zip(h.support, p[0][1:])})
