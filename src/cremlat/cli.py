@@ -88,7 +88,7 @@ def _emit(obj) -> None:
 
 def cmd_classify_number(args) -> int:
     poly = salem.parse_poly(args.polynomial)
-    cls = salem.classify_number(poly, args.tol)
+    cls = salem.classify_number(poly)
     _emit({
         "kind": cls.kind,
         "root": cls.dominant_root,
@@ -133,14 +133,14 @@ def cmd_weyl_normalize(args) -> int:
 def cmd_spectrum(args) -> int:
     w, _ = weyl.parse_word(args.word)
     h = weyl.realize(w)
-    _emit(spectral.spectrum_report(h, args.tol))
+    _emit(spectral.spectrum_report(h))
     return 0
 
 
 def cmd_reduce(args) -> int:
     w, _ = weyl.parse_word(args.word)
     h = weyl.realize(w)
-    trace = reduction.reduce(h, budget=args.budget, tol=args.tol)
+    trace = reduction.reduce(h, budget=args.budget)
     for line in trace.json_lines():
         print(line)
     return 0
@@ -204,7 +204,7 @@ def cmd_realizable(args) -> int:
 
 
 def cmd_fk_spectrum(args) -> int:
-    entries = orbits.lambda_sequence(args.m, range(2, args.kmax + 1), args.tol)
+    entries = orbits.lambda_sequence(args.m, range(2, args.kmax + 1))
     _emit({
         "m": args.m,
         "limit": orbits.lambda_limit(args.m),
@@ -254,17 +254,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _tolerance(text: str) -> float:
-    """A --tol value: a finite positive float (bisection to 0 never ends)."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
-    return tol
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cremlat",
@@ -272,15 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, tol=False, **kwargs):
+    def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric tolerance")
         return p
 
-    p = add("classify-number", cmd_classify_number, tol=True,
-            help="classify a monic integer polynomial")
+    p = add("classify-number", cmd_classify_number, help="classify a monic integer polynomial")
     p.add_argument("polynomial")
 
     p = add("salem-enum", cmd_salem_enum, help="exhaustive bounded Salem search")
@@ -294,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--vector", default="e0")
 
-    p = add("spectrum", cmd_spectrum, tol=True, help="spectral report of a word")
+    p = add("spectrum", cmd_spectrum, help="spectral report of a word")
     p.add_argument("word")
 
-    p = add("reduce", cmd_reduce, tol=True, help="degree reduction loop, one JSON line per step")
+    p = add("reduce", cmd_reduce, help="degree reduction loop, one JSON line per step")
     p.add_argument("word")
     p.add_argument("--budget", type=int, default=200)
 
@@ -305,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON file, or - for stdin")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("fk-spectrum", cmd_fk_spectrum, tol=True, help="truncated-orbit spectral radii")
+    p = add("fk-spectrum", cmd_fk_spectrum, help="truncated-orbit spectral radii")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
 

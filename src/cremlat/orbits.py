@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 # bound as modules, so that a caller which has bound them lazily (as the
 # command line does) runs them only for the lattice realization
 from . import intmat, lattice, weyl
-from .salem import IntPolynomial, classify_number, dominant_real_root
+from .salem import IntPolynomial, classify_number
 
 
 def quadratic_orbit_matrix(m: int, k: int):
@@ -114,21 +114,22 @@ class LambdaEntry(NamedTuple):
     kind: str
 
 
-def lambda_sequence(m: int, ks: Sequence[int], tol: float = 1e-10) -> list[LambdaEntry]:
+def lambda_sequence(m: int, ks: Sequence[int]) -> list[LambdaEntry]:
     """Spectral radii converging to the largest root of x^2 - (m+1)x + 1.
 
     ``m`` is the target trace parameter (m >= 2); the values are dominant
-    roots of the closed-form polynomials at construction degree m + 2, with
-    each entry classified through the polynomial classifier.
+    roots of the closed-form polynomials at construction degree m + 2, each
+    correctly rounded and classified by one call of the polynomial
+    classifier.  Rounding is monotone, so the values rise with k and stay
+    below the limit.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     out = []
     for k in ks:
         poly = quadratic_closed_form(m + 2, k)
-        lam = dominant_real_root(poly, tol)
-        kind = classify_number(poly).kind
-        out.append(LambdaEntry(k, 1.0 if lam is None else lam, kind))
+        cls = classify_number(poly)
+        out.append(LambdaEntry(k, cls.dominant_root, cls.kind))
     return out
 
 

@@ -66,10 +66,11 @@ class AxisNoetherReport:
         return self.sum_ok and self.sum_sq_ok and self.triple_ok
 
 
-def averaged_noether_check(h: WeylElement, tol: float = 1e-9) -> AxisNoetherReport:
+def averaged_noether_check(h: WeylElement) -> AxisNoetherReport:
     """Identities for the averaged multiplicities c_i of a loxodromic h.
 
-    Exactly: sum c_i = 3d - 3.  Within the lambda tolerance:
+    Exactly: sum c_i = 3d - 3.  With lam the float nearest to lambda, and
+    1/lam + lam + 2 read as a rational of denominator at most 10^12:
     sum c_i^2 > (d^2 - 1) - (d/2)(1/lam + lam + 2), and the sorted c_i obey
     (d-1)(c1+c2+c3-(d+1)) > (c1-c3)(d-1-c1) + (c2-c3)(d-1-c2)
                             + sum_{i>=4} c_i (c3-c_i) - (d/2)(1/lam + lam + 2).
@@ -77,7 +78,7 @@ def averaged_noether_check(h: WeylElement, tol: float = 1e-9) -> AxisNoetherRepo
     cls = classify(h)
     if not cls.is_loxodromic:
         raise ValueError("averaged Noether identities are for loxodromic elements")
-    lam = dynamical_degree(h, tol)
+    lam = dynamical_degree(h)
     prof = multiplicity_profile(h)
     d = prof.degree
     c = sorted(prof.c, reverse=True)
@@ -144,8 +145,7 @@ class ReductionTrace:
         })
 
 
-def decreasing_step(h: WeylElement, tol: float = 1e-9,
-                    data: Optional[LoxodromicData] = None):
+def decreasing_step(h: WeylElement, data: Optional[LoxodromicData] = None):
     """One conjugation step, or None when the triple hypothesis fails.
 
     Returns (step, h_conjugated, word, data_conjugated) where ``word`` is
@@ -159,7 +159,7 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     averaged multiplicity.
     """
     if data is None:
-        data = axis_data(h, tol)
+        data = axis_data(h)
     lam = data.lam
     prof = multiplicity_profile(h)
     d = prof.degree
@@ -180,7 +180,7 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     h2 = conjugate_by_word(w, h)
     # lambda is a conjugacy invariant and v+-(g h g^-1) = g v+-(h): h2 keeps
     # the lambda of h and reads its axis from w's image of the exact columns
-    data2 = _axis_data_at(h2, lam, tol, tuple(w.apply(c) for c in data.columns))
+    data2 = _axis_data_at(h2, lam, tuple(w.apply(c) for c in data.columns))
     # the guarantee triple . E = (cosh / 2) pairing is rounded once from its
     # exact square pairing^2 / (2 v+ . v-), as cosh^2 = 2 / (v+ . v-)
     pairing = intersect(e(root) + e(omega[0]) + e(omega[1]) - e0(), v_sum)
@@ -199,7 +199,7 @@ def decreasing_step(h: WeylElement, tol: float = 1e-9,
     return step, h2, w, data2
 
 
-def reduce(h: WeylElement, budget: int = 200, tol: float = 1e-9) -> ReductionTrace:
+def reduce(h: WeylElement, budget: int = 200) -> ReductionTrace:
     """Iterate decreasing conjugations until the degree threshold is reached.
 
     Stops when deg <= 24 lambda^3, when no decreasing triple exists, or when
@@ -211,7 +211,7 @@ def reduce(h: WeylElement, budget: int = 200, tol: float = 1e-9) -> ReductionTra
     cls = classify(h)
     if not cls.is_loxodromic:
         raise ValueError("reduction needs a loxodromic element")
-    data = axis_data(h, tol)
+    data = axis_data(h)
     lam = data.lam
     threshold = DEGREE_THRESHOLD_COEFF * lam ** 3
     quantum = delta(lam)
@@ -224,7 +224,7 @@ def reduce(h: WeylElement, budget: int = 200, tol: float = 1e-9) -> ReductionTra
         if degree(cur) <= threshold:
             terminal = "reached_degree_threshold"
             break
-        result = decreasing_step(cur, tol, data)
+        result = decreasing_step(cur, data)
         if result is None:
             if lam > 10 ** 6:
                 raise CertificateError(

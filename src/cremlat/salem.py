@@ -9,8 +9,8 @@ located through the substitution y = x + 1/x (a root lies on the unit circle
 exactly when the transformed polynomial has a real root in (-2, 2)).  Roots
 outside the unit circle are counted by the Routh-Hurwitz theorem after the
 map w = (z - 1)/(z + 1), with Cauchy indices read off the same kind of
-remainder sequence.  Floating point only reports a root's value, to a
-requested tolerance.
+remainder sequence.  Floating point only reports a root's value, as the
+float nearest to it.
 
 Two exact prefilters skip work that cannot succeed.  Stripping divides by
 Phi_n only when Phi_n(2) divides p(2), as it must when Phi_n divides p.  The
@@ -310,11 +310,13 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return Fraction(1 + max(abs(c) for c in p.coeffs[:-1]))
 
 
-def dominant_real_root(p: IntPolynomial, tol: float = 1e-12) -> Optional[float]:
-    """The largest real root > 1, to within tol, or None.
+def dominant_real_root(p: IntPolynomial) -> Optional[float]:
+    """The largest real root > 1, correctly rounded to a float, or None.
 
     Located by exact sign bisection on the squarefree part (a Sturm count
     isolates the largest root when the polynomial does not change sign at 1).
+    The bisection stops when both ends of the bracket round to the same
+    float, which is then the root's, as rounding is monotone.
     """
     sf = _sturm_chain(p)[0]
     bound = cauchy_bound(IntPolynomial(sf))
@@ -335,14 +337,25 @@ def dominant_real_root(p: IntPolynomial, tol: float = 1e-12) -> Optional[float]:
         return float(hi)
     slo = _sign_at(sf, lo.numerator, lo.denominator)
     if slo == 0:
-        lo += min(Fraction(1, 10 ** 6), (hi - lo) / 4)
+        # lo is a root itself: move it up, but not past the root in (lo, hi]
+        step = (hi - lo) / 2
+        while count_real_roots(p, lo + step, hi) == 0:
+            step /= 2
+        lo += step
         slo = _sign_at(sf, lo.numerator, lo.denominator)
     # in integers from here: lo = a/den and hi = b/den, and each step
-    # doubles all three so that the midpoint stays an integer
-    width = Fraction(tol).limit_denominator(10 ** 15) / 4
+    # doubles all three so that the midpoint stays an integer; int true
+    # division rounds correctly
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    while (b - a) * width.denominator > width.numerator * den:
+    while (x := a / den) != (y := b / den):
+        if math.nextafter(x, y) == y:
+            # the ends round to adjacent floats: the root rounds to x below
+            # their tie t and to y above it, and the sign at t decides, also
+            # for a root at t (an integer above 2^53), which a midpoint need not hit
+            t = (Fraction(x) + Fraction(y)) / 2
+            st = _sign_at(sf, t.numerator, t.denominator)
+            return float(t) if st == 0 else y if (st > 0) == (slo > 0) else x
         a, b, den = 2 * a, 2 * b, 2 * den
         mid = (a + b) // 2
         sm = _sign_at(sf, mid, den)
@@ -352,9 +365,7 @@ def dominant_real_root(p: IntPolynomial, tol: float = 1e-12) -> Optional[float]:
             a, slo = mid, sm
         else:
             b = mid
-        if (b - a) / den < tol / 4:
-            break
-    return (a + b) / (2 * den)
+    return x
 
 
 # -- roots outside the unit circle -------------------------------------------
@@ -431,13 +442,14 @@ class NumberClass(NamedTuple):
     notes: tuple = ()
 
 
-def classify_number(p: IntPolynomial, tol: float = 1e-10) -> NumberClass:
+def classify_number(p: IntPolynomial) -> NumberClass:
     """Classify the dominant root of p after removing cyclotomic factors.
 
     Salem and circle-root decisions on the reciprocal part are exact (Sturm
     counts through the y = x + 1/x transform); only the root value itself is
-    a floating approximation.  Reciprocal quadratic integers are reported as
-    their own kind; by the usual convention they count as Pisot numbers.
+    a float, the one nearest to the root.  Reciprocal quadratic integers are
+    reported as their own kind; by the usual convention they count as Pisot
+    numbers.
     """
     notes = []
     stripped, _ = strip_cyclotomic(p)
@@ -459,7 +471,7 @@ def classify_number(p: IntPolynomial, tol: float = 1e-10) -> NumberClass:
     if len(core) == 1:
         return NumberClass("no_root_gt_one", 1.0, stripped, tuple(notes))
     sf = IntPolynomial(core)
-    lam = dominant_real_root(sf, tol)
+    lam = dominant_real_root(sf)
     if lam is None or lam <= 1:
         return NumberClass("no_root_gt_one", 1.0, stripped, tuple(notes))
     if sf.degree == 2 and sf.is_reciprocal():
@@ -610,8 +622,8 @@ def _check_candidate(qcoeffs, big_a, descartes, found):
     # squarefree with one root > 1, its inverse, and n - 1 conjugate pairs
     # on the unit circle.  p has no cyclotomic factor, so by Kronecker every
     # factor has a root off the circle, and p is irreducible.
-    # classify_number(p) would isolate this same polynomial at 1e-10.
-    found.setdefault(p, dominant_real_root(p, 1e-10))
+    # classify_number(p) would give the same float, the root correctly rounded.
+    found.setdefault(p, dominant_real_root(p))
 
 
 # -- text format --------------------------------------------------------------

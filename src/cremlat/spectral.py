@@ -6,8 +6,8 @@ computed exactly, its cyclotomic part is divided out exactly, and
 * a nontrivial cyclotomic-free part forces spectral radius > 1 (a monic
   integer polynomial with no cyclotomic factor and nonzero constant term
   must have a root off the unit circle), so the element is loxodromic and
-  its dynamical degree is the dominant real root, refined by exact sign
-  bisection;
+  its dynamical degree is the dominant real root, the float nearest to it
+  from exact sign bisection;
 * otherwise every eigenvalue is a root of unity of known order; with k the
   lcm of the orders, M^k is unipotent and the Jordan ranks of (M^k - I)
   decide between finite order and the two parabolic growth types.
@@ -51,7 +51,6 @@ KIND_PARABOLIC_LINEAR = "parabolic_linear"
 KIND_PARABOLIC_QUADRATIC = "parabolic_quadratic"
 KIND_LOXODROMIC = "loxodromic"
 
-LAMBDA_TOL = 1e-12  # lambda is isolated once per element, at least this tightly
 AXIS_MARGIN_BITS = 100  # v+- come from M^e with lambda^e >= 2^100 deg^2, e <= 512
 
 
@@ -77,7 +76,6 @@ class _Spectrum:
     cyclotomic-free part, lambda, the Krylov pass and the criterion degrees."""
 
     matrix: tuple
-    lams: dict = field(default_factory=dict)
 
     @cached_property
     def charpoly(self) -> IntPolynomial:
@@ -93,19 +91,15 @@ class _Spectrum:
         """(cyclotomic-free part or None, cyclotomic orders)."""
         return strip_cyclotomic(self.charpoly)
 
-    def lam(self, tol: float) -> float:
-        """lambda within tol: isolated at min(tol, LAMBDA_TOL) unless a value
-        at least that tight is held, and always the tightest value held, so
-        every caller reports the same float."""
-        if not any(t <= tol for t in self.lams):
-            t = min(tol, LAMBDA_TOL)
-            lam = dominant_real_root(self.split[0], t)
-            if lam is None or lam <= 1:
-                raise CertificateError(
-                    "cyclotomic-free characteristic factor without a root > 1; "
-                    "the input is not an isometry of signature (1, n)")
-            self.lams[t] = lam
-        return self.lams[min(self.lams)]
+    @cached_property
+    def lam(self) -> float:
+        """lambda, correctly rounded to a float."""
+        lam = dominant_real_root(self.split[0])
+        if lam is None or lam <= 1:
+            raise CertificateError(
+                "cyclotomic-free characteristic factor without a root > 1; "
+                "the input is not an isometry of signature (1, n)")
+        return lam
 
     @cached_property
     def krylov(self) -> tuple:
@@ -143,9 +137,8 @@ def classify(h: WeylElement) -> IsometryClassification:
     sp = _spectrum(h)
     rest, orders = sp.split
     if rest is not None:
-        lam = sp.lam(1e-9)
         return IsometryClassification(
-            KIND_LOXODROMIC, f"spectral radius {lam:.9f} from a non-cyclotomic factor")
+            KIND_LOXODROMIC, f"spectral radius {sp.lam:.9f} from a non-cyclotomic factor")
     k = reduce(math.lcm, orders, 1)
     power = nil = [[x - (i == j) for j, x in enumerate(row)]
                    for i, row in enumerate(intmat.mat_pow(h.matrix, k))]
@@ -158,7 +151,7 @@ def classify(h: WeylElement) -> IsometryClassification:
     raise CertificateError("unipotent part with a Jordan block of size > 3")
 
 
-def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
+def dynamical_degree(h: WeylElement) -> float:
     """Spectral radius; exactly 1.0 for non-loxodromic elements.
 
     The value 1 is certified by the cyclotomic factorization, never by a
@@ -167,7 +160,7 @@ def dynamical_degree(h: WeylElement, tol: float = 1e-9) -> float:
     sp = _spectrum(h)
     if sp.split[0] is None:
         return 1.0
-    return sp.lam(tol)
+    return sp.lam
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +181,13 @@ class LoxodromicData:
     columns: tuple = field(default=(), compare=False, repr=False)
 
 
-def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
+def axis_data(h: WeylElement) -> LoxodromicData:
     """Dynamical degree, normalized eigenvectors, and the distance to the axis.
 
     v_plus and v_minus are the exact integer columns c+ = M^e e0 and
     c- = M^-e e0 on the support of h, divided by their e0 coefficients, so
-    v . e0 = 1 in exact rationals.  With lambda_lo = lambda - tol, e = 2^k
+    v . e0 = 1 in exact rationals.  With lambda_lo the float next below
+    lambda's, a lower bound as lambda's float is correctly rounded, e = 2^k
     is the least power of two, k <= 9, with lambda_lo^e >= 2^AXIS_MARGIN_BITS
     deg(h)^2.  Against its part on v+, the part of e0 off the (v+, v-) plane
     is at most about 1 / (v+ . v-) < 2 deg(h)^2 / (lambda - 1/lambda)^2, and
@@ -212,18 +206,18 @@ def axis_data(h: WeylElement, tol: float = 1e-9) -> LoxodromicData:
     cls = classify(h)
     if not cls.is_loxodromic:
         raise ValueError(f"axis data needs a loxodromic element, got {cls.kind}")
-    return _axis_data_at(h, dynamical_degree(h, tol), tol)
+    return _axis_data_at(h, dynamical_degree(h))
 
 
-def _axis_data_at(h: WeylElement, lam: float, tol: float,
-                  columns: tuple | None = None) -> LoxodromicData:
+def _axis_data_at(h: WeylElement, lam: float, columns: tuple | None = None) -> LoxodromicData:
     """axis_data for an element whose dynamical degree lam is already known,
     such as a conjugate of an element already analysed.  ``columns`` are
     the exact classes (M^e e0, M^-e e0) to read v+- from; reduce passes the
     carried ones, and by default they come from the Krylov pass of h."""
     if columns is None:
         need = AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
-        rate = math.log2(lam - tol) if lam - tol > 1 else 0.0
+        lam_lo = math.nextafter(lam, 0)
+        rate = math.log2(lam_lo) if lam_lo > 1 else 0.0
         k = next((k for k in range(9) if rate * 2 ** k >= need), 9)
         col, row = _spectrum(h).power_e0(2 ** k)
         # (M^e)^{-1} = J (M^e)^T J, so its first column is the signed first row
@@ -239,7 +233,7 @@ def _axis_data_at(h: WeylElement, lam: float, tol: float,
     num = den - sum(a * b for a, b in zip(cp[1:], cm[1:]))
     res_p = _residual(h.matrix, cp, lam)
     res_m = _residual(intmat.form_inverse(h.matrix), cm, lam)
-    if max(res_p, res_m) > max(tol, 1e-9) * 10 * max(lam, 1.0):
+    if max(res_p, res_m) > 1e-8 * max(lam, 1.0):
         raise CertificateError(f"eigenvector residuals too large: {res_p}, {res_m}")
     return LoxodromicData(lam, v_plus, v_minus, num / den, _sqrt_ratio(2 * den, num),
                           res_p, res_m, columns)
@@ -279,13 +273,13 @@ class DisplacementReport:
     translation_length: float
 
 
-def axis_displacement_check(h: WeylElement, x: ClassVector, tol: float = 1e-9) -> DisplacementReport:
+def axis_displacement_check(h: WeylElement, x: ClassVector) -> DisplacementReport:
     """Check dist(x, axis) <= 28 * dist(x, h(x)) for a point x of the sheet.
 
     The factor 28 is the smallest integer m with m log(lambda_lehmer)
     at least 4 log 3, log 3 being the hyperbolicity constant of the space.
     """
-    data = axis_data(h, tol)
+    data = axis_data(h)
     if intersect(x, x) != 1:
         raise ValueError("x must lie on the hyperboloid")
     lhs = math.acosh(cosh_distance_to_axis(data, x))
@@ -295,7 +289,7 @@ def axis_displacement_check(h: WeylElement, x: ClassVector, tol: float = 1e-9) -
         dist_to_axis=lhs,
         displacement=rhs,
         factor=DISPLACEMENT_FACTOR,
-        bound_ok=lhs <= DISPLACEMENT_FACTOR * rhs + tol,
+        bound_ok=lhs <= DISPLACEMENT_FACTOR * rhs + 1e-9,
         translation_length=math.log(data.lam),
     )
 
@@ -311,10 +305,10 @@ def criterion_degrees(h: WeylElement) -> tuple[int, int]:
     return _spectrum(h).criterion
 
 
-def spectrum_report(h: WeylElement, tol: float = 1e-9) -> dict:
+def spectrum_report(h: WeylElement) -> dict:
     """JSON-ready spectral summary of one element."""
     cls = classify(h)
-    lam = dynamical_degree(h, tol)
+    lam = dynamical_degree(h)
     report = {
         "degree": degree(h),
         "class": cls.kind,
@@ -323,7 +317,7 @@ def spectrum_report(h: WeylElement, tol: float = 1e-9) -> dict:
         "criteria": {"degree400_vs_3_19_degree200": loxodromy_criterion(h)},
     }
     if cls.is_loxodromic:
-        data = axis_data(h, tol)
+        data = axis_data(h)
         report["cosh_axis_distance"] = data.cosh_axis_distance
         report["vplus_dot_vminus"] = data.vplus_dot_vminus
         report["residuals"] = {"v_plus": data.residual_plus, "v_minus": data.residual_minus}

@@ -8,7 +8,7 @@ from cremlat.salem import IntPolynomial, dominant_real_root
 from cremlat.weyl import Permutation, Sigma0, Tau, WeylWord, compose, realize
 
 LEHMER_POLYNOMIAL = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
-LEHMER = dominant_real_root(LEHMER_POLYNOMIAL, 1e-13)  # Lehmer's number
+LEHMER = dominant_real_root(LEHMER_POLYNOMIAL)  # Lehmer's number
 
 
 def word(*letters):

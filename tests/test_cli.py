@@ -65,17 +65,20 @@ def test_malformed_word_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [("spectrum", "--seed", "1", LOXODROMIC),
                                   ("reduce", "--seed", "0", LOXODROMIC),
-                                  # --tol belongs only to the commands that read it
+                                  # no command takes --tol, whatever its value: every
+                                  # root is printed as the float nearest to it
                                   ("weyl-eval", "--tol", "1e-3", LOXODROMIC),
                                   ("degseq", "--tol", "1e-3", "--map", "[y*z : z*x : x*y]"),
                                   ("bounds", "--tol", "1e-3", "--lam", "2"),
-                                  # --tol is a finite positive float: at 0 or less a
-                                  # bisection never ends
                                   ("classify-number", "x^2-x-1", "--tol", "0"),
                                   ("spectrum", LOXODROMIC, "--tol", "-1"),
                                   ("reduce", LOXODROMIC, "--tol", "nan"),
                                   ("fk-spectrum", "--m", "3", "--kmax", "4", "--tol", "inf"),
-                                  ("classify-number", "x^2-x-1", "--tol", "1e-400")])
+                                  ("classify-number", "x^2-x-1", "--tol", "1e-400"),
+                                  ("classify-number", "x^2-x-1", "--tol", "1e-9"),
+                                  ("spectrum", LOXODROMIC, "--tol", "1e-9"),
+                                  ("reduce", LOXODROMIC, "--tol", "1e-9"),
+                                  ("fk-spectrum", "--m", "3", "--kmax", "4", "--tol", "1e-9")])
 def test_seed_is_not_an_option(capsys, argv):
     rc, out, _ = run(capsys, *argv)
     assert rc == 2
@@ -265,13 +268,13 @@ GOLDEN = [
      '{"root": "i", "omega": ["k", "f"], "degree_before": 2040, "degree_after": 839, "cosh_before": 59.08008611631966, "cosh_after": 37.89847106393059, "achieved_decrease": 21.18161505238907, "guaranteed_decrease": 21.18000947158772}\n'
      '{"root": "a", "omega": ["m", "g"], "degree_before": 839, "degree_after": 413, "cosh_before": 37.89847106393059, "cosh_after": 26.869804508464608, "achieved_decrease": 11.028666555465986, "guaranteed_decrease": 11.027359702460933}\n'
      '{"root": "l", "omega": ["i", "d"], "degree_before": 413, "degree_after": 161, "cosh_before": 26.869804508464608, "cosh_after": 17.219677051632253, "achieved_decrease": 9.650127456832355, "guaranteed_decrease": 9.64852715472041}\n'
-     '{"terminal": "reached_degree_threshold", "lambda": 2.369205407092551, "degree_threshold": 319.1680330053491, "final_degree": 161, "steps": 3, "step_bound": 2786.5961371153053}\n'),
+     '{"terminal": "reached_degree_threshold", "lambda": 2.3692054070924664, "degree_threshold": 319.168033005315, "final_degree": 161, "steps": 3, "step_bound": 2786.5961371152357}\n'),
     (("reduce", conjugated(CONJUGATOR_20, "*".join([LOXODROMIC] * 20))),
      '{"terminal": "reached_degree_threshold", "lambda": 31049477.957554683, "degree_threshold": 7.184129458345431e+23, "final_degree": 1076287745, "steps": 0, "step_bound": 3619193431.5289083}\n'),
     (("spectrum", "s(a k)(b l)*q(a,b,c)*t(c,m)*q(d,e,f)*q(g,h,i)*q(j,a,d)*q(k,l,m)"),
-     '{"degree": 25, "class": "loxodromic", "evidence": "spectral radius 6.015301948 from a non-cyclotomic factor", "lambda": 6.015301948105666, "criteria": {"degree400_vs_3_19_degree200": true}, "cosh_axis_distance": 3.340716140007343, "vplus_dot_vminus": 0.17920529806158508, "residuals": {"v_plus": 7.426784604688413e-14, "v_minus": 7.426784604688413e-14}}\n'),
+     '{"degree": 25, "class": "loxodromic", "evidence": "spectral radius 6.015301948 from a non-cyclotomic factor", "lambda": 6.015301948105591, "criteria": {"degree400_vs_3_19_degree200": true}, "cosh_axis_distance": 3.340716140007343, "vplus_dot_vminus": 0.17920529806158508, "residuals": {"v_plus": 3.391412079263914e-16, "v_minus": 3.391412079263914e-16}}\n'),
     (("fk-spectrum", "--m", "3", "--kmax", "8"),
-     '{"m": 3, "limit": 3.732050807568877, "entries": [{"k": 2, "lambda": 3.441477976029436, "class": "salem"}, {"k": 3, "lambda": 3.6615922431481485, "class": "salem"}, {"k": 4, "lambda": 3.7138483818841936, "class": "salem"}, {"k": 5, "lambda": 3.7272356224432177, "class": "salem"}, {"k": 6, "lambda": 3.7307661395356573, "class": "salem"}, {"k": 7, "lambda": 3.7317070638477468, "class": "salem"}, {"k": 8, "lambda": 3.731958742497785, "class": "salem"}]}\n'),
+     '{"m": 3, "limit": 3.732050807568877, "entries": [{"k": 2, "lambda": 3.441477976085134, "class": "salem"}, {"k": 3, "lambda": 3.6615922431108423, "class": "salem"}, {"k": 4, "lambda": 3.713848381862606, "class": "salem"}, {"k": 5, "lambda": 3.7272356225208196, "class": "salem"}, {"k": 6, "lambda": 3.730766139597561, "class": "salem"}, {"k": 7, "lambda": 3.7317070638935146, "class": "salem"}, {"k": 8, "lambda": 3.731958742448955, "class": "salem"}]}\n'),
 ]
 
 

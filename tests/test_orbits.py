@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,30 @@ def test_lambda_sequence_converges_monotonically(m):
     assert all(ent.value < lim + 1e-9 for ent in entries)
     for ent in entries:
         assert ent.kind == "salem"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_lambda_sequence_rises_and_stays_below_its_limit(m):
+    # each value is its root correctly rounded, and rounding is monotone
+    values = [ent.value for ent in lambda_sequence(m, range(2, 25))]
+    assert values == sorted(values)
+    assert values[-1] <= dominant_real_root(IntPolynomial([1, -(m + 1), 1]))
+
+
+def test_lambda_sequence_isolates_each_root_once():
+    # counted by code object, so that every binding of the function counts
+    code, calls = dominant_real_root.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        entries = lambda_sequence(3, range(2, 10))
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == len(entries)
 
 
 def test_lambda_sequence_rejects_small_m():

@@ -246,7 +246,7 @@ def test_a_step_makes_no_matrix_product(pts12, monkeypatch):
 def test_conjugate_inherits_the_exact_lambda(pts12):
     h = stacked_inflated(pts12)
     _, h2, _, data2 = decreasing_step(h)
-    assert data2.lam == dynamical_degree(h2, 1e-12)
+    assert data2.lam == dynamical_degree(h2)
     assert data2.lam == axis_data(h).lam
 
 
@@ -266,7 +266,7 @@ def recorded_steps(monkeypatch):
 def assert_reads_as_squared(h, data):
     """Axis data carried to h equal, field for field, to the data that
     squaring h itself gives (the columns they were read from differ)."""
-    fresh = spectral._axis_data_at(h, data.lam, 1e-9)
+    fresh = spectral._axis_data_at(h, data.lam)
     for f in dataclasses.fields(data):
         if f.compare:
             assert getattr(data, f.name) == getattr(fresh, f.name), f.name

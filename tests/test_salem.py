@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 import pytest
@@ -53,7 +54,7 @@ def test_parse_format_round_trip():
 
 def test_plastic_and_lehmer_roots():
     assert abs(dominant_real_root(PLASTIC_POLYNOMIAL) - 1.324717957244746) < 1e-10
-    assert abs(dominant_real_root(LEHMER_POLYNOMIAL, 1e-13) - 1.176280818259917) < 1e-11
+    assert abs(dominant_real_root(LEHMER_POLYNOMIAL) - 1.176280818259917) < 1e-11
 
 
 # -- cyclotomic stripping ------------------------------------------------------------
@@ -186,6 +187,31 @@ def test_dominant_real_root_builds_one_chain(monkeypatch):
     assert salem._sturm_chain.cache_info().misses == 1
 
 
+# a factor with a root above 1: Salem, Pisot, or a random monic one
+ABOVE_ONE = [LEHMER_POLYNOMIAL, parse_poly("x^4 - x^3 - x^2 - x + 1"),
+             parse_poly("x^8 - x^5 - x^4 - x^3 + 1"), GOLDEN_POLYNOMIAL, PLASTIC_POLYNOMIAL,
+             parse_poly("x^3 - x^2 - 1")]
+above_one = st.sampled_from(ABOVE_ONE) | st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(
+    lambda c: IntPolynomial(c + [1])).filter(lambda p: count_real_roots(p, 1) > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(above_one, st.lists(st.integers(1, 12), max_size=2))
+# a root at the tie of two floats rounds to the even one: 2^53 and 2^53 + 4
+@example(linear(2 ** 53 + 1), [])
+@example(linear(2 ** 53 + 3), [1])
+# (x - 1)(x + 10^7) - 1 has a root at 1 + 1e-7 and, times x - 1, a root at 1
+@example(IntPolynomial([-10 ** 7 - 1, 10 ** 7 - 1, 1]), [1])
+def test_dominant_real_root_is_correctly_rounded(f, orders):
+    # with up to two cyclotomic factors, the float nearest to the largest root
+    p = product([f] + [cyclotomic(n) for n in orders])
+    lam = dominant_real_root(p)
+    half = Fraction(math.ulp(lam)) / 2
+    sf = salem.squarefree_part(p)
+    assert sf(Fraction(lam) - half) * sf(Fraction(lam) + half) <= 0
+    assert count_real_roots(p, Fraction(lam) + half) == 0
+
+
 # -- roots outside the unit circle ----------------------------------------------------
 
 
@@ -276,7 +302,7 @@ def test_reciprocity_is_exact():
 
 
 def test_named_constants():
-    lam_g, lam_p = (dominant_real_root(p, 1e-13) for p in (GOLDEN_POLYNOMIAL, PLASTIC_POLYNOMIAL))
+    lam_g, lam_p = (dominant_real_root(p) for p in (GOLDEN_POLYNOMIAL, PLASTIC_POLYNOMIAL))
     assert abs(lam_g - (1 + math.sqrt(5)) / 2) < 1e-12
     assert abs(lam_p ** 3 - (lam_p + 1)) < 1e-12
     assert LEHMER < lam_p < lam_g
@@ -333,12 +359,12 @@ def test_enumerate_salem_rejects_bad_input():
 # the lists found before the search ran in integers with a Descartes prefilter
 
 LEHMER_TO_1_3 = [
-    ("x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1", 1.176280818261148),
-    ("x^10 - x^6 - x^5 - x^4 + 1", 1.216391661138914),
-    ("x^10 - x^7 - x^5 - x^3 + 1", 1.230391434401099),
-    ("x^10 - x^8 - x^5 - x^2 + 1", 1.2612309611358796),
-    ("x^8 - x^5 - x^4 - x^3 + 1", 1.2806381562622846),
-    ("x^10 - x^8 - x^7 + x^5 - x^3 - x^2 + 1", 1.2934859531305847),
+    ("x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1", 1.1762808182599176),
+    ("x^10 - x^6 - x^5 - x^4 + 1", 1.216391661138265),
+    ("x^10 - x^7 - x^5 - x^3 + 1", 1.2303914344072246),
+    ("x^10 - x^8 - x^5 - x^2 + 1", 1.2612309611371388),
+    ("x^8 - x^5 - x^4 - x^3 + 1", 1.2806381562677576),
+    ("x^10 - x^8 - x^7 + x^5 - x^3 - x^2 + 1", 1.2934859531254541),
 ]
 
 DEGREE_8_TO_2 = [

@@ -140,7 +140,7 @@ def test_dynamical_degree_of_involution_is_exactly_one():
 
 
 def test_coxeter_element_realizes_the_lehmer_number():
-    lam = dynamical_degree(coxeter_element(), 1e-12)
+    lam = dynamical_degree(coxeter_element())
     assert abs(lam - LEHMER) < 1e-10
 
 
@@ -207,7 +207,7 @@ def test_axis_data_rejects_non_loxodromic():
 
 def test_axis_data_quality(pts12):
     h = loxodromic_ten(pts12)
-    data = axis_data(h, 1e-9)
+    data = axis_data(h)
     lam, d = data.lam, degree(h)
     assert data.residual_plus < 1e-9 and data.residual_minus < 1e-9
     assert abs(intersect(data.v_plus, data.v_plus)) < 1e-9
@@ -260,12 +260,15 @@ def nearest_root(q):
 
 
 def axis_from_m512(h, lam):
-    """Test-local oracle: the axis data read from M^512 by mat_pow, the depth
-    every element used before the depth rule, in exact rationals and each
-    float rounded once."""
-    p = intmat.mat_pow(h.matrix, 512)
-    cp = ClassVector(p[0][0], {q: row[0] for q, row in zip(h.support, p[1:])})
-    cm = ClassVector(p[0][0], {q: -x for q, x in zip(h.support, p[0][1:])})
+    """Test-local oracle: the axis data read from M^512 e0 and e0^T M^512,
+    the depth every element used before the depth rule, in exact rationals
+    and each float rounded once.  Both are M^256 applied to the first column
+    or row of P = M^256 from mat_pow, eight squarings."""
+    p = intmat.mat_pow(h.matrix, 256)
+    col = intmat.mat_vec(p, [row[0] for row in p])
+    row = intmat.mat_vec(intmat.transpose(p), p[0])
+    cp = ClassVector(col[0], dict(zip(h.support, col[1:])))
+    cm = ClassVector(row[0], {q: -x for q, x in zip(h.support, row[1:])})
 
     def residual(g, c):
         return nearest_root(norm_sq(apply(g, c) - Fraction(lam) * c) / norm_sq(c))
@@ -369,12 +372,12 @@ def test_spectrum_report_analyses_the_element_once(monkeypatch):
     # the axis reads M^e e0 at the least e = 2^k with
     # lambda_lo^e >= 2^100 deg^2, here e = 128 (lambda ~ 2.369, deg 13), and
     # the criterion reads its degrees from the same Krylov pass
-    lam_lo = rep["lambda"] - 1e-9
+    lam_lo = math.nextafter(rep["lambda"], 0)
     bound = 2 ** spectral.AXIS_MARGIN_BITS * degree(h) ** 2
     k = next(k for k in range(10) if k == 9 or lam_lo ** 2 ** k >= bound)
     assert k == 7
     assert len(passes) == 1 and not products and not powers
-    # one isolation at 1e-12 answers the report tolerance 1e-9 and axis_data
+    # one isolation answers the report and axis_data
     assert len(isolations) == 1
     # the cached analysis answers later questions without recomputation
     assert dynamical_degree(h) == rep["lambda"]
