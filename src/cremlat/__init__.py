@@ -29,6 +29,14 @@ class InputSyntaxError(ValueError):
     command line exits 2 on any of them."""
 
 
+def join_signed(terms) -> str:
+    """The text ``a - b + c`` of (negative, term) pairs, or ``0`` for none."""
+    out = "".join(f" {'-' if negative else '+'} {term}" for negative, term in terms)
+    if not out:
+        return "0"
+    return ("-" if out[1] == "-" else "") + out[3:]
+
+
 DEFAULT_PRIME = 4611686018427387847  # 62-bit prime
 
 

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import InputSyntaxError, crt, intmat, primes
+from . import InputSyntaxError, crt, intmat, join_signed, primes, salem
 
 DEGREE_BUDGET = 512
 TERM_BUDGET = 200_000
@@ -44,16 +44,13 @@ class TripleSyntaxError(InputSyntaxError):
 # representation: dict[(i, j, k)] -> coefficient, i + j + k constant
 
 
-def _inv_mod(a, p):
-    if a % p == 0:
-        raise ValueError(f"{a} has no inverse modulo the prime {p}")
-    return pow(a, p - 2, p)
-
-
-def poly_add(a, b, p=None):
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, 0) + c
+def poly_add(out, a, p=None, s=1, shift=(0, 0, 0)):
+    """Add s x^i y^j z^k a into out in place, modulo p when p is set, for
+    shift = (i, j, k); returns out.  Every sum and product is taken here."""
+    i0, j0, k0 = shift
+    for (i, j, k), c in a.items():
+        m = (i + i0, j + j0, k + k0)
+        v = out.get(m, 0) + s * c
         if p:
             v %= p
         if v:
@@ -65,29 +62,10 @@ def poly_add(a, b, p=None):
 
 def poly_mul(a, b, p=None):
     out = {}
-    for (i1, j1, k1), c1 in a.items():
-        for (i2, j2, k2), c2 in b.items():
-            m = (i1 + i2, j1 + j2, k1 + k2)
-            v = out.get(m, 0) + c1 * c2
-            if p:
-                v %= p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+    for m, c in a.items():
+        poly_add(out, b, p, c, m)
     if len(out) > TERM_BUDGET:
         raise BudgetExceeded(f"term count {len(out)} exceeds the budget")
-    return out
-
-
-def poly_scale(a, s, p=None):
-    out = {}
-    for m, c in a.items():
-        v = c * s
-        if p:
-            v %= p
-        if v:
-            out[m] = v
     return out
 
 
@@ -112,8 +90,7 @@ def poly_eval_triple(a, triple, p=None):
     px, py, pz = (powers(t, top) for t, top in zip(triple, (max_i, max_j, max_k)))
     total = {}
     for (i, j, k), c in a.items():
-        term = poly_mul(poly_mul(px[i], py[j], p), pz[k], p)
-        total = poly_add(total, poly_scale(term, c, p), p)
+        poly_add(total, poly_mul(poly_mul(px[i], py[j], p), pz[k], p), p, c)
     return total
 
 
@@ -126,7 +103,7 @@ def poly_divexact(a, b, p=None):
     rem = dict(a)
     bl = max(b)  # lex-leading monomial
     blc = b[bl]
-    inv = _inv_mod(blc, p) if p else None
+    inv = pow(blc, -1, p) if p else None
     while rem:
         ml = max(rem)
         q = tuple(x - y for x, y in zip(ml, bl))
@@ -134,8 +111,7 @@ def poly_divexact(a, b, p=None):
         if r or min(q) < 0:
             raise ValueError("division is not exact")
         out[q] = c
-        shifted = {tuple(x + y for x, y in zip(m, q)): -v for m, v in b.items()}
-        rem = poly_add(rem, poly_scale(shifted, c, p), p)
+        poly_add(rem, b, p, -c, q)
     return out
 
 
@@ -164,7 +140,7 @@ def _univ_gcd(u, v, p):
 
     u, v = trim(u), trim(v)
     while v:
-        inv = _inv_mod(v[-1], p)
+        inv = pow(v[-1], -1, p)
         while len(u) >= len(v) and u:
             f = u[-1] * inv % p
             off = len(u) - len(v)
@@ -217,7 +193,7 @@ def _pencil_gcd(polys, p, a):
             points, k = [], len(g) - 1
         elif len(g) - 1 > k:
             continue
-        inv = _inv_mod(g[-1], p)
+        inv = pow(g[-1], -1, p)
         points.append((b, [c * inv % p for c in g]))
         if len(points) > k:
             cand = _homogenize(points, k, a, p)
@@ -331,8 +307,6 @@ def parse_poly3(text: str):
 
 
 def format_poly3(a) -> str:
-    if not a:
-        return "0"
     parts = []
     for mono in sorted(a, reverse=True):
         c = a[mono]
@@ -344,12 +318,8 @@ def format_poly3(a) -> str:
                 body.append(f"{name}^{ex}")
         coeff_txt = "" if abs(c) == 1 and body else str(abs(c))
         txt = "*".join(([coeff_txt] if coeff_txt else []) + body) or "1"
-        parts.append(("-" if c < 0 else "+", txt))
-    sign0, t0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + t0
-    for s, t in parts[1:]:
-        out += f" {s} {t}"
-    return out
+        parts.append((c < 0, txt))
+    return join_signed(parts)
 
 
 # -- triples -------------------------------------------------------------------
@@ -360,7 +330,10 @@ def _canonical_coeffs(polys, prime):
     prime, or in rational mode after multiplying every poly by one positive
     rational that makes all the coefficients coprime integers."""
     if prime:
-        inv = {d: _inv_mod(d, prime) for d in {c.denominator for q in polys for c in q.values()}}
+        dens = {c.denominator for q in polys for c in q.values()}
+        if zero := next((d for d in dens if d % prime == 0), None):
+            raise ValueError(f"{zero} has no inverse modulo the prime {prime}")
+        inv = {d: pow(d, -1, prime) for d in dens}
         return [{m: v for m, c in q.items() if (v := c.numerator * inv[c.denominator] % prime)}
                 for q in polys]
     den = math.lcm(*(c.denominator for q in polys for c in q.values()))
@@ -465,8 +438,8 @@ def jacobian(f: HomogeneousTriple):
     a, b, c = ([partial(q, v) for v in range(3)] for q in f.components)
     det = {}
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # +even, -odd permutations
-        det = poly_add(det, poly_mul(poly_mul(a[i], b[j], p), c[k], p), p)
-        det = poly_add(det, poly_scale(poly_mul(poly_mul(a[i], b[k], p), c[j], p), -1, p), p)
+        poly_add(det, poly_mul(poly_mul(a[i], b[j], p), c[k], p), p)
+        poly_add(det, poly_mul(poly_mul(a[i], b[k], p), c[j], p), p, -1)
     return det
 
 
@@ -547,12 +520,8 @@ def monomial_iterates(f: MonomialMap, N: int) -> list[int]:
 
 
 def monomial_lambda(f: MonomialMap) -> float:
-    """Modulus of the large eigenvalue of the exponent matrix."""
-    tr = f.a + f.d
-    det = f.a * f.d - f.b * f.c
-    disc = tr * tr - 4 * det
-    if disc < 0:
-        return 1.0  # complex pair of modulus sqrt(|det|) = 1
-    r1 = (tr + math.sqrt(disc)) / 2
-    r2 = (tr - math.sqrt(disc)) / 2
-    return max(abs(r1), abs(r2), 1.0)
+    """Modulus of the large eigenvalue of the exponent matrix, correctly
+    rounded: the eigenvalues are the roots of x^2 - tr x + det, and negating
+    tr negates them."""
+    tr, det = f.a + f.d, f.a * f.d - f.b * f.c
+    return salem.dominant_real_root(salem.IntPolynomial([det, -abs(tr), 1])) or 1.0

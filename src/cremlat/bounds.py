@@ -20,8 +20,10 @@ LOXODROMY_CONSTANT = 3 ** 19
 
 
 def delta(lam: float) -> float:
-    """The guaranteed cosh-distance decrease per conjugation step."""
-    return (5 - 2 * math.sqrt(6)) / (math.sqrt(2) * (lam + 1))
+    """The guaranteed cosh-distance decrease per conjugation step,
+    (5 - 2 sqrt 6) / (sqrt 2 (lam + 1)), with 5 - 2 sqrt 6 written as
+    1 / (5 + 2 sqrt 6), which cancels no bits."""
+    return 1 / ((5 + 2 * math.sqrt(6)) * math.sqrt(2) * (lam + 1))
 
 
 class BoundReport(NamedTuple):

@@ -5,7 +5,8 @@ mathematics refuses: non-loxodromic input to reduce, resource guards, ...),
 2 on a usage error (unknown flags, malformed words/polynomials/triples; the
 message carries the offending position where the parsers provide one).
 Each parser raises its own subclass of :class:`cremlat.InputSyntaxError`, so
-the exit code follows the type of the exception, never its message.
+the exit code follows the type of the exception, never its message.  Each
+``cmd_*`` function returns its output text, and :func:`main` prints it.
 
 A subcommand loads only the layer modules it runs: ``bounds`` runs no
 lattice code, ``classify-number`` only :mod:`cremlat.salem`.  Importing this
@@ -59,94 +60,76 @@ def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
     text = text.replace(" ", "")
     if text == "e0":
         return lattice.e0()
-    m = re.fullmatch(r"e\((\w+)\)", text)
+    m = re.fullmatch(r"e\(([^()]*)\)", text)
     if m:
-        return lattice.e(_named_point(m.group(1), names))
-    m = re.fullmatch(r"e0-e\((\w+)\)", text)
+        return lattice.e(weyl.named_point(m.group(1), names))
+    m = re.fullmatch(r"e0-e\(([^()]*)\)", text)
     if m:
-        return lattice.e0() - lattice.e(_named_point(m.group(1), names))
-    m = re.fullmatch(r"3\*?e0((?:-e\(\w+\))+)", text)
+        return lattice.e0() - lattice.e(weyl.named_point(m.group(1), names))
+    m = re.fullmatch(r"3\*?e0((?:-e\([^()]*\))+)", text)
     if m:
-        pts = re.findall(r"-e\((\w+)\)", m.group(1))
+        pts = re.findall(r"-e\(([^()]*)\)", m.group(1))
         vec = lattice.ClassVector(3, {})
         for name in pts:
-            vec = vec - lattice.e(_named_point(name, names))
+            vec = vec - lattice.e(weyl.named_point(name, names))
         return vec
     raise UsageError(f"cannot parse vector {text!r} (position 0): "
                      "expected e0, e(q), e0-e(q) or 3e0-e(q1)-...")
 
 
-def _named_point(name: str, names: dict) -> lattice.BubblePoint:
-    if name not in names:
-        names[name] = lattice.point(label=name)
-    return names[name]
-
-
-def _emit(obj) -> None:
-    print(json.dumps(obj))
-
-
-def cmd_classify_number(args) -> int:
+def cmd_classify_number(args) -> str:
     poly = salem.parse_poly(args.polynomial)
     cls = salem.classify_number(poly)
-    _emit({
+    return json.dumps({
         "kind": cls.kind,
         "root": cls.dominant_root,
         "stripped": salem.format_poly(cls.stripped) if cls.stripped else None,
         "notes": list(cls.notes),
     })
-    return 0
 
 
-def cmd_salem_enum(args) -> int:
+def cmd_salem_enum(args) -> str:
     found = salem.enumerate_salem(args.degree_bound, args.upper)
-    _emit([
+    return json.dumps([
         {"polynomial": salem.format_poly(p), "root": r} for p, r in found
     ])
-    return 0
 
 
-def cmd_weyl_eval(args) -> int:
+def cmd_weyl_eval(args) -> str:
     w, _ = weyl.parse_word(args.word)
     h = weyl.realize(w)
-    _emit({
+    return json.dumps({
         "degree": weyl.degree(h),
         "image_e0": lattice.render(weyl.apply(h, lattice.e0())),
         "support": [repr(p) for p in h.support],
         "word": weyl.print_word(w),
     })
-    return 0
 
 
-def cmd_weyl_normalize(args) -> int:
+def cmd_weyl_normalize(args) -> str:
     w, names = weyl.parse_word(args.word)
     v = _parse_vector(args.vector, names)
     nw = weyl.normalize_increasing(w, v)
-    _emit({
+    return json.dumps({
         "word": weyl.print_word(nw),
         "image": lattice.render(nw.apply(v)),
         "partial_degrees": [str(d) for d in weyl.increasing_degrees(nw, v)],
     })
-    return 0
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> str:
     w, _ = weyl.parse_word(args.word)
     h = weyl.realize(w)
-    _emit(spectral.spectrum_report(h))
-    return 0
+    return json.dumps(spectral.spectrum_report(h))
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> str:
     w, _ = weyl.parse_word(args.word)
     h = weyl.realize(w)
-    trace = reduction.reduce(h, budget=args.budget)
-    for line in trace.json_lines():
-        print(line)
-    return 0
+    return "\n".join(reduction.reduce(h, budget=args.budget).json_lines())
 
 
-def cmd_realizable(args) -> int:
+def cmd_realizable(args) -> str:
     try:
         if args.config == "-":
             data = json.load(sys.stdin)
@@ -199,21 +182,20 @@ def cmd_realizable(args) -> int:
         for host in listed(spec.get("on_exceptional_of", []), "on_exceptional_of"):
             config.exceptional_members.setdefault(named(host), set()).add(names[spec["id"]])
     report = reduction.realizable_jonquieres(config, args.m)
-    _emit({"status": report.status, "condition": report.condition, "witness": report.witness})
-    return 0
+    return json.dumps({"status": report.status, "condition": report.condition,
+                       "witness": report.witness})
 
 
-def cmd_fk_spectrum(args) -> int:
+def cmd_fk_spectrum(args) -> str:
     entries = orbits.lambda_sequence(args.m, range(2, args.kmax + 1))
-    _emit({
+    return json.dumps({
         "m": args.m,
         "limit": orbits.lambda_limit(args.m),
         "entries": [{"k": ent.k, "lambda": ent.value, "class": ent.kind} for ent in entries],
     })
-    return 0
 
 
-def cmd_degseq(args) -> int:
+def cmd_degseq(args) -> str:
     if args.monomial:
         try:
             entries = [int(x) for x in args.monomial.split(",")]
@@ -223,8 +205,7 @@ def cmd_degseq(args) -> int:
             raise UsageError("(position 0) --monomial needs a,b,c,d")
         f = birmap.monomial_map([[entries[0], entries[1]], [entries[2], entries[3]]])
         degs = birmap.monomial_iterates(f, args.n)
-        _emit({"degrees": degs, "truncated": False, "lambda": birmap.monomial_lambda(f)})
-        return 0
+        return json.dumps({"degrees": degs, "truncated": False, "lambda": birmap.monomial_lambda(f)})
     if not args.map:
         raise UsageError("(position 0) degseq needs --map or --monomial")
     prime = DEFAULT_PRIME if args.prime_field else None
@@ -233,11 +214,10 @@ def cmd_degseq(args) -> int:
         raise ValueError("the Jacobian determinant of the map vanishes identically, "
                          "so it is not birational")
     degs, truncated = birmap.iterate_degrees(f, args.n)
-    _emit({"degrees": degs, "truncated": truncated})
-    return 0
+    return json.dumps({"degrees": degs, "truncated": truncated})
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> str:
     if args.degrees:
         report = bounds.bounds(args.degrees[0], args.degrees[1])
     elif args.lam is not None:
@@ -250,8 +230,7 @@ def cmd_bounds(args) -> int:
         report = bounds.bounds(lam)
     else:
         raise UsageError("(position 0) bounds needs --lam or --degrees")
-    _emit(report.as_dict())
-    return 0
+    return json.dumps(report.as_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +290,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        text = args.fn(args)
     except InputSyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -321,6 +300,8 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ import threading
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
+from . import join_signed
+
 Rational = Union[int, Fraction, str]
 
 _id_counter = itertools.count(1)
@@ -201,10 +203,4 @@ def render(v: ClassVector) -> str:
     """Text form ``d*e0 - a1*e(p1) - ...`` with exact rationals as num/den."""
     terms = [("e0", v.e0)] if v.e0 else []
     terms += [(f"e({p!r})", v._pts[p]) for p in sorted(v._pts)]
-    parts = [(c < 0, name if abs(c) == 1 else f"{abs(c)}*{name}") for name, c in terms]
-    if not parts:
-        return "0"
-    out = ("-" if parts[0][0] else "") + parts[0][1]
-    for negative, term in parts[1:]:
-        out += f" {'-' if negative else '+'} {term}"
-    return out
+    return join_signed((c < 0, name if abs(c) == 1 else f"{abs(c)}*{name}") for name, c in terms)

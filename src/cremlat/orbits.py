@@ -22,13 +22,12 @@ as k grows.  One construction serves every caller:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 # bound as modules, so that a caller which has bound them lazily (as the
 # command line does) runs them only for the lattice realization
 from . import intmat, lattice, weyl
-from .salem import IntPolynomial, classify_number
+from .salem import IntPolynomial, classify_number, dominant_real_root
 
 
 def quadratic_orbit_matrix(m: int, k: int):
@@ -134,6 +133,5 @@ def lambda_sequence(m: int, ks: Sequence[int]) -> list[LambdaEntry]:
 
 
 def lambda_limit(m: int) -> float:
-    """The largest root of x^2 - (m+1)x + 1."""
-    t = m + 1
-    return (t + math.sqrt(t * t - 4)) / 2
+    """The largest root of x^2 - (m+1)x + 1, correctly rounded."""
+    return dominant_real_root(IntPolynomial([1, -(m + 1), 1]))

@@ -383,36 +383,21 @@ def realizable_jonquieres(config: PointConfiguration, m: int) -> RealizabilityRe
     return RealizabilityReport("pass")
 
 
-def _transform_to_origin(p1: BubblePoint):
-    """An invertible matrix with third column p1, moving [0:0:1] onto p1."""
-    # choose two standard vectors keeping the matrix invertible
-    basis = [[Fraction(1), 0, 0], [Fraction(0), 1, 0], [Fraction(0), 0, 1]]
-    for u, v in itertools.combinations(basis, 2):
-        m = [[u[i], v[i], Fraction(p1.coords[i])] for i in range(3)]
-        if intmat.det3(m) != 0:
-            return m
-    raise AssertionError("unreachable: p1 is a nonzero vector")
-
-
-def _solve3(m, rhs):
-    det = intmat.det3(m)
-    out = []
-    for c in range(3):
-        mc = [row[:] for row in m]
-        for r in range(3):
-            mc[r][c] = rhs[r]
-        out.append(Fraction(intmat.det3(mc), det))
-    return out
-
-
 def _curve_violation(p1, satellites, k, m) -> Optional[str]:
     """A witness subset if some degree-k curve with multiplicity exactly
     k - 1 at p1 passes through k + m satellites, else None."""
     need = k + m
     if need > len(satellites):
         return None
-    A = _transform_to_origin(p1)
-    moved = [_solve3(A, [Fraction(c) for c in q.coords]) for q in satellites]
+    # coordinates with p1 at [0 : 0 : 1]: for the first t with p1_t != 0 and
+    # the other indices r < s, q -> (p1_t q_r - p1_r q_t, p1_t q_s - p1_s q_t,
+    # q_t) is linear of determinant p1_t^2 and sends p1 to [0 : 0 : p1_t]; the
+    # ranks below see points up to scale and forms by multiplicity at p1
+    o = p1.coords
+    t = next(i for i in range(3) if o[i])
+    r, s = (i for i in range(3) if i != t)
+    moved = [(o[t] * q[r] - o[r] * q[t], o[t] * q[s] - o[s] * q[t], q[t])
+             for q in (sat.coords for sat in satellites)]
     # monomials x^a y^b z^c of degree k with a + b >= k - 1 span the forms
     # with multiplicity >= k - 1 at [0:0:1]; those with a + b = k have
     # multiplicity >= k

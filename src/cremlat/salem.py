@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence
 
-from . import InputSyntaxError
+from . import InputSyntaxError, join_signed
 
 
 class IntPolynomial:
@@ -166,19 +166,13 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
 
 # -- cyclotomic polynomials --------------------------------------------------
 
-_cyclotomic_cache: dict[int, IntPolynomial] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by recursive exact division."""
-    if n in _cyclotomic_cache:
-        return _cyclotomic_cache[n]
-    xn_minus_1 = IntPolynomial([-1] + [0] * (n - 1) + [1])
-    result = xn_minus_1
+    result = IntPolynomial([-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
             result = exact_div(result, cyclotomic(d))
-    _cyclotomic_cache[n] = result
     return result
 
 
@@ -435,6 +429,15 @@ def from_trace_poly(q: IntPolynomial) -> IntPolynomial:
 
 # -- classification -----------------------------------------------------------
 
+def _salem_layout(q: IntPolynomial) -> bool:
+    """Whether the trace polynomial q of degree n has n - 1 distinct roots in
+    (-2, 2], one in (2, inf) and none in (-inf, -2], the roots of a Salem
+    polynomial x^n q(x + 1/x); the infinite ends are read off the leading
+    terms."""
+    return (count_real_roots(q, -2, 2) == q.degree - 1 and count_real_roots(q, 2) == 1
+            and count_real_roots(q, None, -2) == 0)
+
+
 class NumberClass(NamedTuple):
     kind: str
     dominant_root: float
@@ -477,16 +480,9 @@ def classify_number(p: IntPolynomial) -> NumberClass:
     if sf.degree == 2 and sf.is_reciprocal():
         return NumberClass("reciprocal_quadratic", lam, stripped, tuple(notes))
     if sf.is_reciprocal() and sf.degree % 2 == 0:
-        q = to_trace_poly(sf)
-        n = q.degree
-        big = cauchy_bound(q) + 2
-        above = count_real_roots(q, 2, big)
-        below = count_real_roots(q, -big, -2)
-        middle = count_real_roots(q, -2, 2)
-        if above == 1 and below == 0 and middle == n - 1 and sf.degree >= 4:
-            return NumberClass("salem", lam, stripped, tuple(notes))
-        # reciprocal but not a Salem layout
-        return NumberClass("other_perron", lam, stripped, tuple(notes))
+        # of degree >= 4 here; reciprocal but not a Salem layout is other_perron
+        kind = "salem" if _salem_layout(to_trace_poly(sf)) else "other_perron"
+        return NumberClass(kind, lam, stripped, tuple(notes))
     # non-reciprocal part.  A circle root z of sf is also a root 1/z = conj z
     # of its reverse, so a trivial gcd rules them out and the count applies.
     # A nontrivial gcd without circle roots holds pairs z, 1/z and so one
@@ -605,12 +601,7 @@ def _check_candidate(qcoeffs, big_a, descartes, found):
     if _band_root_bound(desc, descartes) < n - 1:
         return
     q = IntPolynomial(desc[::-1])
-    if count_real_roots(q, 2, big_a) != 1:
-        return
-    if count_real_roots(q, -2, 2) != n - 1:
-        return
-    bound = cauchy_bound(q) + 2
-    if count_real_roots(q, big_a, bound) != 0 or count_real_roots(q, -bound, -2) != 0:
+    if count_real_roots(q, 2, big_a) != 1 or not _salem_layout(q):
         return
     p = from_trace_poly(q)
     if strip_cyclotomic(p)[1]:
@@ -683,11 +674,5 @@ def format_poly(p: IntPolynomial) -> str:
             body = "x" if mag == 1 else f"{mag}*x"
         else:
             body = f"x^{exp}" if mag == 1 else f"{mag}*x^{exp}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        parts.append((c < 0, body))
+    return join_signed(parts)

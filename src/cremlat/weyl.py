@@ -671,6 +671,20 @@ class WordSyntaxError(InputSyntaxError):
         self.position = position
 
 
+def named_point(name: str, names: dict, pos: int = 0) -> BubblePoint:
+    """The point called name, made on first use and kept in names; a name
+    outside ``[A-Za-z_][A-Za-z0-9_]*`` is a syntax error at pos."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        raise WordSyntaxError(f"bad point name {name!r}", pos)
+    if name not in names:
+        names[name] = point(label=name)
+    return names[name]
+
+
+# letter -> (generator, number of points, that number in words)
+_LETTERS = {"q": (Sigma0, 3, "three"), "t": (Tau, 2, "two")}
+
+
 def parse_word(text: str, names: Optional[dict] = None):
     """Parse the word grammar; returns (WeylWord, name -> point mapping).
 
@@ -679,15 +693,6 @@ def parse_word(text: str, names: Optional[dict] = None):
     disjoint transpositions, with ``*`` composing right-to-left.
     """
     names = dict(names) if names else {}
-
-    def lookup(tok, pos):
-        tok = tok.strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise WordSyntaxError(f"bad point name {tok!r}", pos)
-        if tok not in names:
-            names[tok] = point(label=tok)
-        return names[tok]
-
     letters = []
     pos = 0
     expecting_term = True
@@ -705,40 +710,25 @@ def parse_word(text: str, names: Optional[dict] = None):
             continue
         if not expecting_term:
             raise WordSyntaxError("missing '*' between letters", pos)
-        kind, args = m.group("kind"), m.group("args")
-        groups = _GROUP.findall(args)
-        if kind == "q":
-            if len(groups) != 1:
-                raise WordSyntaxError("q takes one group", pos)
-            parts = [s for s in re.split(r"[,\s]+", groups[0].strip()) if s]
-            if len(parts) != 3:
-                raise WordSyntaxError("q needs three points", pos)
-            try:
-                letters.append(Sigma0(*(lookup(t, pos) for t in parts)))
-            except ValueError as exc:
-                raise WordSyntaxError(str(exc), pos) from None
-        elif kind == "t":
-            if len(groups) != 1:
-                raise WordSyntaxError("t takes one group", pos)
-            parts = [s for s in re.split(r"[,\s]+", groups[0].strip()) if s]
-            if len(parts) != 2:
-                raise WordSyntaxError("t needs two points", pos)
-            try:
-                letters.append(Tau(*(lookup(t, pos) for t in parts)))
-            except ValueError as exc:
-                raise WordSyntaxError(str(exc), pos) from None
+        kind = m.group("kind")
+        groups = [[s for s in re.split(r"[,\s]+", g.strip()) if s]
+                  for g in _GROUP.findall(m.group("args"))]
+        if kind == "s":
+            if any(len(parts) not in (0, 2) for parts in groups):
+                raise WordSyntaxError("each s(...) group needs two points", pos)
         else:
-            pairs = []
-            for g in groups:
-                parts = [s for s in re.split(r"[,\s]+", g.strip()) if s]
-                if parts:
-                    if len(parts) != 2:
-                        raise WordSyntaxError("each s(...) group needs two points", pos)
-                    pairs.append((lookup(parts[0], pos), lookup(parts[1], pos)))
-            try:
-                letters.append(Permutation(tuple(pairs)))
-            except ValueError as exc:
-                raise WordSyntaxError(str(exc), pos) from None
+            make, arity, count = _LETTERS[kind]
+            if len(groups) != 1:
+                raise WordSyntaxError(f"{kind} takes one group", pos)
+            if len(groups[0]) != arity:
+                raise WordSyntaxError(f"{kind} needs {count} points", pos)
+        args = [named_point(t, names, pos) for parts in groups for t in parts]
+        if kind == "s":
+            make, args = Permutation, [tuple(zip(args[::2], args[1::2]))]
+        try:
+            letters.append(make(*args))
+        except ValueError as exc:
+            raise WordSyntaxError(str(exc), pos) from None
         expecting_term = False
         pos = m.end()
     if expecting_term and letters:

@@ -20,6 +20,7 @@ from cremlat.birmap import (
     monomial_map,
     parse_triple,
     poly_add,
+    poly_divexact,
     poly_mul,
     projectively_equal,
     triple,
@@ -139,6 +140,17 @@ def test_a_common_factor_cancels_exactly(gh, prime):
     g, hs = gh
     f = HomogeneousTriple([poly_mul(g, h) for h in hs], prime)
     assert f == HomogeneousTriple(hs, prime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(forms), st.integers(0, 3).flatmap(forms).filter(bool),
+       st.sampled_from([None, DEFAULT_PRIME]))
+def test_exact_division_undoes_multiplication(a, b, p):
+    if p:
+        a, b = ({m: c % p for m, c in q.items()} for q in (a, b))
+    ab = poly_mul(a, b, p)
+    assert poly_mul(b, a, p) == ab
+    assert poly_divexact(ab, b, p) == a
 
 
 def test_a_large_rational_factor_is_read_back_from_several_primes(monkeypatch):
@@ -268,6 +280,20 @@ def test_monomial_lambda_is_the_spectral_radius():
     assert abs(monomial_lambda(f * f) - golden ** 2) < 1e-12
     rotation = monomial_map([[0, -1], [1, 0]])
     assert monomial_lambda(rotation) == 1.0
+
+
+def test_monomial_lambda_is_correctly_rounded():
+    # lambda is the largest root of x^2 - |tr| x + det, and its float the
+    # nearest one: x^2 - |tr| x + det changes sign between lambda -+ ulp / 2
+    for tr in range(-50, 51):
+        for det in (1, -1):
+            lam = monomial_lambda(monomial_map([[tr, 1], [-det, 0]]))
+            if lam == 1.0:
+                assert abs(tr) <= 2 if det == 1 else tr == 0
+                continue
+            half = Fraction(math.ulp(lam)) / 2
+            lo, hi = (Fraction(lam) + s * half for s in (-1, 1))
+            assert (lo * lo - abs(tr) * lo + det) * (hi * hi - abs(tr) * hi + det) < 0
 
 
 def test_monomial_iterates_converge():

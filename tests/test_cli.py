@@ -124,6 +124,9 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
     ("realizable", "--m", "3", "--config", "-", five_points(k_max=2.5)),
     ("realizable", "--m", "3", "--config", "-", five_points(k_max=True)),
     ("realizable", "--m", "3", "--config", "-", five_points(k_max=-1)),
+    # a point name follows the word grammar's rule, [A-Za-z_][A-Za-z0-9_]*
+    ("weyl-normalize", "q(a,b,c)", "--vector", "e(1x)"),
+    ("weyl-normalize", "q(a,b,c)", "--vector", "e(é)"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv[0] == "realizable":
@@ -268,9 +271,9 @@ GOLDEN = [
      '{"root": "i", "omega": ["k", "f"], "degree_before": 2040, "degree_after": 839, "cosh_before": 59.08008611631966, "cosh_after": 37.89847106393059, "achieved_decrease": 21.18161505238907, "guaranteed_decrease": 21.18000947158772}\n'
      '{"root": "a", "omega": ["m", "g"], "degree_before": 839, "degree_after": 413, "cosh_before": 37.89847106393059, "cosh_after": 26.869804508464608, "achieved_decrease": 11.028666555465986, "guaranteed_decrease": 11.027359702460933}\n'
      '{"root": "l", "omega": ["i", "d"], "degree_before": 413, "degree_after": 161, "cosh_before": 26.869804508464608, "cosh_after": 17.219677051632253, "achieved_decrease": 9.650127456832355, "guaranteed_decrease": 9.64852715472041}\n'
-     '{"terminal": "reached_degree_threshold", "lambda": 2.3692054070924664, "degree_threshold": 319.168033005315, "final_degree": 161, "steps": 3, "step_bound": 2786.5961371152357}\n'),
+     '{"terminal": "reached_degree_threshold", "lambda": 2.3692054070924664, "degree_threshold": 319.168033005315, "final_degree": 161, "steps": 3, "step_bound": 2786.596137115247}\n'),
     (("reduce", conjugated(CONJUGATOR_20, "*".join([LOXODROMIC] * 20))),
-     '{"terminal": "reached_degree_threshold", "lambda": 31049477.957554683, "degree_threshold": 7.184129458345431e+23, "final_degree": 1076287745, "steps": 0, "step_bound": 3619193431.5289083}\n'),
+     '{"terminal": "reached_degree_threshold", "lambda": 31049477.957554683, "degree_threshold": 7.184129458345431e+23, "final_degree": 1076287745, "steps": 0, "step_bound": 3619193431.528924}\n'),
     (("spectrum", "s(a k)(b l)*q(a,b,c)*t(c,m)*q(d,e,f)*q(g,h,i)*q(j,a,d)*q(k,l,m)"),
      '{"degree": 25, "class": "loxodromic", "evidence": "spectral radius 6.015301948 from a non-cyclotomic factor", "lambda": 6.015301948105591, "criteria": {"degree400_vs_3_19_degree200": true}, "cosh_axis_distance": 3.340716140007343, "vplus_dot_vminus": 0.17920529806158508, "residuals": {"v_plus": 3.391412079263914e-16, "v_minus": 3.391412079263914e-16}}\n'),
     (("fk-spectrum", "--m", "3", "--kmax", "8"),
@@ -364,7 +367,7 @@ MODULES_RUN = {
     "salem-enum": (("salem-enum", "--degree-bound", "6", "--upper", "1.5"), {"salem"}),
     "degseq-cancelling": (("degseq", "--map", CANCELLING_MAP, "-n", "3"), {"birmap", "intmat"}),
     "degseq-generic": (("degseq", "--map", GENERIC_MAP, "-n", "3"), {"birmap"}),
-    "degseq-monomial": (("degseq", "--monomial", "1,1,1,0"), {"birmap"}),
+    "degseq-monomial": (("degseq", "--monomial", "1,1,1,0"), {"birmap", "salem"}),
     "fk-spectrum": (("fk-spectrum", "--m", "3", "--kmax", "4"), {"orbits", "salem"}),
     "weyl-eval": (("weyl-eval", LOXODROMIC), {"weyl", "lattice", "intmat"}),
     "weyl-normalize": (("weyl-normalize", LOXODROMIC, "--vector", "e0-e(a)"),

@@ -118,10 +118,11 @@ def test_lambda_sequence_converges_monotonically(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_lambda_sequence_rises_and_stays_below_its_limit(m):
-    # each value is its root correctly rounded, and rounding is monotone
-    values = [ent.value for ent in lambda_sequence(m, range(2, 25))]
+    # each value and the limit are roots correctly rounded, and rounding is
+    # monotone
+    values = [ent.value for ent in lambda_sequence(m, range(2, 31))]
     assert values == sorted(values)
-    assert values[-1] <= dominant_real_root(IntPolynomial([1, -(m + 1), 1]))
+    assert values[-1] <= lambda_limit(m)
 
 
 def test_lambda_sequence_isolates_each_root_once():

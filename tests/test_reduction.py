@@ -1,7 +1,10 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     LEHMER,
@@ -48,10 +51,14 @@ from cremlat.weyl import (
 
 
 def test_delta_closed_form():
-    lam = 10 ** 6
-    expected = (5 - 2 * math.sqrt(6)) / (math.sqrt(2) * (lam + 1))
-    assert abs(delta(lam) - expected) / expected < 1e-15
-    assert abs(delta(lam) - 7.1432e-8) < 1e-11
+    # within 2.5 ulp of a 50-digit value of (5 - 2 sqrt 6) / (sqrt 2 (lam + 1)),
+    # whose numerator cancels five bits if it is computed as written
+    for lam in (1.5, LEHMER, 2.3692054070924664, 10.0, 10 ** 6, 31049477.957554683, 1e8):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (5 - 2 * Decimal(6).sqrt()) / (Decimal(2).sqrt() * (Decimal(lam) + 1))
+            assert abs(Decimal(delta(lam)) - exact) <= Decimal(2.5) * Decimal(math.ulp(delta(lam)))
+    assert abs(delta(10 ** 6) - 7.1432e-8) < 1e-11
 
 
 def test_bounds_exact_values():
@@ -441,3 +448,39 @@ def test_realizable_declared_facts():
     config = PointConfiguration([p1, a, b])
     report = realizable_jonquieres(config, 2)
     assert report.status == "undecidable" and report.condition == 2
+
+
+@st.composite
+def configurations(draw):
+    """(m, coordinates) of 2m - 1 proper points: p1, then satellites on a conic
+    through p1 or anywhere, all moved by one invertible integer matrix whose
+    first column, the image of p1, may start with zeros."""
+    m = draw(st.integers(3, 5))
+    first = draw(st.sampled_from([(0, 0, 1), (0, 1, 0), (0, 2, -1), (1, 0, 0), (2, -1, 3)]))
+    rest = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    b = [[first[i]] + rest[2 * i:2 * i + 2] for i in range(3)]
+    assume(intmat.det3(b))
+    canon = [(1, 0, 0)]
+    for _ in range(2 * m - 2):
+        if draw(st.booleans()):
+            s, t = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
+            canon.append((s * s, s * t, t * t))
+        else:
+            canon.append(tuple(draw(st.lists(st.integers(-5, 5), min_size=3, max_size=3))))
+    assume(all(any(v) for v in canon))
+    return m, [tuple(intmat.mat_vec(b, v)) for v in canon]
+
+
+@settings(max_examples=60, deadline=None)
+@given(configurations(), st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+def test_realizability_is_invariant_under_a_change_of_coordinates(config, entries):
+    m, coords = config
+    a = [entries[0:3], entries[3:6], entries[6:9]]
+    assume(intmat.det3(a))
+
+    def report(cs):
+        pts = [proper_point(*c, label=f"p{i}") for i, c in enumerate(cs)]
+        r = realizable_jonquieres(PointConfiguration(pts), m)
+        return r.status, r.condition, r.witness
+
+    assert report(coords) == report([intmat.mat_vec(a, c) for c in coords])

@@ -471,7 +471,8 @@ def test_grammar_right_to_left_composition():
 def test_grammar_errors_carry_positions():
     from cremlat.weyl import WordSyntaxError
 
-    for bad in ["q(p1,p2)", "t(p1,p1)", "q(p1,p2,p3) q(p4,p5,p6)", "* q(p1,p2,p3)", "x(p1)"]:
+    for bad in ["q(p1,p2)", "t(p1,p1)", "q(p1,p2,p3) q(p4,p5,p6)", "* q(p1,p2,p3)", "x(p1)",
+                "q(1a,b,c)", "t(1a,b)", "s(1a b)"]:
         with pytest.raises(WordSyntaxError) as err:
             parse_word(bad)
-        assert "position" in str(err.value)
+        assert str(err.value).count("(at position") == 1
