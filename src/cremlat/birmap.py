@@ -17,27 +17,23 @@ images modulo several primes.  A gcd is accepted by exact division of
 every component, and those quotients are the cancelled triple.  Degree
 growth is budgeted: compositions beyond the degree or term caps raise (or
 truncate the iteration) rather than grinding; monomial maps have their own
-exact integer fast path.
+exact integer fast path.  A triple's components are read and printed by
+:func:`cremlat.parse_terms` and :func:`cremlat.format_terms` in x, y, z.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
-from . import InputSyntaxError, crt, intmat, join_signed, primes, salem
+from . import SyntaxErrorAt, crt, format_terms, intmat, parse_terms, primes, salem
 
 DEGREE_BUDGET = 512
 TERM_BUDGET = 200_000
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-class TripleSyntaxError(InputSyntaxError):
-    """Text that does not parse as a polynomial or a bracketed triple."""
 
 
 # -- sparse homogeneous polynomials ------------------------------------------
@@ -274,54 +270,6 @@ def poly_gcd(polys, p=None):
             [next(quots) if q else q for q in polys])
 
 
-_MONO = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?)?\s*(?P<vars>(?:\*?\s*[xyz](?:\s*\^\s*\d+)?)*)\s*")
-
-
-def parse_poly3(text: str):
-    """Parse an expression like ``2*x^2*y - y*z^2`` into the sparse form,
-    with Fraction coefficients."""
-    out = {}
-    pos = 0
-    text = text.strip()
-    if not text:
-        raise TripleSyntaxError("empty polynomial")
-    while pos < len(text):
-        m = _MONO.match(text, pos)
-        if not m or m.end() == pos:
-            raise TripleSyntaxError(f"cannot parse monomial at {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("sign") is None and pos > 0:
-            raise TripleSyntaxError(f"missing sign before {text[pos:]!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        expo = {"x": 0, "y": 0, "z": 0}
-        for vm in re.finditer(r"([xyz])(?:\s*\^\s*(\d+))?", m.group("vars") or ""):
-            expo[vm.group(1)] += int(vm.group(2)) if vm.group(2) else 1
-        mono = (expo["x"], expo["y"], expo["z"])
-        cur = out.get(mono, 0) + sign * coeff
-        if cur:
-            out[mono] = cur
-        else:
-            out.pop(mono, None)
-        pos = m.end()
-    return out
-
-
-def format_poly3(a) -> str:
-    parts = []
-    for mono in sorted(a, reverse=True):
-        c = a[mono]
-        body = []
-        for name, ex in zip("xyz", mono):
-            if ex == 1:
-                body.append(name)
-            elif ex > 1:
-                body.append(f"{name}^{ex}")
-        coeff_txt = "" if abs(c) == 1 and body else str(abs(c))
-        txt = "*".join(([coeff_txt] if coeff_txt else []) + body) or "1"
-        parts.append((c < 0, txt))
-    return join_signed(parts)
-
-
 # -- triples -------------------------------------------------------------------
 
 
@@ -374,8 +322,7 @@ class HomogeneousTriple:
         return self.prime == other.prime and projectively_equal(self, other)
 
     def __repr__(self):
-        inner = " : ".join(format_poly3(c) for c in self.components)
-        return f"[{inner}]"
+        return f"[{' : '.join(format_terms(c, 'xyz') for c in self.components)}]"
 
 
 def projectively_equal(f: HomogeneousTriple, g: HomogeneousTriple) -> bool:
@@ -393,18 +340,19 @@ def projectively_equal(f: HomogeneousTriple, g: HomogeneousTriple) -> bool:
 
 
 def triple(p_text: str, q_text: str, r_text: str, prime=None) -> HomogeneousTriple:
-    return HomogeneousTriple([parse_poly3(t) for t in (p_text, q_text, r_text)], prime)
+    return HomogeneousTriple([parse_terms(t, "xyz") for t in (p_text, q_text, r_text)], prime)
+
+
+_TRIPLE = re.compile(r"\s*\[([^:\[\]]*):([^:\[\]]*):([^:\[\]]*)\]\s*")
 
 
 def parse_triple(text: str, prime=None) -> HomogeneousTriple:
-    """Parse ``[y*z : z*x : x*y]``."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise TripleSyntaxError("triple must be bracketed, like [y*z : z*x : x*y]")
-    parts = text[1:-1].split(":")
-    if len(parts) != 3:
-        raise TripleSyntaxError("triple needs three components")
-    return triple(parts[0], parts[1], parts[2], prime)
+    """Parse ``[y*z : z*x : x*y]``; a syntax error gives its position in text."""
+    m = _TRIPLE.fullmatch(text)
+    if not m:
+        raise SyntaxErrorAt("expected three polynomials in brackets, like [y*z : z*x : x*y]", 0)
+    # each component keeps its offset as leading spaces, which parse_terms skips
+    return triple(*(" " * m.start(i) + m[i] for i in (1, 2, 3)), prime)
 
 
 def compose(f: HomogeneousTriple, g: HomogeneousTriple) -> HomogeneousTriple:

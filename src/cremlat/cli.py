@@ -4,8 +4,8 @@ Exit codes: 0 on success, 1 on a domain error (a well-formed request whose
 mathematics refuses: non-loxodromic input to reduce, resource guards, ...),
 2 on a usage error (unknown flags, malformed words/polynomials/triples; the
 message carries the offending position where the parsers provide one).
-Each parser raises its own subclass of :class:`cremlat.InputSyntaxError`, so
-the exit code follows the type of the exception, never its message.  Each
+Every parser raises :class:`cremlat.InputSyntaxError` or a subclass, so the
+exit code follows the type of the exception, never its message.  Each
 ``cmd_*`` function returns its output text, and :func:`main` prints it.
 
 A subcommand loads only the layer modules it runs: ``bounds`` runs no
@@ -56,8 +56,10 @@ class UsageError(InputSyntaxError):
 
 
 def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
-    """The four normal-form shapes: e0, e(q), e0-e(q), 3e0-e(q1)-...-e(qk)."""
-    text = text.replace(" ", "")
+    """The four normal-form shapes: e0, e(q), e0-e(q), 3e0-e(q1)-...-e(qk).
+    Spaces may stand around each of 3, '*', e0, '-' and a name in e( ), as
+    in the word grammar; one inside a name is an error."""
+    text = re.sub(r"\s*([()*-])\s*", r"\1", text.strip())
     if text == "e0":
         return lattice.e0()
     m = re.fullmatch(r"e\(([^()]*)\)", text)
@@ -66,7 +68,7 @@ def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
     m = re.fullmatch(r"e0-e\(([^()]*)\)", text)
     if m:
         return lattice.e0() - lattice.e(weyl.named_point(m.group(1), names))
-    m = re.fullmatch(r"3\*?e0((?:-e\([^()]*\))+)", text)
+    m = re.fullmatch(r"3(?:\*|\s*)e0((?:-e\([^()]*\))+)", text)
     if m:
         pts = re.findall(r"-e\(([^()]*)\)", m.group(1))
         vec = lattice.ClassVector(3, {})

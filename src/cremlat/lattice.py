@@ -64,18 +64,8 @@ class BubblePoint:
         self.coords = coords
         if parent is not None and not isinstance(parent, BubblePoint):
             raise TypeError("parent must be a BubblePoint")
+        # parent is set here only and exists already, so no chain is cyclic
         self.parent = parent
-        if parent is not None:
-            # the parent chain must be acyclic and end at a proper point when
-            # annotations are present; parents are created first, so a cycle
-            # cannot arise, but we still walk the chain to validate
-            seen = {self.id}
-            q = parent
-            while q is not None:
-                if q.id in seen:
-                    raise ValueError("cyclic parent chain")
-                seen.add(q.id)
-                q = q.parent
 
     def __eq__(self, other):
         return isinstance(other, BubblePoint) and self.id == other.id
@@ -201,6 +191,5 @@ def intersect(u: ClassVector, v: ClassVector):
 
 def render(v: ClassVector) -> str:
     """Text form ``d*e0 - a1*e(p1) - ...`` with exact rationals as num/den."""
-    terms = [("e0", v.e0)] if v.e0 else []
-    terms += [(f"e({p!r})", v._pts[p]) for p in sorted(v._pts)]
-    return join_signed((c < 0, name if abs(c) == 1 else f"{abs(c)}*{name}") for name, c in terms)
+    terms = [(v.e0, "e0")] if v.e0 else []
+    return join_signed(terms + [(v._pts[p], f"e({p!r})") for p in sorted(v._pts)])

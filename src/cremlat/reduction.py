@@ -45,6 +45,7 @@ from .weyl import (
     conjugate_by_word,
     degree,
     multiplicity_profile,
+    noether_identity,
     realize,
     sigma_omega_word,
 )
@@ -81,15 +82,10 @@ def averaged_noether_check(h: WeylElement) -> AxisNoetherReport:
     lam = dynamical_degree(h)
     prof = multiplicity_profile(h)
     d = prof.degree
-    c = sorted(prof.c, reverse=True)
-    while len(c) < 3:
-        c.append(Fraction(0))
+    c, lhs, rhs = noether_identity(d, prof.c)
     slack = Fraction(d, 2) * Fraction(1 / lam + lam + 2).limit_denominator(10 ** 12)
     sum_ok = sum(c) == 3 * d - 3
     sum_sq_ok = sum(x * x for x in c) > (d * d - 1) - slack
-    lhs = (d - 1) * (c[0] + c[1] + c[2] - (d + 1))
-    rhs = (c[0] - c[2]) * (d - 1 - c[0]) + (c[1] - c[2]) * (d - 1 - c[1])
-    rhs += sum(ci * (c[2] - ci) for ci in c[3:])
     triple_ok = lhs > rhs - slack
     return AxisNoetherReport(d, lam, sum_ok, sum_sq_ok, triple_ok)
 

@@ -10,7 +10,9 @@ exactly when the transformed polynomial has a real root in (-2, 2)).  Roots
 outside the unit circle are counted by the Routh-Hurwitz theorem after the
 map w = (z - 1)/(z + 1), with Cauchy indices read off the same kind of
 remainder sequence.  Floating point only reports a root's value, as the
-float nearest to it.
+float nearest to it.  Polynomials are read and printed as text by the
+package's signed-term reader and printer, :func:`cremlat.parse_terms` and
+:func:`cremlat.format_terms`, in the one variable x.
 
 Two exact prefilters skip work that cannot succeed.  Stripping divides by
 Phi_n only when Phi_n(2) divides p(2), as it must when Phi_n divides p.  The
@@ -23,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence
 
-from . import InputSyntaxError, join_signed
+from . import InputSyntaxError, format_terms, parse_terms
 
 
 class IntPolynomial:
@@ -317,26 +318,18 @@ def dominant_real_root(p: IntPolynomial) -> Optional[float]:
     n_gt1 = count_real_roots(p, 1, bound)
     if n_gt1 == 0:
         return None
-    lo, hi = Fraction(1), bound
-    if n_gt1 > 1:
-        # shrink until (lo, hi] holds exactly the largest root
-        while count_real_roots(p, lo, hi) > 1:
-            mid = (lo + hi) / 2
-            if count_real_roots(p, mid, hi) >= 1:
-                lo = mid
-            else:
-                hi = mid
+    # shrink until (lo, hi] holds exactly the largest root, n of them
+    # throughout, and lo is not a root itself
+    lo, hi, n, slo = Fraction(1), bound, n_gt1, _sign_at(sf, 1, 1)
+    while n > 1 or slo == 0:
+        mid = (lo + hi) / 2
+        if above := count_real_roots(p, mid, hi):
+            lo, n, slo = mid, above, _sign_at(sf, mid.numerator, mid.denominator)
+        else:
+            hi = mid
     # now exactly one simple root in (lo, hi]: certified sign bisection
     if _sign_at(sf, hi.numerator, hi.denominator) == 0:
         return float(hi)
-    slo = _sign_at(sf, lo.numerator, lo.denominator)
-    if slo == 0:
-        # lo is a root itself: move it up, but not past the root in (lo, hi]
-        step = (hi - lo) / 2
-        while count_real_roots(p, lo + step, hi) == 0:
-            step /= 2
-        lo += step
-        slo = _sign_at(sf, lo.numerator, lo.denominator)
     # in integers from here: lo = a/den and hi = b/den, and each step
     # doubles all three so that the midpoint stays an integer; int true
     # division rounds correctly
@@ -433,9 +426,12 @@ def _salem_layout(q: IntPolynomial) -> bool:
     """Whether the trace polynomial q of degree n has n - 1 distinct roots in
     (-2, 2], one in (2, inf) and none in (-inf, -2], the roots of a Salem
     polynomial x^n q(x + 1/x); the infinite ends are read off the leading
-    terms."""
-    return (count_real_roots(q, -2, 2) == q.degree - 1 and count_real_roots(q, 2) == 1
-            and count_real_roots(q, None, -2) == 0)
+    terms.  Each end is read once."""
+    chain = _sturm_chain(q)
+    at_minus_inf, at_inf = _changes_at_infinity(chain)
+    at_minus_2, at_2 = _changes_at(chain, -2), _changes_at(chain, 2)
+    return (at_minus_2 - at_2 == q.degree - 1 and at_2 - at_inf == 1
+            and at_minus_inf == at_minus_2)
 
 
 class NumberClass(NamedTuple):
@@ -620,59 +616,17 @@ def _check_candidate(qcoeffs, big_a, descartes, found):
 # -- text format --------------------------------------------------------------
 
 
-class PolynomialSyntaxError(InputSyntaxError):
-    """Text that does not parse as an integer polynomial in x."""
-
-
-_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?(?:(?P<var>x)(?:\s*\^\s*(?P<exp>\d+))?)?"
-)
-
-
 def parse_poly(text: str) -> IntPolynomial:
-    """Parse ``x^10 + x^9 - x^7 - ... + 1`` into an IntPolynomial."""
-    pos = 0
-    terms = []
-    text = text.strip()
-    if not text:
-        raise PolynomialSyntaxError("empty polynomial (at position 0)")
-    while pos < len(text):
-        m = _TERM.match(text, pos)
-        if not m or m.end() == pos:
-            raise PolynomialSyntaxError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("sign") is None and terms:
-            raise PolynomialSyntaxError(f"missing sign before {text[pos:]!r} (position {pos})")
-        coeff = m.group("coeff")
-        var = m.group("var")
-        if coeff is None and var is None:
-            raise PolynomialSyntaxError(f"empty term at position {pos}")
-        c = int(coeff) if coeff else 1
-        if var:
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
-        terms.append((exp, sign * c))
-        pos = m.end()
-    deg = max(e for e, _ in terms)
-    coeffs = [0] * (deg + 1)
-    for exp, c in terms:
-        coeffs[exp] += c
+    """Parse ``x^10 + x^9 - x^7 - ... + 1`` (the grammar of
+    :func:`cremlat.parse_terms` in x) into an IntPolynomial."""
+    terms = parse_terms(text, "x")
+    coeffs = [0] * (max((e for e, in terms), default=0) + 1)
+    for (e,), c in terms.items():
+        if c.denominator != 1:
+            raise InputSyntaxError(f"the coefficient {c} of x^{e} is not an integer")
+        coeffs[e] = c.numerator
     return IntPolynomial(coeffs)
 
 
 def format_poly(p: IntPolynomial) -> str:
-    parts = []
-    for exp in range(p.degree, -1, -1):
-        c = p.coeffs[exp]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if exp == 0:
-            body = str(mag)
-        elif exp == 1:
-            body = "x" if mag == 1 else f"{mag}*x"
-        else:
-            body = f"x^{exp}" if mag == 1 else f"{mag}*x^{exp}"
-        parts.append((c < 0, body))
-    return join_signed(parts)
+    return format_terms({(e,): c for e, c in enumerate(p.coeffs) if c}, "x")

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from . import InputSyntaxError, intmat
+from . import SyntaxErrorAt, intmat
 from .lattice import (
     BubblePoint,
     ClassVector,
@@ -400,14 +400,23 @@ class NoetherReport:
         return self.equalities_ok and self.identity_ok and self.pair_bound_ok and self.triple_bound_ok
 
 
+def noether_identity(d, mults):
+    """(m, lhs, rhs) for the multiplicities m sorted in decreasing order and
+    padded with zeros to three, and the two sides of
+    (d-1)(m1 + m2 + m3 - (d+1)) = (m1-m3)(d-1-m1) + (m2-m3)(d-1-m2)
+                                  + sum_{i>=4} m_i (m3 - m_i)."""
+    m = sorted(mults, reverse=True) + [0] * (3 - len(mults))
+    lhs = (d - 1) * (m[0] + m[1] + m[2] - (d + 1))
+    rhs = (m[0] - m[2]) * (d - 1 - m[0]) + (m[1] - m[2]) * (d - 1 - m[1])
+    return m, lhs, rhs + sum(x * (m[2] - x) for x in m[3:])
+
+
 def noether_report(h: WeylElement) -> NoetherReport:
     """Check the degree/multiplicity identities and inequalities for h.
 
     Verifies, with the a_i sorted in decreasing order:
       * sum a_i^2 = d^2 - 1 and sum a_i = 3d - 3,
-      * the exact identity
-        (d-1)(a1 + a2 + a3 - (d+1)) = (a1-a3)(d-1-a1) + (a2-a3)(d-1-a2)
-                                      + sum_{i>=4} a_i (a3 - a_i),
+      * the exact identity of :func:`noether_identity`,
       * a_i + a_j <= d for all pairs, and
       * a1 + a2 + a3 >= d + 1.
 
@@ -416,14 +425,8 @@ def noether_report(h: WeylElement) -> NoetherReport:
     d = degree(h)
     if d < 2:
         return NoetherReport(d, applicable=False)
-    prof = multiplicity_profile(h)
-    a = sorted(prof.a, reverse=True)
-    while len(a) < 3:
-        a.append(0)
+    a, lhs, rhs = noether_identity(d, multiplicity_profile(h).a)
     eq_ok = sum(x * x for x in a) == d * d - 1 and sum(a) == 3 * d - 3
-    lhs = (d - 1) * (a[0] + a[1] + a[2] - (d + 1))
-    rhs = (a[0] - a[2]) * (d - 1 - a[0]) + (a[1] - a[2]) * (d - 1 - a[1])
-    rhs += sum(ai * (a[2] - ai) for ai in a[3:])
     identity_ok = lhs == rhs
     pair_ok = a[0] + a[1] <= d
     triple_ok = a[0] + a[1] + a[2] >= d + 1
@@ -665,17 +668,11 @@ _TOKEN = re.compile(r"\s*(?:(?P<op>\*)|(?P<kind>[qts])\s*(?P<args>(?:\([^()]*\))
 _GROUP = re.compile(r"\(([^()]*)\)")
 
 
-class WordSyntaxError(InputSyntaxError):
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 def named_point(name: str, names: dict, pos: int = 0) -> BubblePoint:
     """The point called name, made on first use and kept in names; a name
     outside ``[A-Za-z_][A-Za-z0-9_]*`` is a syntax error at pos."""
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-        raise WordSyntaxError(f"bad point name {name!r}", pos)
+        raise SyntaxErrorAt(f"bad point name {name!r}", pos)
     if name not in names:
         names[name] = point(label=name)
     return names[name]
@@ -685,15 +682,14 @@ def named_point(name: str, names: dict, pos: int = 0) -> BubblePoint:
 _LETTERS = {"q": (Sigma0, 3, "three"), "t": (Tau, 2, "two")}
 
 
-def parse_word(text: str, names: Optional[dict] = None):
+def parse_word(text: str):
     """Parse the word grammar; returns (WeylWord, name -> point mapping).
 
     Grammar: ``q(p1,p2,p3)`` for the quadratic involution, ``t(p,q)`` for a
     transposition reflection, ``s(p1 p2)(p3 p4)`` for a permutation given by
     disjoint transpositions, with ``*`` composing right-to-left.
     """
-    names = dict(names) if names else {}
-    letters = []
+    names, letters = {}, []
     pos = 0
     expecting_term = True
     while pos < len(text):
@@ -701,38 +697,38 @@ def parse_word(text: str, names: Optional[dict] = None):
         if not m:
             if text[pos:].strip() == "":
                 break
-            raise WordSyntaxError("unrecognized token", pos)
+            raise SyntaxErrorAt("unrecognized token", pos)
         if m.group("op"):
             if expecting_term:
-                raise WordSyntaxError("misplaced '*'", pos)
+                raise SyntaxErrorAt("misplaced '*'", pos)
             expecting_term = True
             pos = m.end()
             continue
         if not expecting_term:
-            raise WordSyntaxError("missing '*' between letters", pos)
+            raise SyntaxErrorAt("missing '*' between letters", pos)
         kind = m.group("kind")
         groups = [[s for s in re.split(r"[,\s]+", g.strip()) if s]
                   for g in _GROUP.findall(m.group("args"))]
         if kind == "s":
             if any(len(parts) not in (0, 2) for parts in groups):
-                raise WordSyntaxError("each s(...) group needs two points", pos)
+                raise SyntaxErrorAt("each s(...) group needs two points", pos)
         else:
             make, arity, count = _LETTERS[kind]
             if len(groups) != 1:
-                raise WordSyntaxError(f"{kind} takes one group", pos)
+                raise SyntaxErrorAt(f"{kind} takes one group", pos)
             if len(groups[0]) != arity:
-                raise WordSyntaxError(f"{kind} needs {count} points", pos)
+                raise SyntaxErrorAt(f"{kind} needs {count} points", pos)
         args = [named_point(t, names, pos) for parts in groups for t in parts]
         if kind == "s":
             make, args = Permutation, [tuple(zip(args[::2], args[1::2]))]
         try:
             letters.append(make(*args))
         except ValueError as exc:
-            raise WordSyntaxError(str(exc), pos) from None
+            raise SyntaxErrorAt(str(exc), pos) from None
         expecting_term = False
         pos = m.end()
     if expecting_term and letters:
-        raise WordSyntaxError("dangling '*'", len(text))
+        raise SyntaxErrorAt("dangling '*'", len(text))
     return WeylWord(tuple(letters)), names
 
 

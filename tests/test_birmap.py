@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import counting
-from cremlat import DEFAULT_PRIME, birmap, intmat
+from cremlat import DEFAULT_PRIME, InputSyntaxError, birmap, format_terms, intmat, parse_terms
 from cremlat.birmap import (
     BudgetExceeded,
     HomogeneousTriple,
@@ -332,3 +332,21 @@ def test_triple_parsing_round_trip():
         parse_triple("y*z : z*x")
     with pytest.raises(ValueError):
         parse_triple("[y*z : z*x]")
+    # positions count from the start of the triple's text
+    with pytest.raises(InputSyntaxError, match=r"\(at position 10\)$"):
+        parse_triple("[x : y : 2q]")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                       st.fractions(max_denominator=20).filter(bool), max_size=6))
+def test_terms_print_and_read_back(terms):
+    assert parse_terms(format_terms(terms, "xyz"), "xyz") == terms
+
+
+@pytest.mark.parametrize("text,at", [("", 0), ("x -", 3), ("+ - x", 2), ("2/0*x", 0), ("x 2", 2),
+                                     ("x *", 3), ("* x", 0), ("x + 2q", 5), ("x ^ y", 2),
+                                     ("2 * 3", 4)])
+def test_term_syntax_errors_carry_positions(text, at):
+    with pytest.raises(InputSyntaxError, match=rf"\(at position {at}\)$"):
+        parse_terms(text, "xyz")

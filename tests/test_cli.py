@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cremlat
 from cremlat import spectral
@@ -127,6 +131,16 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
     # a point name follows the word grammar's rule, [A-Za-z_][A-Za-z0-9_]*
     ("weyl-normalize", "q(a,b,c)", "--vector", "e(1x)"),
     ("weyl-normalize", "q(a,b,c)", "--vector", "e(é)"),
+    # spaces stand around a name, never inside one
+    ("weyl-normalize", "q(a,b,c)", "--vector", "e(a b)"),
+    ("weyl-normalize", "q(a,b,c)", "--vector", "3e0-e(a)-e(b c)"),
+    # a zero denominator, and a sign without a term after it
+    ("degseq", "--map", "[2/0*x : y : z]"),
+    ("classify-number", "x -"),
+    ("degseq", "--map", "[x - : y : z]"),
+    ("degseq", "--map", "[x : y : -]"),
+    # an integer polynomial, written with a fraction
+    ("classify-number", "x^2 + 1/2*x"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv[0] == "realizable":
@@ -135,6 +149,42 @@ def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == "" and err.startswith("usage error:")
+
+
+def test_spaces_around_star_and_signs_parse_as_without_them(capsys):
+    spaced = run(capsys, "degseq", "--map", "[y * z : z * x : x * y]", "-n", "4")
+    assert spaced == run(capsys, "degseq", "--map", "[y*z : z*x : x*y]", "-n", "4")
+    assert spaced[0] == 0 and json.loads(spaced[1])["degrees"] == [2, 1, 2, 1]
+    # factors joined by a space multiply, as in a map
+    assert run(capsys, "classify-number", "x x - 3 * x + 1") == run(
+        capsys, "classify-number", "x^2 - 3*x + 1")
+
+
+def test_spaces_in_a_vector_keep_its_output(capsys):
+    word = "q(a,b,c)*q(a,d,e)"
+    rc, out, _ = run(capsys, "weyl-normalize", word, "--vector", "3 e0 - e( a ) - e(b) - e(c)")
+    assert rc == 0
+    assert out == ('{"word": "q(a,d,e)", "image": "5*e0 - 3*e(a) - e(b) - e(c) - 2*e(d) - '
+                   '2*e(e)", "partial_degrees": ["5"]}\n')
+    assert run(capsys, "weyl-normalize", word, "--vector", "3e0-e(a)-e(b)-e(c)")[1] == out
+
+
+def exit_code(*argv):
+    """The exit code of one cremlat call, with its output thrown away."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+# digit runs of at most two: a long exponent allocates one coefficient per degree
+@settings(max_examples=150, deadline=None)
+@given(st.text("xyz0123456789/*^+- ", max_size=16).map(lambda t: re.sub(r"(\d\d)\d+", r"\1", t)))
+@example("2/0")
+def test_any_polynomial_text_ends_in_a_clean_exit(text):
+    assert exit_code("classify-number", "--", text) in (0, 1, 2)
+    assert exit_code("degseq", "--map", f"[{text} : y : z]", "-n", "2") in (0, 1, 2)
 
 
 def test_realizable_reads_every_config_field(capsys, monkeypatch):

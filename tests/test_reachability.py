@@ -23,6 +23,7 @@ MODULES = {path.stem for path in SRC.glob("*.py")}
 PAPER_CHECKS = {
     "weyl.NoetherReport",
     "weyl.noether_report",
+    "weyl.noether_identity",
     "weyl.conjugate",
     "weyl.inverse",
     "weyl.element_from_images",

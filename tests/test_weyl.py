@@ -454,8 +454,13 @@ def test_normalize_rejects_other_shapes():
 def test_grammar_round_trip():
     text = "q(p1,p2,p3) * t(p1,p4) * s(p2 p3)(p4 p5)"
     w, names = parse_word(text)
-    w2, _ = parse_word(print_word(w), names)
-    assert realize(w) == realize(w2)
+    w2, names2 = parse_word(print_word(w))
+    assert print_word(w2) == print_word(w)
+    # fresh points of the same names, made in the same order, act alike
+    h, h2 = realize(w), realize(w2)
+    assert repr(apply(h2, e0())) == repr(apply(h, e0()))
+    for name, pt in names.items():
+        assert repr(apply(h2, e(names2[name]))) == repr(apply(h, e(pt)))
 
 
 def test_grammar_right_to_left_composition():
@@ -469,10 +474,10 @@ def test_grammar_right_to_left_composition():
 
 
 def test_grammar_errors_carry_positions():
-    from cremlat.weyl import WordSyntaxError
+    from cremlat import SyntaxErrorAt
 
     for bad in ["q(p1,p2)", "t(p1,p1)", "q(p1,p2,p3) q(p4,p5,p6)", "* q(p1,p2,p3)", "x(p1)",
                 "q(1a,b,c)", "t(1a,b)", "s(1a b)"]:
-        with pytest.raises(WordSyntaxError) as err:
+        with pytest.raises(SyntaxErrorAt) as err:
             parse_word(bad)
         assert str(err.value).count("(at position") == 1
