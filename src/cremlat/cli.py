@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import DEFAULT_PRIME, InputSyntaxError
+from . import DEFAULT_PRIME, InputSyntaxError, SyntaxErrorAt
 
 
 def _lazy(name: str):
@@ -51,10 +51,6 @@ birmap, bounds, intmat, lattice, orbits, reduction, salem, spectral, weyl = map(
             "spectral", "weyl"))
 
 
-class UsageError(InputSyntaxError):
-    pass
-
-
 def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
     """The four normal-form shapes: e0, e(q), e0-e(q), 3e0-e(q1)-...-e(qk).
     Spaces may stand around each of 3, '*', e0, '-' and a name in e( ), as
@@ -75,8 +71,8 @@ def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
         for name in pts:
             vec = vec - lattice.e(weyl.named_point(name, names))
         return vec
-    raise UsageError(f"cannot parse vector {text!r} (position 0): "
-                     "expected e0, e(q), e0-e(q) or 3e0-e(q1)-...")
+    raise SyntaxErrorAt(f"cannot parse vector {text!r}: "
+                        "expected e0, e(q), e0-e(q) or 3e0-e(q1)-...", 0)
 
 
 def cmd_classify_number(args) -> str:
@@ -138,26 +134,28 @@ def cmd_realizable(args) -> str:
         else:
             with open(args.config) as fh:
                 data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read --config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SyntaxErrorAt(f"cannot read --config: {exc.msg}", exc.pos) from exc
+    except OSError as exc:
+        raise SyntaxErrorAt(f"cannot read --config: {exc}", 0) from exc
     if not isinstance(data, dict) or not isinstance(data.get("points"), list):
-        raise UsageError("(position 0) --config needs a JSON object with a list of points")
+        raise SyntaxErrorAt("--config needs a JSON object with a list of points", 0)
     names = {}
 
     def named(name):
         if isinstance(name, str) and name in names:
             return names[name]
-        raise UsageError(f"(position 0) --config names an unknown point {name!r}")
+        raise SyntaxErrorAt(f"--config names an unknown point {name!r}", 0)
 
     def listed(value, key):
         if not isinstance(value, list):
-            raise UsageError(f"(position 0) --config: {key} must be a list")
+            raise SyntaxErrorAt(f"--config: {key} must be a list", 0)
         return value
 
     points = []
     for spec in data["points"]:
         if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
-            raise UsageError("(position 0) --config has a point without a string id")
+            raise SyntaxErrorAt("--config has a point without a string id", 0)
         name = spec["id"]
         if "coords" in spec:
             try:
@@ -165,7 +163,7 @@ def cmd_realizable(args) -> str:
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
                 coords = []
             if len(coords) != 3:
-                raise UsageError(f"(position 0) --config: coords of {name!r} are not three numbers")
+                raise SyntaxErrorAt(f"--config: coords of {name!r} are not three numbers", 0)
             pt = lattice.proper_point(*coords, label=name)
         elif "parent" in spec:
             pt = lattice.infinitely_near(named(spec["parent"]), label=name)
@@ -175,7 +173,7 @@ def cmd_realizable(args) -> str:
         points.append(pt)
     k_max = data.get("k_max", 6)
     if type(k_max) is not int or k_max < 0:  # bool is a subclass of int
-        raise UsageError(f"(position 0) --config: k_max {k_max!r} is not a non-negative integer")
+        raise SyntaxErrorAt(f"--config: k_max {k_max!r} is not a non-negative integer", 0)
     config = reduction.PointConfiguration(points, k_max=k_max)
     for fact, key in ((True, "collinear"), (False, "not_collinear")):
         for triple in listed(data.get(key, []), key):
@@ -204,12 +202,12 @@ def cmd_degseq(args) -> str:
         except ValueError:
             entries = []
         if len(entries) != 4:
-            raise UsageError("(position 0) --monomial needs a,b,c,d")
+            raise SyntaxErrorAt("--monomial needs a,b,c,d", 0)
         f = birmap.monomial_map([[entries[0], entries[1]], [entries[2], entries[3]]])
         degs = birmap.monomial_iterates(f, args.n)
         return json.dumps({"degrees": degs, "truncated": False, "lambda": birmap.monomial_lambda(f)})
     if not args.map:
-        raise UsageError("(position 0) degseq needs --map or --monomial")
+        raise SyntaxErrorAt("degseq needs --map or --monomial", 0)
     prime = DEFAULT_PRIME if args.prime_field else None
     f = birmap.parse_triple(args.map, prime)
     if not birmap.jacobian(f):
@@ -226,12 +224,12 @@ def cmd_bounds(args) -> str:
         try:
             lam = Fraction(args.lam) if "/" in args.lam or "." not in args.lam else float(args.lam)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"(position 0) --lam {args.lam!r} is not a number") from exc
+            raise SyntaxErrorAt(f"--lam {args.lam!r} is not a number", 0) from exc
         if lam == math.inf:  # a decimal past the float range; 1e400 fails in bounds
             raise OverflowError(f"--lam {args.lam} is too large for a float")
         report = bounds.bounds(lam)
     else:
-        raise UsageError("(position 0) bounds needs --lam or --degrees")
+        raise SyntaxErrorAt("bounds needs --lam or --degrees", 0)
     return json.dumps(report.as_dict())
 
 

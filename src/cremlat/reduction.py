@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import intmat
 from .bounds import DEGREE_THRESHOLD_COEFF, delta
@@ -54,8 +53,7 @@ from .weyl import (
 # the averaged-multiplicity identities on the axis
 
 
-@dataclass(frozen=True)
-class AxisNoetherReport:
+class AxisNoetherReport(NamedTuple):
     degree: int
     lam: float
     sum_ok: bool
@@ -94,8 +92,7 @@ def averaged_noether_check(h: WeylElement) -> AxisNoetherReport:
 # the conjugation loop
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     root: BubblePoint
     omega: tuple
     degree_before: int
@@ -118,8 +115,7 @@ class ReductionStep:
         }
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple
     terminal: str  # reached_degree_threshold | no_decreasing_triple | step_budget_exhausted
     lam: float
@@ -254,14 +250,13 @@ def verify_conjugation(trace: ReductionTrace, h: WeylElement) -> bool:
 # realizability of Jonquieres base configurations
 
 
-@dataclass
 class PointConfiguration:
     """An ordered configuration of bubble points with geometric annotations.
 
     ``points[0]`` plays the role of the distinguished base point.  Beyond
     the per-point annotations (projective coordinates for proper points,
-    parents for infinitely near ones), two kinds of declared facts are
-    consulted when coordinates cannot decide a question:
+    parents for infinitely near ones), two kinds of declared facts, which
+    the caller fills in, decide what coordinates cannot:
 
     * ``collinear_facts``: frozenset of three point ids -> bool;
     * ``exceptional_members``: point -> points lying (as proper or
@@ -270,10 +265,11 @@ class PointConfiguration:
       under taking further infinitely near points.
     """
 
-    points: list
-    collinear_facts: dict = field(default_factory=dict)
-    exceptional_members: dict = field(default_factory=dict)
-    k_max: int = 6
+    def __init__(self, points: list, k_max: int = 6):
+        self.points = points
+        self.k_max = k_max
+        self.collinear_facts = {}
+        self.exceptional_members = {}
 
     def proximate_to(self, base: BubblePoint) -> set:
         members = set(self.exceptional_members.get(base, ()))
@@ -298,8 +294,7 @@ class PointConfiguration:
         return None
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
+class RealizabilityReport(NamedTuple):
     status: str  # pass | fail | undecidable
     condition: Optional[int] = None
     witness: Optional[str] = None

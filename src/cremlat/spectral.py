@@ -33,10 +33,10 @@ v+- are exact rationals; each axis float is rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import mul
+from typing import NamedTuple
 
 from . import intmat
 from .bounds import LOXODROMY_CONSTANT
@@ -59,8 +59,7 @@ class CertificateError(RuntimeError):
     not what the analysis assumes, or the analysis is at fault."""
 
 
-@dataclass(frozen=True)
-class IsometryClassification:
+class IsometryClassification(NamedTuple):
     kind: str
     evidence: str
 
@@ -69,13 +68,13 @@ class IsometryClassification:
         return self.kind == KIND_LOXODROMIC
 
 
-@dataclass(frozen=True)
 class _Spectrum:
     """Spectral data of one element, each part computed on first use: the
     characteristic polynomial split once into its cyclotomic orders and
     cyclotomic-free part, lambda, the Krylov pass and the criterion degrees."""
 
-    matrix: tuple
+    def __init__(self, matrix: tuple):
+        self.matrix = matrix
 
     @cached_property
     def charpoly(self) -> IntPolynomial:
@@ -167,18 +166,17 @@ def dynamical_degree(h: WeylElement) -> float:
 # eigenvectors, axis, distances
 
 
-@dataclass(frozen=True)
-class LoxodromicData:
+class LoxodromicData(NamedTuple):
     lam: float
     # v+- = c+-(p) / c+-_0 on the support of h, exact rationals
-    v_plus: ClassVector = field(compare=False, repr=False)
-    v_minus: ClassVector = field(compare=False, repr=False)
+    v_plus: ClassVector
+    v_minus: ClassVector
     vplus_dot_vminus: float
     cosh_axis_distance: float
     residual_plus: float
     residual_minus: float
     # the exact integer classes c+- = (M^e e0, M^-e e0) that v+- are read from
-    columns: tuple = field(default=(), compare=False, repr=False)
+    columns: tuple = ()
 
 
 def axis_data(h: WeylElement) -> LoxodromicData:
@@ -264,8 +262,7 @@ def cosh_distance_to_axis(data: LoxodromicData, x: ClassVector) -> float:
     return _sqrt_ratio(r.numerator, r.denominator)
 
 
-@dataclass(frozen=True)
-class DisplacementReport:
+class DisplacementReport(NamedTuple):
     dist_to_axis: float
     displacement: float
     factor: int

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import SyntaxErrorAt, intmat
 from .lattice import (
@@ -43,52 +42,31 @@ from .lattice import (
 # generators
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple):
     """A finite-support permutation letter: disjoint transpositions."""
 
     pairs: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for a, b in self.pairs:
-            if a == b:
-                raise ValueError("transposition with equal points")
-            for x in (a, b):
-                if x in seen:
-                    raise ValueError("transpositions must be disjoint")
-                seen.add(x)
 
     def __repr__(self):
         return "s" + "".join(f"({a!r} {b!r})" for a, b in self.pairs) if self.pairs else "s()"
 
 
-@dataclass(frozen=True)
-class Sigma0:
+class Sigma0(NamedTuple):
     """The quadratic involution with base points (p1, p2, p3)."""
 
     p1: BubblePoint
     p2: BubblePoint
     p3: BubblePoint
 
-    def __post_init__(self):
-        if len({self.p1, self.p2, self.p3}) != 3:
-            raise ValueError("sigma0 needs three distinct points")
-
     def __repr__(self):
         return f"q({self.p1!r},{self.p2!r},{self.p3!r})"
 
 
-@dataclass(frozen=True)
-class Tau:
+class Tau(NamedTuple):
     """The reflection swapping e(p) and e(q): the transposition (p q)."""
 
     p: BubblePoint
     q: BubblePoint
-
-    def __post_init__(self):
-        if self.p == self.q:
-            raise ValueError("tau needs two distinct points")
 
     @property
     def pairs(self) -> tuple:
@@ -125,8 +103,7 @@ def gen_apply(g, v: ClassVector) -> ClassVector:
 # words
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(NamedTuple):
     """An ordered tuple of generator letters, applied right-to-left."""
 
     letters: tuple
@@ -348,8 +325,7 @@ def degree(h: WeylElement) -> int:
 # multiplicities and the degree identities
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(NamedTuple):
     """Base-point multiplicities of h and h^{-1} over their common support.
 
     Conventions: a_i = e(p_i) . h(e0) (the base points of h^{-1} are the p_i
@@ -385,8 +361,7 @@ def multiplicity_profile(h: WeylElement) -> MultiplicityProfile:
     return MultiplicityProfile(d, pts, a, b, c)
 
 
-@dataclass(frozen=True)
-class NoetherReport:
+class NoetherReport(NamedTuple):
     degree: int
     applicable: bool
     equalities_ok: bool = True
@@ -687,7 +662,8 @@ def parse_word(text: str):
 
     Grammar: ``q(p1,p2,p3)`` for the quadratic involution, ``t(p,q)`` for a
     transposition reflection, ``s(p1 p2)(p3 p4)`` for a permutation given by
-    disjoint transpositions, with ``*`` composing right-to-left.
+    disjoint transpositions, with ``*`` composing right-to-left.  The points
+    of one letter are distinct; the letter records do not check it.
     """
     names, letters = {}, []
     pos = 0
@@ -719,12 +695,11 @@ def parse_word(text: str):
             if len(groups[0]) != arity:
                 raise SyntaxErrorAt(f"{kind} needs {count} points", pos)
         args = [named_point(t, names, pos) for parts in groups for t in parts]
+        if len(set(args)) < len(args):
+            raise SyntaxErrorAt(f"{kind} needs distinct points", pos)
         if kind == "s":
             make, args = Permutation, [tuple(zip(args[::2], args[1::2]))]
-        try:
-            letters.append(make(*args))
-        except ValueError as exc:
-            raise SyntaxErrorAt(str(exc), pos) from None
+        letters.append(make(*args))
         expecting_term = False
         pos = m.end()
     if expecting_term and letters:

@@ -68,6 +68,13 @@ def sigma_product(*triples):
     return h
 
 
+def axis_floats(data):
+    """The five float fields of spectral.LoxodromicData, by name; v+- and
+    the columns are exact and differ with the power they were read from."""
+    return {name: getattr(data, name) for name in (
+        "lam", "vplus_dot_vminus", "cosh_axis_distance", "residual_plus", "residual_minus")}
+
+
 def counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records its calls; returns the record."""
     calls = []

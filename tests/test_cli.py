@@ -149,6 +149,22 @@ def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == "" and err.startswith("usage error:")
+    # every usage error names its place as the grammars do, "(at position N)"
+    assert "(position" not in err
+
+
+def test_a_config_that_is_not_json_names_the_decoder_position(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"points": ]'))
+    rc, out, err = run(capsys, "realizable", "--m", "2", "--config", "-")
+    assert (rc, out) == (2, "")
+    assert err == "usage error: cannot read --config: Expecting value (at position 11)\n"
+
+
+@pytest.mark.parametrize("letter", ["q(a,a,b)", "t(a,a)", "s(a a)", "s(a b)(b c)"])
+def test_a_letter_with_a_repeated_point_is_a_usage_error_at_its_place(capsys, letter):
+    rc, out, err = run(capsys, "weyl-eval", f"t(x,y)*{letter}")
+    assert (rc, out) == (2, "")
+    assert err == f"usage error: {letter[0]} needs distinct points (at position 7)\n"
 
 
 def test_spaces_around_star_and_signs_parse_as_without_them(capsys):
@@ -405,7 +421,8 @@ RUN_AND_LIST_MODULES = textwrap.dedent("""
     rc = main(sys.argv[1:])
     ran = sorted(name[len("cremlat."):] for name, module in sys.modules.items()
                  if name.startswith("cremlat.") and type(module) is types.ModuleType)
-    print(json.dumps([rc, ran, "dataclasses" in sys.modules]), file=sys.stderr)
+    print(json.dumps([rc, ran, sorted({"dataclasses", "inspect"} & set(sys.modules))]),
+          file=sys.stderr)
 """)
 
 # the modules whose code runs (a lazy module that was never used is still
@@ -429,16 +446,15 @@ MODULES_RUN = {
     "realizable": (("realizable", "--m", "3", "--config", "-", five_points()),
                    {"reduction", "bounds", "spectral", "salem", "weyl", "lattice", "intmat"}),
 }
-# dataclasses imports inspect, a large share of a short call's start-up
-NO_DATACLASSES = {"bounds", "classify-number", "salem-enum", "degseq", "fk-spectrum"}
 
 
 @pytest.mark.parametrize("argv,modules", MODULES_RUN.values(), ids=MODULES_RUN.keys())
 def test_each_subcommand_runs_only_the_modules_it_needs(argv, modules):
     stdin = argv[-1] if argv[0] == "realizable" else None
     proc = child("-c", RUN_AND_LIST_MODULES, *(argv[:-1] if stdin else argv), stdin=stdin)
-    rc, ran, dataclasses = json.loads(proc.stderr.splitlines()[-1])
+    rc, ran, heavy = json.loads(proc.stderr.splitlines()[-1])
     assert rc == 0
     assert set(ran) == modules | {"cli"}
-    if argv[0] in NO_DATACLASSES:
-        assert not dataclasses
+    # no command loads dataclasses or inspect, which it imports: together a
+    # large share of a short call's start-up; records are NamedTuples
+    assert heavy == []

@@ -481,3 +481,11 @@ def test_grammar_errors_carry_positions():
         with pytest.raises(SyntaxErrorAt) as err:
             parse_word(bad)
         assert str(err.value).count("(at position") == 1
+
+
+def test_realize_rejects_a_quadratic_letter_with_a_repeated_point():
+    # parse_word refuses such a letter; realize, given one directly, still
+    # finds that its matrix is no isometry
+    a, b = points(2)
+    with pytest.raises(ValueError):
+        realize(word(Sigma0(a, a, b)))
