@@ -8,12 +8,17 @@ Modules:
 * :mod:`cremlat.weyl` -- words and integer matrices for the infinite Weyl
   group, degree/multiplicity identities, normal forms;
 * :mod:`cremlat.spectral` -- certified isometry classification, dynamical
-  degrees, axis data, the big-power loxodromy criterion;
+  degrees, the big-power loxodromy criterion, and the exact axis: one
+  resolvent pass B(z) = adj(zI - M) e0 gives the closed form
+  v+- = B(lambda^+-1) / A(lambda^+-1) over Q(lambda), kept as B mod P;
 * :mod:`cremlat.salem` -- polynomial classification (Salem, Pisot, ...),
-  cyclotomic stripping, bounded exhaustive Salem search;
+  cyclotomic stripping, bounded exhaustive Salem search, and the bracket of
+  a dominant root, which decides signs and rounds ratios of integer
+  polynomials at the root exactly;
 * :mod:`cremlat.bounds` -- the bound formulas of the reduction theorem;
 * :mod:`cremlat.reduction` -- the quadratic-conjugation degree reduction
-  loop, base-point realizability;
+  loop, which carries B mod P through each conjugation, base-point
+  realizability;
 * :mod:`cremlat.orbits` -- truncated base-point orbits of the explicit
   quadratic-case family and their Salem spectral radii;
 * :mod:`cremlat.birmap` -- a desk-scale engine for coordinate triples and

@@ -87,6 +87,8 @@ def cmd_classify_number(args) -> str:
 
 
 def cmd_salem_enum(args) -> str:
+    if not math.isfinite(args.upper):  # nan, inf, or a decimal past the float range
+        raise SyntaxErrorAt(f"--upper {args.upper} is not a finite number", 0)
     found = salem.enumerate_salem(args.degree_bound, args.upper)
     return json.dumps([
         {"polynomial": salem.format_poly(p), "root": r} for p, r in found
@@ -130,10 +132,13 @@ def cmd_reduce(args) -> str:
 def cmd_realizable(args) -> str:
     try:
         if args.config == "-":
-            data = json.load(sys.stdin)
+            raw = sys.stdin.buffer.read()
         else:
-            with open(args.config) as fh:
-                data = json.load(fh)
+            with open(args.config, "rb") as fh:
+                raw = fh.read()
+        data = json.loads(raw.decode("utf-8"))  # JSON text is UTF-8 (RFC 8259)
+    except UnicodeDecodeError as exc:
+        raise SyntaxErrorAt(f"cannot read --config: {exc.reason}", exc.start) from exc
     except json.JSONDecodeError as exc:
         raise SyntaxErrorAt(f"cannot read --config: {exc.msg}", exc.pos) from exc
     except OSError as exc:

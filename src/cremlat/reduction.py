@@ -14,8 +14,13 @@ lambda > 10^6; the loop below runs for any lambda but only guarantees
 termination in that regime, so a step budget is mandatory.  Each step is a
 genuine conjugation in the Weyl group, kept only as its two-letter
 conjugator word: the word conjugates the matrix by row operations
-(:func:`weyl.conjugate_by_word`) and carries the axis columns letter by
-letter, and the product of the words is verifiable exactly.
+(:func:`weyl.conjugate_by_word`) and carries the axis letter by letter, and
+the product of the words is verifiable exactly.  The axis is the input's
+B mod P (see :func:`cremlat.spectral.axis_data`), B(z) = adj(zI - M) e0 and
+P the minimal polynomial of lambda, kept as integer columns; its values at
+lambda and 1/lambda are the two eigenvectors.  Each step decides the
+hypothesis, the root and the sign of its guarantee in Q(lambda) = Q[z]/P,
+as exact signs at lambda's bracket.
 
 The geometric half of the story, deciding whether a configuration of base
 points is realized by an actual plane Jonquieres transformation, is exposed
@@ -28,14 +33,15 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple, Optional
 
 from . import intmat
 from .bounds import DEGREE_THRESHOLD_COEFF, delta
 from .lattice import BubblePoint, e, e0, intersect
+from .salem import _mul
 from .spectral import (
-    CertificateError, LoxodromicData, _axis_data_at, _sqrt_ratio, axis_data, classify,
-    dynamical_degree,
+    CertificateError, LoxodromicData, _axis_data_at, axis_data, classify, dynamical_degree,
 )
 from .weyl import (
     WeylElement,
@@ -148,36 +154,46 @@ def decreasing_step(h: WeylElement, data: Optional[LoxodromicData] = None):
     quadratic involution rooted at the support point with the largest
     axis-projection coefficient (re-rooting per the maximality property of
     the axis projection) and based at the two remaining points of largest
-    averaged multiplicity.
+    averaged multiplicity.  Every decision is an exact sign in Q(lambda).
     """
     if data is None:
         data = axis_data(h)
-    lam = data.lam
+    bracket, cols = data.bracket, data.columns
     prof = multiplicity_profile(h)
     d = prof.degree
     ranked = prof.sorted_by_c()
     if len(ranked) < 3:
         return None
-    # the hypothesis c1 + c2 + c3 >= d + (5/2) sqrt(d / lambda), decided exactly
+    # the hypothesis c1 + c2 + c3 >= d + (5/2) sqrt(d / lambda): the sign of
+    # 4 excess^2 lambda - 25 d
     excess = ranked[0][3] + ranked[1][3] + ranked[2][3] - d
-    if excess < 0 or 4 * excess ** 2 * Fraction(lam) < 25 * d:
+    if excess < 0 or bracket.sign([-25 * d, 4 * excess ** 2]) < 0:
         return None
     # the axis projection E = (cosh / 2)(v+ + v-) pairs most with e(p) where
-    # v+ + v- has its least coefficient
-    v_sum = data.v_plus + data.v_minus
-    root = min(h.support, key=lambda p: (v_sum.coeff(p), p.id))
+    # v+ + v- has its least coefficient, over_y(C_p) / y at e(p) for the e(p)
+    # row C_p of the axis and y = C_0 C_0*; a class x has
+    # x . (v+ + v-) = over_y(<x, C>) / y
+    c0 = [c.e0 for c in cols]
+    y = _mul(c0, c0[::-1])
+
+    def over_y(f):
+        return [a + b for a, b in zip(_mul(f, c0[::-1]), _mul(f[::-1], c0))]
+
+    at, sy = {p: over_y([c.coeff(p) for c in cols]) for p in h.support}, bracket.sign(y)
+    root = min(h.support, key=cmp_to_key(
+        lambda p, q: sy * bracket.sign([a - b for a, b in zip(at[p], at[q])]) or p.id - q.id))
     rest = [p for p, _, _, _ in ranked if p != root]
     omega = tuple(sorted(rest[:2]))
     w = sigma_omega_word(root, omega)
     h2 = conjugate_by_word(w, h)
     # lambda is a conjugacy invariant and v+-(g h g^-1) = g v+-(h): h2 keeps
-    # the lambda of h and reads its axis from w's image of the exact columns
-    data2 = _axis_data_at(h2, lam, tuple(w.apply(c) for c in data.columns))
-    # the guarantee triple . E = (cosh / 2) pairing is rounded once from its
-    # exact square pairing^2 / (2 v+ . v-), as cosh^2 = 2 / (v+ . v-)
-    pairing = intersect(e(root) + e(omega[0]) + e(omega[1]) - e0(), v_sum)
-    square = Fraction(pairing ** 2, 2 * intersect(data.v_plus, data.v_minus))
-    guarantee = math.copysign(_sqrt_ratio(square.numerator, square.denominator), pairing)
+    # the bracket and the pairing of h and reads its axis from w's image of
+    # the exact columns
+    data2 = _axis_data_at(data.lam, bracket, data.pairing, tuple(w.apply(c) for c in cols))
+    # the guarantee triple . E = (cosh / 2) (x / y) is rounded once from its
+    # exact square (x / y)^2 / (2 v+ . v-), with v+ . v- = pairing / y
+    x = over_y([intersect(e(root) + e(omega[0]) + e(omega[1]) - e0(), c) for c in cols])
+    size = bracket.ratio(_mul(x, x), _mul([2 * q for q in data.pairing], y), True)
     step = ReductionStep(
         root=root,
         omega=omega,
@@ -186,7 +202,7 @@ def decreasing_step(h: WeylElement, data: Optional[LoxodromicData] = None):
         cosh_before=data.cosh_axis_distance,
         cosh_after=data2.cosh_axis_distance,
         achieved=data.cosh_axis_distance - data2.cosh_axis_distance,
-        guarantee=guarantee,
+        guarantee=math.copysign(size, bracket.sign(x, y)),
     )
     return step, h2, w, data2
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence
@@ -305,14 +306,110 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return Fraction(1 + max(abs(c) for c in p.coeffs[:-1]))
 
 
-def dominant_real_root(p: IntPolynomial) -> Optional[float]:
-    """The largest real root > 1, correctly rounded to a float, or None.
+class RootBracket:
+    """The largest real root, above 1, of a squarefree monic integer
+    polynomial ``poly`` (ascending), as a bracket (a/den, b/den] that holds
+    no other root; a == b once a midpoint hits the root.  poly is negative
+    from a/den to the root and positive above it.  Each answer halves the
+    bracket in place as far as it needs, and the next starts from there.
 
-    Located by exact sign bisection on the squarefree part (a Sturm count
-    isolates the largest root when the polynomial does not change sign at 1).
-    The bisection stops when both ends of the bracket round to the same
-    float, which is then the root's, as rounding is monotone.
+    :meth:`sign` and :meth:`ratio` answer for r = num/den, num and den
+    integer polynomials, at the root.  They need ``poly`` irreducible, so
+    that r is 0 exactly when num is 0 modulo poly.  Each polynomial, reduced
+    modulo poly, is bounded on the bracket by its positive and its negative
+    terms, each increasing for x >= 1.
     """
+
+    def __init__(self, poly, a, b, den):
+        self.poly, self.a, self.b, self.den = poly, a, b, den
+
+    def halve(self, times: int = 1):
+        for _ in range(times):  # in integers: doubling keeps the midpoint one
+            mid, self.a, self.b, self.den = self.a + self.b, 2 * self.a, 2 * self.b, 2 * self.den
+            sm = _sign_at(self.poly, mid, self.den)
+            if sm <= 0:
+                self.a = mid
+            if sm >= 0:
+                self.b = mid
+
+    def nearest(self) -> float:
+        """The root, correctly rounded (int true division rounds correctly)."""
+        while (x := self.a / self.den) != (y := self.b / self.den):
+            if math.nextafter(x, y) == y:
+                # the ends round to adjacent floats: the root rounds to x below
+                # their tie t and to y above it, and the sign at t decides, also
+                # for a root at t (an integer above 2^53), which a midpoint need not hit
+                t = (Fraction(x) + Fraction(y)) / 2
+                st = _sign_at(self.poly, t.numerator, t.denominator)
+                return float(t) if st == 0 else y if st < 0 else x
+            self.halve()
+        return x
+
+    def sign(self, num, den=(1,)) -> int:
+        """The sign of r."""
+        num = self._reduced(num)
+        if not any(num):
+            return 0
+        return self._decide(num, den, lambda lo, hi: 1 if lo[0] > 0 else -1 if hi[0] < 0 else None)
+
+    def ratio(self, num, den=(1,), sqrt: bool = False) -> float:
+        """The float nearest to r, or to sqrt(r) for r >= 0."""
+        num, den = self._reduced(num), self._reduced(den)
+        rounded = _sqrt_ratio if sqrt else operator.truediv
+
+        def answer(lo, hi):
+            x, y = rounded(max(lo[0], 0) if sqrt else lo[0], lo[1]), rounded(*hi)
+            if x == y:
+                return x
+            if math.nextafter(x, y) != y:
+                return None
+            # adjacent floats: the side of their tie t decides, as for the root
+            t = (Fraction(x) + Fraction(y)) / 2
+            s = t * t if sqrt else t
+            side = self.sign([s.denominator * u - s.numerator * v for u, v in zip(num, den)], den)
+            return float(t) if side == 0 else y if side > 0 else x
+
+        return self._decide(num, den, answer)
+
+    def _reduced(self, f) -> list:
+        r = _divmod_monic(f, self.poly)[1]
+        return r + [0] * (len(self.poly) - 1 - len(r))
+
+    def _decide(self, num, den, answer):
+        """answer(lo, hi) for lo[0]/lo[1] <= r <= hi[0]/hi[1] (lo[1], hi[1] > 0),
+        halving the bracket, twice as often after each try, until it returns
+        a value other than None; num is reduced."""
+        den = self._reduced(den)
+        if not any(den):
+            raise ZeroDivisionError("the denominator vanishes at the root")
+        times, k = 1, len(num) - 1
+        while True:
+            # den^k x^i at x = a/den and x = b/den, i <= k = deg poly - 1
+            dens = list(itertools.accumulate([1] + [self.den] * k, operator.mul))[::-1]
+            ends = [[u * v for u, v in zip(itertools.accumulate([1] + [x] * k, operator.mul), dens)]
+                    for x in (self.a, self.b)]
+            (n1, n2), (d1, d2) = _bounds(num, ends), _bounds(den, ends)
+            if d2 < 0:
+                n1, n2, d1, d2 = -n2, -n1, -d2, -d1
+            if d1 > 0:
+                out = answer((n1, d2 if n1 >= 0 else d1), (n2, d1 if n2 >= 0 else d2))
+                if out is not None:
+                    return out
+            self.halve(times)
+            times *= 2
+
+
+def _bounds(f, ends) -> tuple:
+    """The least and the greatest den^k f on a bracket, from the values
+    ``ends`` of den^k x^i at its two ends: the least takes the positive
+    terms at the lower end and the negative ones at the upper end."""
+    return (sum(c * ends[c < 0][i] for i, c in enumerate(f)),
+            sum(c * ends[c > 0][i] for i, c in enumerate(f)))
+
+
+def dominant_root_bracket(p: IntPolynomial) -> Optional[RootBracket]:
+    """The largest real root > 1 of p, as a bracket on p's squarefree part,
+    or None.  A Sturm count isolates it, by exact sign bisection."""
     sf = _sturm_chain(p)[0]
     bound = cauchy_bound(IntPolynomial(sf))
     n_gt1 = count_real_roots(p, 1, bound)
@@ -327,32 +424,25 @@ def dominant_real_root(p: IntPolynomial) -> Optional[float]:
             lo, n, slo = mid, above, _sign_at(sf, mid.numerator, mid.denominator)
         else:
             hi = mid
-    # now exactly one simple root in (lo, hi]: certified sign bisection
-    if _sign_at(sf, hi.numerator, hi.denominator) == 0:
-        return float(hi)
-    # in integers from here: lo = a/den and hi = b/den, and each step
-    # doubles all three so that the midpoint stays an integer; int true
-    # division rounds correctly
-    den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    while (x := a / den) != (y := b / den):
-        if math.nextafter(x, y) == y:
-            # the ends round to adjacent floats: the root rounds to x below
-            # their tie t and to y above it, and the sign at t decides, also
-            # for a root at t (an integer above 2^53), which a midpoint need not hit
-            t = (Fraction(x) + Fraction(y)) / 2
-            st = _sign_at(sf, t.numerator, t.denominator)
-            return float(t) if st == 0 else y if (st > 0) == (slo > 0) else x
-        a, b, den = 2 * a, 2 * b, 2 * den
-        mid = (a + b) // 2
-        sm = _sign_at(sf, mid, den)
-        if sm == 0:
-            return mid / den
-        if (sm > 0) == (slo > 0):
-            a, slo = mid, sm
-        else:
-            b = mid
-    return x
+    exact = _sign_at(sf, hi.numerator, hi.denominator) == 0
+    return RootBracket(sf, b if exact else a, b, lo.denominator * hi.denominator)
+
+
+def dominant_real_root(p: IntPolynomial) -> Optional[float]:
+    """The largest real root > 1, correctly rounded to a float, or None."""
+    root = dominant_root_bracket(p)
+    return None if root is None else root.nearest()
+
+
+def _sqrt_ratio(n: int, m: int) -> float:
+    """sqrt(n / m) for ints n >= 0 and m > 0, rounded once to the nearest
+    float: an integer square root with at least 109 bits, the last of them
+    set when inexact (round to odd), then one correctly rounded division."""
+    k = max(0, 110 - (n.bit_length() - m.bit_length()) // 2)
+    n <<= 2 * k
+    r = math.isqrt(n // m)
+    return (r | (r * r * m != n)) / (1 << k)
 
 
 # -- roots outside the unit circle -------------------------------------------

@@ -19,15 +19,17 @@ never reached by realized words; it is kept so the trichotomy is total and
 violations surface loudly.
 
 The characteristic polynomial chi (:func:`cremlat.intmat.charpoly`), its
-cyclotomic split, lambda, one Krylov pass and the criterion degrees are
-computed once per element, on first use, in one record (:func:`_spectrum`)
-that every function below reads.  No matrix is squared: by Cayley-Hamilton
-(Fiduccia, SIAM J. Comput. 1985), M^e e0 and e0^T M^e are read off the
-Krylov pass with the coefficients of x^e mod chi, for the axis and for the
-criterion alike.  :mod:`cremlat.reduction` gives each conjugate g h g^-1
-the lambda of h and g's image of the exact columns of its axis, so a
-conjugate makes neither a characteristic polynomial nor a Krylov pass.
-v+- are exact rationals; each axis float is rounded once.
+cyclotomic split, lambda's bracket, one resolvent pass and the criterion
+degrees are computed once per element, on first use, in one record
+(:func:`_spectrum`) that every function below reads; no matrix is
+multiplied.  The pass gives B(z) = adj(zI - M) e0 from n - 1 products with a
+vector, checked by chi(M) e0 = 0 exactly, and A(z) / chi(z) =
+sum_k deg(h^k) z^(-k-1) with A the e0 row of B.  Over Q(lambda) = Q[z]/P, P
+the cyclotomic-free part, the axis has the closed form v+- =
+B(lambda^+-1) / A(lambda^+-1), and B mod P keeps both values as P is
+reciprocal.  :mod:`cremlat.reduction` gives each conjugate g h g^-1 g's image
+of B mod P, so a conjugate makes neither a characteristic polynomial nor a
+resolvent pass.  Each axis float is rounded once from lambda's bracket.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ from typing import NamedTuple
 from . import intmat
 from .bounds import LOXODROMY_CONSTANT
 from .lattice import ClassVector, intersect
-from .salem import IntPolynomial, dominant_real_root, strip_cyclotomic
+from .salem import (
+    IntPolynomial, RootBracket, _deriv, _divmod_monic, _mul, dominant_root_bracket,
+    strip_cyclotomic,
+)
 from .weyl import WeylElement, apply, degree
 
 DISPLACEMENT_FACTOR = 28  # hyperbolicity constant in the axis-distance bound
@@ -50,8 +55,6 @@ KIND_ELLIPTIC = "elliptic"
 KIND_PARABOLIC_LINEAR = "parabolic_linear"
 KIND_PARABOLIC_QUADRATIC = "parabolic_quadratic"
 KIND_LOXODROMIC = "loxodromic"
-
-AXIS_MARGIN_BITS = 100  # v+- come from M^e with lambda^e >= 2^100 deg^2, e <= 512
 
 
 class CertificateError(RuntimeError):
@@ -71,7 +74,7 @@ class IsometryClassification(NamedTuple):
 class _Spectrum:
     """Spectral data of one element, each part computed on first use: the
     characteristic polynomial split once into its cyclotomic orders and
-    cyclotomic-free part, lambda, the Krylov pass and the criterion degrees."""
+    cyclotomic-free part, lambda, the resolvent pass and the criterion degrees."""
 
     def __init__(self, matrix: tuple):
         self.matrix = matrix
@@ -91,39 +94,50 @@ class _Spectrum:
         return strip_cyclotomic(self.charpoly)
 
     @cached_property
-    def lam(self) -> float:
-        """lambda, correctly rounded to a float."""
-        lam = dominant_real_root(self.split[0])
-        if lam is None or lam <= 1:
+    def bracket(self) -> RootBracket:
+        """lambda's bracket on the cyclotomic-free part P, lambda's minimal
+        polynomial: in signature (1, n), lambda and 1/lambda are its only
+        roots off the unit circle, and by Kronecker any other factor would be
+        cyclotomic."""
+        bracket = dominant_root_bracket(self.split[0])
+        if bracket is None or bracket.nearest() <= 1:
             raise CertificateError(
                 "cyclotomic-free characteristic factor without a root > 1; "
                 "the input is not an isometry of signature (1, n)")
-        return lam
+        return bracket
 
     @cached_property
-    def krylov(self) -> tuple:
-        """(K, L): column i of K is M^i e0 and of L the row e0^T M^i, for
-        i < n, from 2(n - 1) products with a vector."""
-        m, mt = self.matrix, intmat.transpose(self.matrix)
-        cols = rows = [[1] + [0] * (len(m) - 1)]
-        for _ in range(len(m) - 1):
-            cols, rows = cols + [intmat.mat_vec(m, cols[-1])], rows + [intmat.mat_vec(mt, rows[-1])]
-        return intmat.transpose(cols), intmat.transpose(rows)
+    def lam(self) -> float:
+        """lambda, correctly rounded to a float."""
+        return self.bracket.nearest()
 
-    def power_e0(self, e: int) -> tuple:
-        """(M^e e0, e0^T M^e) = (K r, L r), exact, with r = x^e mod chi."""
-        c = self.charpoly.coeffs[:-1]
-        r = [1] + [0] * (len(c) - 1)
-        for _ in range(e):
-            r = [x - r[-1] * y for x, y in zip([0] + r[:-1], c)]
-        return tuple(intmat.mat_vec(k, r) for k in self.krylov)
+    @cached_property
+    def resolvent(self) -> list:
+        """B_0, ..., B_{n-1} with adj(zI - M) e0 = sum_j z^j B_j: B_{n-1} = e0
+        and B_{j-1} = M B_j + c_j e0, chi = sum_j c_j z^j.  The last product,
+        M B_0 + c_0 e0 = chi(M) e0, must vanish (Cayley-Hamilton)."""
+        m = self.matrix
+        cols = [[1] + [0] * (len(m) - 1)]
+        for c in self.charpoly.coeffs[-2::-1]:
+            cols.append(intmat.mat_vec(m, cols[-1]))
+            cols[-1][0] += c
+        if any(cols.pop()):
+            raise CertificateError("chi(M) e0 is not 0: the characteristic polynomial "
+                                   "fails the Cayley-Hamilton check")
+        return cols[::-1]
 
     @cached_property
     def criterion(self) -> tuple:
-        """(deg(h^200), deg(h^400)), exact: with v = M^200 e0 and
-        w = e0^T M^200, deg(h^200) = v_0 and deg(h^400) = w v."""
-        v, w = self.power_e0(200)
-        return v[0], sum(map(mul, w, v))
+        """(deg(h^200), deg(h^400)), exact: A(z) = chi(z) sum_k s_k z^(-k-1)
+        with s_k = e0 . M^k e0, so by descending coefficients
+        s_k = a_(n-1-k) - sum_(j=1..n) c_(n-j) s_(k-j), a_i = 0 for i < 0."""
+        c = self.charpoly.coeffs
+        n = len(c) - 1
+        a, s = [b[0] for b in reversed(self.resolvent)] + [0] * 401, []
+        for k in range(401):
+            t = s[max(0, k - n):k]
+            s.append(a[k] - sum(map(mul, c[n - len(t):n], t)))
+        return s[200], s[400]
 
 
 @lru_cache(maxsize=256)
@@ -168,98 +182,60 @@ def dynamical_degree(h: WeylElement) -> float:
 
 class LoxodromicData(NamedTuple):
     lam: float
-    # v+- = c+-(p) / c+-_0 on the support of h, exact rationals
-    v_plus: ClassVector
-    v_minus: ClassVector
     vplus_dot_vminus: float
     cosh_axis_distance: float
-    residual_plus: float
-    residual_minus: float
-    # the exact integer classes c+- = (M^e e0, M^-e e0) that v+- are read from
-    columns: tuple = ()
+    # the axis C = sum_k z^k columns[k] over Q[z]/P, P = bracket.poly, with
+    # v+- = C(lambda^+-1) / C_0(lambda^+-1), and pairing = <C, C*> mod P,
+    # C*(z) = z^(deg P - 1) C(1/z)
+    columns: tuple
+    bracket: RootBracket
+    pairing: list
 
 
 def axis_data(h: WeylElement) -> LoxodromicData:
-    """Dynamical degree, normalized eigenvectors, and the distance to the axis.
+    """Dynamical degree, the exact axis, and the distance to the axis.
 
-    v_plus and v_minus are the exact integer columns c+ = M^e e0 and
-    c- = M^-e e0 on the support of h, divided by their e0 coefficients, so
-    v . e0 = 1 in exact rationals.  With lambda_lo the float next below
-    lambda's, a lower bound as lambda's float is correctly rounded, e = 2^k
-    is the least power of two, k <= 9, with lambda_lo^e >= 2^AXIS_MARGIN_BITS
-    deg(h)^2.  Against its part on v+, the part of e0 off the (v+, v-) plane
-    is at most about 1 / (v+ . v-) < 2 deg(h)^2 / (lambda - 1/lambda)^2, and
-    M^e shrinks that ratio by lambda^-e (the complement is negative
-    definite), so v+- err by about 2^-100, far below double precision.  Near
-    Lehmer's number the cap e = 512 applies.  v+ . v-, cosh dist(e0, axis) =
-    sqrt(2 / (v+ . v-)) and the two eigenvector residuals are each rounded
-    once from their exact values.
+    The axis is B mod P, B(z) = adj(zI - M) e0 from the resolvent pass, A its
+    e0 row: B(lambda) is A(lambda) v+, B(1/lambda) is A(1/lambda) v-, and the
+    pairing is chi' A* mod P, as v+ . v- = chi'(lambda) / A(lambda).
+    v+ . v- and cosh dist(e0, axis) = sqrt(2 / (v+ . v-)) are each rounded
+    once from lambda's bracket.
 
-    The record keeps the two columns.  :func:`cremlat.reduction.reduce`
-    carries them through each conjugation, g h g^-1 getting g M^e e0 and
-    g M^-e e0: an isometric image of the first element's columns, so the
-    first element's error bound holds at every step, and no conjugate
-    makes a Krylov pass.
+    :func:`cremlat.reduction.reduce` carries the columns through each
+    conjugation, g h g^-1 getting g B mod P, whose values at lambda^+-1 lie
+    on its eigenvectors; an isometry keeps the pairing, so no conjugate makes
+    a resolvent pass.
     """
     cls = classify(h)
     if not cls.is_loxodromic:
         raise ValueError(f"axis data needs a loxodromic element, got {cls.kind}")
-    return _axis_data_at(h, dynamical_degree(h))
+    sp = _spectrum(h)
+    p = sp.bracket.poly
+    rows = [_divmod_monic(r, p)[1] for r in zip(*sp.resolvent)]  # one per coordinate
+    rows = [r + [0] * (len(p) - 1 - len(r)) for r in rows]
+    pairing = _divmod_monic(_mul(_deriv(sp.charpoly.coeffs), rows[0][::-1]), p)[1]
+    columns = tuple(ClassVector(x[0], dict(zip(h.support, x[1:]))) for x in zip(*rows))
+    return _axis_data_at(sp.lam, sp.bracket, pairing, columns)
 
 
-def _axis_data_at(h: WeylElement, lam: float, columns: tuple | None = None) -> LoxodromicData:
-    """axis_data for an element whose dynamical degree lam is already known,
-    such as a conjugate of an element already analysed.  ``columns`` are
-    the exact classes (M^e e0, M^-e e0) to read v+- from; reduce passes the
-    carried ones, and by default they come from the Krylov pass of h."""
-    if columns is None:
-        need = AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
-        lam_lo = math.nextafter(lam, 0)
-        rate = math.log2(lam_lo) if lam_lo > 1 else 0.0
-        k = next((k for k in range(9) if rate * 2 ** k >= need), 9)
-        col, row = _spectrum(h).power_e0(2 ** k)
-        # (M^e)^{-1} = J (M^e)^T J, so its first column is the signed first row
-        columns = (ClassVector(col[0], dict(zip(h.support, col[1:]))),
-                   ClassVector(row[0], {q: -x for q, x in zip(h.support, row[1:])}))
-    # a carried column keeps a part on points that h fixes, as small against
-    # its e0 coefficient as the error of the column itself: read the support
-    cp, cm = ([c.e0] + [c.coeff(q) for q in h.support] for c in columns)
-    v_plus, v_minus = (ClassVector(1, {q: Fraction(x, c[0]) for q, x in zip(h.support, c[1:])})
-                       for c in (cp, cm))
-    # v+ . v- = <c+, c-> / (c+_0 c-_0)
-    den = cp[0] * cm[0]
-    num = den - sum(a * b for a, b in zip(cp[1:], cm[1:]))
-    res_p = _residual(h.matrix, cp, lam)
-    res_m = _residual(intmat.form_inverse(h.matrix), cm, lam)
-    if max(res_p, res_m) > 1e-8 * max(lam, 1.0):
-        raise CertificateError(f"eigenvector residuals too large: {res_p}, {res_m}")
-    return LoxodromicData(lam, v_plus, v_minus, num / den, _sqrt_ratio(2 * den, num),
-                          res_p, res_m, columns)
-
-
-def _residual(m, c: list, lam: float) -> float:
-    """||M c - lam c|| / ||c|| (Euclidean) for an integer column c, exact
-    with lam = a / b read off the float, and rounded once."""
-    a, b = lam.as_integer_ratio()
-    diff = [b * x - a * y for x, y in zip(intmat.mat_vec(m, c), c)]
-    return _sqrt_ratio(sum(x * x for x in diff), b * b * sum(y * y for y in c))
-
-
-def _sqrt_ratio(n: int, m: int) -> float:
-    """sqrt(n / m) for ints n >= 0 and m > 0, rounded once to the nearest
-    float: an integer square root with at least 109 bits, the last of them
-    set when inexact (round to odd), then one correctly rounded division."""
-    k = max(0, 110 - (n.bit_length() - m.bit_length()) // 2)
-    n <<= 2 * k
-    r = math.isqrt(n // m)
-    return (r | (r * r * m != n)) / (1 << k)
+def _axis_data_at(lam: float, bracket: RootBracket, pairing: list, columns: tuple):
+    """axis_data from an axis C whose lambda, bracket and pairing are known,
+    such as a conjugate's: v+ . v- = <C, C*> / (C_0 C_0*) at lambda."""
+    c0 = [c.e0 for c in columns]
+    y = _mul(c0, c0[::-1])
+    cosh = bracket.ratio([2 * x for x in y], pairing, True)
+    return LoxodromicData(lam, bracket.ratio(pairing, y), cosh, columns, bracket, pairing)
 
 
 def cosh_distance_to_axis(data: LoxodromicData, x: ClassVector) -> float:
-    """cosh dist(x, axis) = sqrt(2 (x.v+)(x.v-) / (v+.v-)) for x on the sheet."""
-    r = max(2 * intersect(x, data.v_plus) * intersect(x, data.v_minus)
-            / intersect(data.v_plus, data.v_minus), 1)
-    return _sqrt_ratio(r.numerator, r.denominator)
+    """cosh dist(x, axis) = sqrt(2 (x.v+)(x.v-) / (v+.v-)) for x on the sheet:
+    sqrt(2 X X* / (q^2 <C, C*>)) at lambda, X = q <x, C> for a denominator q
+    of x."""
+    f = [intersect(x, c) for c in data.columns]
+    q = math.lcm(*(Fraction(v).denominator for v in f))
+    f = [int(v * q) for v in f]
+    den = [q * q * v for v in data.pairing]
+    return data.bracket.ratio([2 * v for v in _mul(f, f[::-1])], den, True)
 
 
 class DisplacementReport(NamedTuple):
@@ -303,7 +279,9 @@ def criterion_degrees(h: WeylElement) -> tuple[int, int]:
 
 
 def spectrum_report(h: WeylElement) -> dict:
-    """JSON-ready spectral summary of one element."""
+    """JSON-ready spectral summary of one element.  The eigenvector
+    residuals ||M v - lambda v|| are exactly 0.0: v+- are exact
+    eigenvectors, and the key stays for readers of the schema."""
     cls = classify(h)
     lam = dynamical_degree(h)
     report = {
@@ -317,5 +295,5 @@ def spectrum_report(h: WeylElement) -> dict:
         data = axis_data(h)
         report["cosh_axis_distance"] = data.cosh_axis_distance
         report["vplus_dot_vminus"] = data.vplus_dot_vminus
-        report["residuals"] = {"v_plus": data.residual_plus, "v_minus": data.residual_minus}
+        report["residuals"] = {"v_plus": 0.0, "v_minus": 0.0}
     return report

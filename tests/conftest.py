@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 from functools import cached_property
 
+import mpmath
 import pytest
 
-from cremlat.lattice import point, points
+from cremlat.lattice import ClassVector, point, points
 from cremlat.salem import IntPolynomial, dominant_real_root
 from cremlat.weyl import Permutation, Sigma0, Tau, WeylWord, compose, realize
 
@@ -69,10 +71,46 @@ def sigma_product(*triples):
 
 
 def axis_floats(data):
-    """The five float fields of spectral.LoxodromicData, by name; v+- and
-    the columns are exact and differ with the power they were read from."""
-    return {name: getattr(data, name) for name in (
-        "lam", "vplus_dot_vminus", "cosh_axis_distance", "residual_plus", "residual_minus")}
+    """The three float fields of spectral.LoxodromicData, by name; the
+    columns of the axis are exact, and the carried ones differ from those of
+    a fresh resolvent pass by a factor in Q(lambda)."""
+    return {name: getattr(data, name) for name in ("lam", "vplus_dot_vminus", "cosh_axis_distance")}
+
+
+def mp_fraction(x):
+    """The mpmath float x as an exact Fraction."""
+    x = mpmath.mpf(x)
+    man, exp = x.man_exp  # the mantissa without its sign
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def mp_root(coeffs, guess):
+    """The simple root of the integer polynomial (ascending coefficients)
+    nearest the float guess, at the working precision: Newton's method
+    doubles the about 16 correct digits of the guess at each of 8 steps."""
+    p = list(coeffs)[::-1]
+    dp = [c * (len(p) - 1 - i) for i, c in enumerate(p)][:-1]
+    x = mpmath.mpf(guess)
+    for _ in range(8):
+        x -= mpmath.polyval(p, x) / mpmath.polyval(dp, x)
+    return x
+
+
+def axis_vectors(data):
+    """(v+, v-) as ClassVectors of Fractions within about 10^-55 of their
+    values: the axis columns at lambda and 1/lambda, in 60 digits."""
+    with mpmath.workdps(60):
+        lam = mp_root(data.bracket.poly, data.lam)
+        pts = {p for c in data.columns for p in c.point_coeffs}
+        out = []
+        for z in (lam, 1 / lam):
+            def at(f):
+                return mpmath.polyval(f[::-1], z)
+
+            c0 = at([c.e0 for c in data.columns])
+            out.append(ClassVector(1, {p: mp_fraction(at([c.coeff(p) for c in data.columns]) / c0)
+                                       for p in pts}))
+        return tuple(out)
 
 
 def counting(monkeypatch, module, name):
@@ -144,7 +182,8 @@ def loxodromic_ten(pts):
 
 def axis_point(data):
     """The projection of e0 to the axis, E = (cosh / 2)(v+ + v-)."""
-    return (data.cosh_axis_distance / 2) * (data.v_plus + data.v_minus)
+    v_plus, v_minus = axis_vectors(data)
+    return (data.cosh_axis_distance / 2) * (v_plus + v_minus)
 
 
 def norm_sq(v):

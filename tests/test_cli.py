@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cremlat
-from cremlat import spectral
+from cremlat import intmat
 from cremlat.cli import main
 
 LOXODROMIC = "q(a,b,c)*q(d,e,f)*q(g,h,i)*q(j,a,d)"
@@ -28,6 +28,11 @@ def five_points(**fields):
     coords = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3])
     return json.dumps({"points": [{"id": n, "coords": c} for n, c in zip("abcde", coords)],
                        **fields})
+
+
+def stdin_of(raw):
+    """A standard input that holds the bytes raw."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -141,20 +146,39 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
     ("degseq", "--map", "[x : y : -]"),
     # an integer polynomial, written with a fraction
     ("classify-number", "x^2 + 1/2*x"),
+    # a Salem search up to no finite bound; 1e400 overflows to infinity
+    ("salem-enum", "--degree-bound", "4", "--upper", "nan"),
+    ("salem-enum", "--degree-bound", "4", "--upper", "inf"),
+    ("salem-enum", "--degree-bound", "4", "--upper", "1e400"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv[0] == "realizable":
-        monkeypatch.setattr(sys, "stdin", io.StringIO(argv[-1]))
+        monkeypatch.setattr(sys, "stdin", stdin_of(argv[-1].encode()))
         argv = argv[:-1]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == "" and err.startswith("usage error:")
     # every usage error names its place as the grammars do, "(at position N)"
     assert "(position" not in err
+    if argv[0] == "salem-enum":
+        assert err.endswith(" is not a finite number (at position 0)\n")
+
+
+@pytest.mark.parametrize("source", ["file", "-"])
+def test_a_config_that_is_not_utf8_names_the_byte_position(capsys, monkeypatch, tmp_path, source):
+    raw = bytes.fromhex("ff fe 7b")
+    if source == "file":
+        (tmp_path / "config.json").write_bytes(raw)
+        source = str(tmp_path / "config.json")
+    else:
+        monkeypatch.setattr(sys, "stdin", stdin_of(raw))
+    rc, out, err = run(capsys, "realizable", "--m", "2", "--config", source)
+    assert (rc, out) == (2, "")
+    assert err == "usage error: cannot read --config: invalid start byte (at position 0)\n"
 
 
 def test_a_config_that_is_not_json_names_the_decoder_position(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"points": ]'))
+    monkeypatch.setattr(sys, "stdin", stdin_of(b'{"points": ]'))
     rc, out, err = run(capsys, "realizable", "--m", "2", "--config", "-")
     assert (rc, out) == (2, "")
     assert err == "usage error: cannot read --config: Expecting value (at position 11)\n"
@@ -208,7 +232,7 @@ def test_realizable_reads_every_config_field(capsys, monkeypatch):
                          {"id": "b", "parent": "a", "on_exceptional_of": ["a"]},
                          {"id": "c", "coords": ["1/2", 0, 1]}],
               "collinear": [["a", "b", "c"]], "not_collinear": []}
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    monkeypatch.setattr(sys, "stdin", stdin_of(json.dumps(config).encode()))
     rc, out, _ = run(capsys, "realizable", "--m", "2", "--config", "-")
     assert rc == 0
     assert json.loads(out) == {"status": "fail", "condition": 3, "witness": "line through a, b, c"}
@@ -222,9 +246,10 @@ def test_realizable_reads_every_config_field(capsys, monkeypatch):
     # the denominator is the field's prime, so the coefficient does not exist
     ("degseq", "--map", "[1/4611686018427387847*x*y + y*z : z*x : x*y]", "-n", "3",
      "--prime-field"),
-    # too large for a float, or infinite where an exact ratio is needed
+    # too large for a float where a float is needed
     ("bounds", "--lam", "1e400"),
-    ("salem-enum", "--degree-bound", "4", "--upper", "inf"),
+    # a Salem number exceeds 1
+    ("salem-enum", "--degree-bound", "4", "--upper", "1"),
     # a decimal is read as a float, which overflows to infinity
     ("bounds", "--lam", "1.0e400"),
     # the Jacobian determinant vanishes identically: a constant map, and two
@@ -283,7 +308,7 @@ EXIT_CODES = [
                          ids=[f"{argv[0]}-{code}" for argv, code in EXIT_CODES])
 def test_exit_code_of_every_subcommand(capsys, monkeypatch, argv, code):
     if argv[0] == "realizable":
-        monkeypatch.setattr(sys, "stdin", io.StringIO(argv[-1]))
+        monkeypatch.setattr(sys, "stdin", stdin_of(argv[-1].encode()))
         argv = argv[:-1]
     rc, out, err = run(capsys, *argv)
     assert rc == code, err
@@ -297,10 +322,13 @@ def test_exit_code_of_every_subcommand(capsys, monkeypatch, argv, code):
 
 
 def test_failed_certificate_is_a_domain_error(capsys, monkeypatch):
-    monkeypatch.setattr(spectral, "_residual", lambda m, c, lam: 1.0)
+    # a wrong characteristic polynomial, chi + 1, fails chi(M) e0 = 0
+    charpoly = intmat.charpoly
+    monkeypatch.setattr(intmat, "charpoly", lambda m, outside=None: [
+        c + (i == 0) for i, c in enumerate(charpoly(m, outside))])
     rc, out, err = run(capsys, "spectrum", LOXODROMIC)
     assert rc == 1
-    assert out == "" and err.startswith("error: eigenvector residuals too large")
+    assert out == "" and err.startswith("error: chi(M) e0 is not 0")
 
 
 def test_reduce_beyond_lambda_ten_to_the_six(capsys):
@@ -341,7 +369,7 @@ GOLDEN = [
     (("reduce", conjugated(CONJUGATOR_20, "*".join([LOXODROMIC] * 20))),
      '{"terminal": "reached_degree_threshold", "lambda": 31049477.957554683, "degree_threshold": 7.184129458345431e+23, "final_degree": 1076287745, "steps": 0, "step_bound": 3619193431.528924}\n'),
     (("spectrum", "s(a k)(b l)*q(a,b,c)*t(c,m)*q(d,e,f)*q(g,h,i)*q(j,a,d)*q(k,l,m)"),
-     '{"degree": 25, "class": "loxodromic", "evidence": "spectral radius 6.015301948 from a non-cyclotomic factor", "lambda": 6.015301948105591, "criteria": {"degree400_vs_3_19_degree200": true}, "cosh_axis_distance": 3.340716140007343, "vplus_dot_vminus": 0.17920529806158508, "residuals": {"v_plus": 3.391412079263914e-16, "v_minus": 3.391412079263914e-16}}\n'),
+     '{"degree": 25, "class": "loxodromic", "evidence": "spectral radius 6.015301948 from a non-cyclotomic factor", "lambda": 6.015301948105591, "criteria": {"degree400_vs_3_19_degree200": true}, "cosh_axis_distance": 3.340716140007343, "vplus_dot_vminus": 0.17920529806158508, "residuals": {"v_plus": 0.0, "v_minus": 0.0}}\n'),
     (("fk-spectrum", "--m", "3", "--kmax", "8"),
      '{"m": 3, "limit": 3.732050807568877, "entries": [{"k": 2, "lambda": 3.441477976085134, "class": "salem"}, {"k": 3, "lambda": 3.6615922431108423, "class": "salem"}, {"k": 4, "lambda": 3.713848381862606, "class": "salem"}, {"k": 5, "lambda": 3.7272356225208196, "class": "salem"}, {"k": 6, "lambda": 3.730766139597561, "class": "salem"}, {"k": 7, "lambda": 3.7317070638935146, "class": "salem"}, {"k": 8, "lambda": 3.731958742448955, "class": "salem"}]}\n'),
 ]
@@ -351,8 +379,8 @@ GOLDEN = [
                          ids=["reduce-h0", "reduce-h0^20", "spectrum", "fk-spectrum"])
 def test_golden_output(capsys, argv, expected):
     """Exact stdout, to the last bit of every float.  For reduce, the axis of
-    a conjugate is carried through the conjugation, and must read as if
-    squared."""
+    a conjugate is carried through the conjugation, and must read as the
+    conjugate's own resolvent pass would."""
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
     assert out == expected

@@ -226,14 +226,13 @@ def test_reduce_computes_one_characteristic_polynomial(pts12, monkeypatch):
     assert len(charpolys) == 1
 
 
-def test_reduce_above_lambda_1e6_squares_three_times(monkeypatch):
-    # lambda(h0^20) ~ 3.1e7, so lambda^8 >= 2^100 deg^2 already holds: the
-    # input's M^8 e0 and e0^T M^8 come from its one Krylov pass, and no
-    # matrix is multiplied
+def test_reduce_above_lambda_1e6_makes_one_resolvent_pass(monkeypatch):
+    # lambda(h0^20) ~ 3.1e7: the input's axis comes from its one resolvent
+    # pass, whatever lambda, and no matrix is multiplied
     h = power(loxodromic_ten(points(10)), 20)
     spectral._spectrum.cache_clear()
     products = counting(monkeypatch, intmat, "mat_mul")
-    passes = counting_property(monkeypatch, spectral._Spectrum, "krylov")
+    passes = counting_property(monkeypatch, spectral._Spectrum, "resolvent")
     trace = reduce(h)
     assert 3.0e7 < trace.lam < 3.2e7
     assert passes == [spectral._spectrum(h)] and products == []
@@ -270,10 +269,11 @@ def recorded_steps(monkeypatch):
     return results
 
 
-def assert_reads_as_squared(h, data):
+def assert_reads_as_its_own(h, data):
     """Axis data carried to h equal, float field for float field, to the data
-    that squaring h itself gives (the columns they were read from differ)."""
-    assert axis_floats(data) == axis_floats(spectral._axis_data_at(h, data.lam))
+    of h's own resolvent pass (the columns they were read from differ by a
+    factor in Q(lambda))."""
+    assert axis_floats(data) == axis_floats(axis_data(h))
 
 
 def test_carried_axis_reads_as_squared_along_reduce(pts12, monkeypatch):
@@ -281,7 +281,7 @@ def test_carried_axis_reads_as_squared_along_reduce(pts12, monkeypatch):
     trace = reduce(stacked_inflated(pts12))
     assert len(trace.steps) == len(steps) == 3
     for _, h2, _, data2 in steps:
-        assert_reads_as_squared(h2, data2)
+        assert_reads_as_its_own(h2, data2)
 
 
 def theorem_regime_conjugate():
@@ -318,20 +318,24 @@ def test_carried_axis_reads_as_squared_past_lambda_1e6(monkeypatch):
     assert trace.lam > 10 ** 6
     assert len(trace.steps) == len(steps) >= 3
     for _, h2, _, data2 in steps:
-        assert_reads_as_squared(h2, data2)
+        assert_reads_as_its_own(h2, data2)
 
 
 @pytest.mark.parametrize("stacked", [False, True])
-def test_reduce_squares_only_its_input(pts12, monkeypatch, stacked):
+def test_reduce_makes_a_resolvent_pass_for_its_input_only(pts12, monkeypatch, stacked):
     extra = points(12)
     h = (stacked_inflated(pts12) if stacked
          else build_inflated(loxodromic_ten(pts12), extra[0], extra[1:11]))
     spectral._spectrum.cache_clear()
-    passes = counting_property(monkeypatch, spectral._Spectrum, "krylov")
+    charpolys = counting(monkeypatch, intmat, "charpoly")
+    products = counting(monkeypatch, intmat, "mat_mul")
+    passes = counting_property(monkeypatch, spectral._Spectrum, "resolvent")
     trace = reduce(h)
     assert len(trace.steps) == (3 if stacked else 1)
-    # one Krylov pass for the axis of h; every conjugate's axis is carried
+    # one resolvent pass for the axis of h; every conjugate's axis is
+    # carried, with neither a characteristic polynomial nor a matrix product
     assert len(passes) == 1 and passes[0] is spectral._spectrum(h)
+    assert len(charpolys) == 1 and products == []
 
 
 # -- realizability of base configurations ----------------------------------------------

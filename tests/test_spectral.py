@@ -2,20 +2,23 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     LEHMER,
-    axis_floats,
     axis_point,
+    axis_vectors,
     berkowitz,
     counting,
     counting_property,
     coxeter_generators,
     identity_element,
     loxodromic_ten,
+    mp_fraction,
+    mp_root,
     norm_sq,
     power,
     random_word,
@@ -24,10 +27,9 @@ from conftest import (
 )
 from cremlat import intmat, spectral
 from cremlat.bounds import LOXODROMY_CONSTANT
-from cremlat.lattice import ClassVector, e0, intersect, points
+from cremlat.lattice import e0, intersect, points
 from cremlat.salem import IntPolynomial
 from cremlat.spectral import (
-    LoxodromicData,
     axis_data,
     axis_displacement_check,
     classify,
@@ -206,39 +208,90 @@ def test_axis_data_rejects_non_loxodromic():
         axis_data(realize(word(Sigma0(*p))))
 
 
+def poly_mul(a, b):
+    """Product of two integer polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_mod(a, p):
+    """a modulo the monic p, with deg p coefficients, by long division."""
+    a, m = list(a) + [0] * len(p), len(p) - 1
+    for i in range(len(a) - 1, m - 1, -1):
+        a[i - m:i + 1] = [x - a[i] * y for x, y in zip(a[i - m:i + 1], p)]
+    return a[:m]
+
+
+def form_products(u, v):
+    """<u, v> of two vectors of polynomials, the form diag(1, -1, ..., -1)
+    applied coefficientwise: the polynomial sum_i +-u_i v_i."""
+    out = [0]
+    for i, (x, y) in enumerate(zip(u, v)):
+        prod = poly_mul(x, y)
+        out = [a + (b if i == 0 else -b) for a, b in
+               zip(out + [0] * (len(prod) - len(out)), prod + [0] * (len(out) - len(prod)))]
+    return out
+
+
+def axis_rows(h, data):
+    """The axis C as one polynomial per coordinate, e0 first, over h's support."""
+    return ([[c.e0 for c in data.columns]]
+            + [[c.coeff(q) for c in data.columns] for q in h.support])
+
+
+def apply_rows(m, rows):
+    """M C for a matrix M and a vector of polynomials C."""
+    return [[sum(x * r[k] for x, r in zip(row, rows)) for k in range(len(rows[0]))] for row in m]
+
+
+def shift(f, e, p):
+    """z^e f mod p."""
+    return poly_mod([0] * e + list(f), p)
+
+
 def test_axis_data_quality(pts12):
     h = loxodromic_ten(pts12)
     data = axis_data(h)
     lam, d = data.lam, degree(h)
-    assert data.residual_plus < 1e-9 and data.residual_minus < 1e-9
-    assert abs(intersect(data.v_plus, data.v_plus)) < 1e-9
-    assert abs(intersect(data.v_minus, data.v_minus)) < 1e-9
+    # exact eigenvectors over Q(lambda) = Q[z]/P: M C = z C, and for
+    # C*(z) = z^(deg P - 1) C(1/z), the value at 1/lambda, z M C* = C*
+    p, rows = data.bracket.poly, axis_rows(h, data)
+    assert apply_rows(h.matrix, rows) == [shift(r, 1, p) for r in rows]
+    star = [r[::-1] for r in rows]
+    assert [shift(r, 1, p) for r in apply_rows(h.matrix, star)] == [poly_mod(r, p) for r in star]
+    v_plus, v_minus = axis_vectors(data)
+    assert abs(intersect(v_plus, v_plus)) < 1e-40
+    assert abs(intersect(v_minus, v_minus)) < 1e-40
     assert abs(intersect(axis_point(data), axis_point(data)) - 1) < 1e-9
     assert data.cosh_axis_distance >= 1
-    # the eigenvector normalization v . e0 = 1
-    assert data.v_plus.e0 == 1.0 and data.v_minus.e0 == 1.0
     # sandwich between degree and dynamical degree
     assert math.sqrt(2 * d / (1 / lam + lam + 2)) < data.cosh_axis_distance
     assert data.cosh_axis_distance < 2 * d / (lam - 1 / lam)
     # eigenvector approximation by normalized images of e0
     hinv_e0 = apply(inverse(h), e0())
-    assert math.sqrt(norm_sq(Fraction(1, d) * hinv_e0 - data.v_minus)) < math.sqrt(2 / (lam * d))
+    assert math.sqrt(norm_sq(Fraction(1, d) * hinv_e0 - v_minus)) < math.sqrt(2 / (lam * d))
     h_e0 = apply(h, e0())
-    assert math.sqrt(norm_sq(Fraction(1, d) * h_e0 - data.v_plus)) < math.sqrt(2 / (lam * d))
+    assert math.sqrt(norm_sq(Fraction(1, d) * h_e0 - v_plus)) < math.sqrt(2 / (lam * d))
     # the pairing bounds
     assert (lam - 1 / lam) ** 2 / (2 * d * d) < data.vplus_dot_vminus < (1 / lam + lam + 2) / d
 
 
 def test_axis_data_at_large_lambda():
-    # float error in the residual grows with lambda; h0^20 has lambda ~ 3.1e7
+    # h0^20 has lambda ~ 3.1e7; the axis is exact, so its eigenvector
+    # equation holds exactly at any lambda
     h0 = loxodromic_ten(points(10))
     h = identity_element()
     for _ in range(20):
         h = compose(h, h0)
     data = axis_data(h)
     assert 3.0e7 < data.lam < 3.2e7
-    assert max(data.residual_plus, data.residual_minus) < 1e-9 * data.lam
-    assert data.v_plus.e0 == 1.0 and data.v_minus.e0 == 1.0
+    p, rows = data.bracket.poly, axis_rows(h, data)
+    assert apply_rows(h.matrix, rows) == [shift(r, 1, p) for r in rows]
+    v_plus, v_minus = axis_vectors(data)
+    assert abs(intersect(v_plus, v_minus) / Fraction(data.vplus_dot_vminus) - 1) < 1e-15
 
 
 def neighbour_sums(f):
@@ -247,37 +300,32 @@ def neighbour_sums(f):
     return tuple(Fraction(f) + Fraction(math.nextafter(f, t)) for t in (0, math.inf))
 
 
-def nearest_root(q):
-    """The float nearest sqrt(q) for a rational q >= 0, by exact bracketing."""
-    f = math.sqrt(q)
-    while True:
-        lo, hi = neighbour_sums(f)
-        if hi ** 2 < 4 * q:
-            f = math.nextafter(f, math.inf)
-        elif lo ** 2 > 4 * q:
-            f = math.nextafter(f, 0)
-        else:
-            return f
+def is_nearest(f, x):
+    """Whether the float f is nearest to the mpmath value x."""
+    lo, hi = neighbour_sums(f)
+    return lo <= 2 * mp_fraction(x) <= hi
 
 
-def axis_from_m512(h, lam):
-    """Test-local oracle: the axis data read from M^512 e0 and e0^T M^512,
-    the depth every element used before the depth rule, in exact rationals
-    and each float rounded once.  Both are M^256 applied to the first column
-    or row of P = M^256 from mat_pow, eight squarings."""
-    p = intmat.mat_pow(h.matrix, 256)
-    col = intmat.mat_vec(p, [row[0] for row in p])
-    row = intmat.mat_vec(intmat.transpose(p), p[0])
-    cp = ClassVector(col[0], dict(zip(h.support, col[1:])))
-    cm = ClassVector(row[0], {q: -x for q, x in zip(h.support, row[1:])})
-
-    def residual(g, c):
-        return nearest_root(norm_sq(apply(g, c) - Fraction(lam) * c) / norm_sq(c))
-
-    vp, vm = (Fraction(1, c.e0) * c for c in (cp, cm))
-    dot = intersect(vp, vm)
-    return LoxodromicData(lam, vp, vm, float(dot), nearest_root(2 / dot),
-                          residual(h, cp), residual(inverse(h), cm))
+def mp_axis_oracle(h):
+    """Test-local oracle: lambda, v+ . v- and cosh dist(e0, axis) in 80
+    digits, with v+- solved from the bordered systems
+    [[M - mu I, e0], [e0^T, 0]] (v, t) = (0, 1) at mu = lambda^+-1, lambda
+    a root of the Berkowitz characteristic polynomial."""
+    with mpmath.workdps(80):
+        lam = mp_root(berkowitz([list(r) for r in h.matrix]), dynamical_degree(h))
+        n = len(h.matrix)
+        vs = []
+        for mu in (lam, 1 / lam):
+            a = mpmath.matrix(n + 1, n + 1)
+            for i, row in enumerate(h.matrix):
+                for j, x in enumerate(row):
+                    a[i, j] = x - (mu if i == j else 0)
+            a[0, n] = a[n, 0] = 1
+            b = mpmath.matrix(n + 1, 1)
+            b[n] = 1
+            vs.append(mpmath.lu_solve(a, b))
+        dot = vs[0][0] * vs[1][0] - sum(vs[0][i] * vs[1][i] for i in range(1, n))
+        return lam, dot, mpmath.sqrt(2 / dot)
 
 
 # powers of random words with lambda ~ 4.7e6 and ~ 4.7e8, past the 10^6
@@ -290,7 +338,11 @@ def axis_from_m512(h, lam):
 def test_axis_and_criterion_agree_with_the_full_powers(rng, length, npts, n):
     h = power(realize(random_word(rng, length, points(npts))), n)
     assume(classify(h).is_loxodromic)
-    assert axis_floats(axis_data(h)) == axis_floats(axis_from_m512(h, dynamical_degree(h)))
+    data = axis_data(h)
+    lam, dot, cosh = mp_axis_oracle(h)
+    assert is_nearest(data.lam, lam)
+    assert is_nearest(data.vplus_dot_vminus, dot)
+    assert is_nearest(data.cosh_axis_distance, cosh)
     s = degree_sequence(h, 400)
     assert criterion_degrees(h) == (s[199], s[399])
 
@@ -299,18 +351,50 @@ def test_axis_and_criterion_agree_with_the_full_powers(rng, length, npts, n):
 @given(st.randoms(use_true_random=False), st.integers(6, 24), st.integers(10, 16),
        st.integers(1, 3))
 def test_axis_floats_are_nearest_to_their_exact_values(rng, length, npts, n):
+    # the closed forms v+ . v- = chi'(lambda) / A(lambda) and
+    # cosh^2 = 2 / (v+ . v-), A the e0 row of adj(zI - M) e0
     h = power(realize(random_word(rng, length, points(npts))), n)
     assume(classify(h).is_loxodromic)
     data = axis_data(h)
-    dot = intersect(data.v_plus, data.v_minus)
-    lo, hi = neighbour_sums(data.vplus_dot_vminus)
-    assert lo <= 2 * dot <= hi
-    # cosh^2 = 2 / (v+ . v-)
-    assert data.cosh_axis_distance == nearest_root(2 / dot)
-    lam = Fraction(data.lam)
-    for g, v, res in ((h, data.v_plus, data.residual_plus),
-                      (inverse(h), data.v_minus, data.residual_minus)):
-        assert res == nearest_root(norm_sq(apply(g, v) - lam * v) / norm_sq(v))
+    sp = spectral._spectrum(h)
+    chi, a = sp.charpoly.coeffs, [b[0] for b in sp.resolvent]
+    with mpmath.workdps(60):
+        lam = mp_root(chi, data.lam)
+        dot = mpmath.polyval([i * c for i, c in enumerate(chi)][:0:-1], lam) / mpmath.polyval(
+            a[::-1], lam)
+        assert is_nearest(data.vplus_dot_vminus, dot)
+        assert is_nearest(data.cosh_axis_distance, mpmath.sqrt(2 / dot))
+    assert spectrum_report(h)["residuals"] == {"v_plus": 0.0, "v_minus": 0.0}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 24), st.integers(8, 16),
+       st.integers(1, 2))
+def test_the_resolvent_identities_hold_exactly(rng, length, npts, n):
+    h = power(realize(random_word(rng, length, points(npts))), n)
+    sp = spectral._spectrum(h)
+    b, m = sp.resolvent, h.matrix
+    chi = berkowitz([list(r) for r in m])
+    size = len(m)
+    # (zI - M) B(z) = chi(z) e0, coefficient by coefficient: at z^j,
+    # B_(j-1) - M B_j = c_j e0, with B_(-1) = B_n = 0
+    zero = [0] * size
+    for j in range(size + 1):
+        lower = b[j - 1] if j else zero
+        moved = intmat.mat_vec(m, b[j]) if j < size else zero
+        assert [x - y for x, y in zip(lower, moved)] == [chi[j]] + [0] * (size - 1)
+    s = degree_sequence(h, 400)
+    assert criterion_degrees(h) == (s[199], s[399])
+    if not classify(h).is_loxodromic:
+        return
+    p = sp.bracket.poly
+    rows = [list(r) for r in zip(*b)]  # B as one polynomial per coordinate
+    # B(lambda) is isotropic: <B, B> = 0 mod P
+    assert not any(poly_mod(form_products(rows, rows), p))
+    # <B, z^(d-1) B(1/z)> = chi' A^rev mod P, d = deg chi
+    rev = [r[::-1] for r in rows]
+    derivative = [i * c for i, c in enumerate(chi)][1:]
+    assert poly_mod(form_products(rows, rev), p) == poly_mod(poly_mul(derivative, rows[0][::-1]), p)
 
 
 def test_displacement_bound_at_e0(pts12):
@@ -321,6 +405,7 @@ def test_displacement_bound_at_e0(pts12):
     data = axis_data(h)
     # a point on the axis is at distance zero from it
     assert abs(cosh_distance_to_axis(data, axis_point(data)) - 1) < 1e-6
+    assert cosh_distance_to_axis(data, e0()) == data.cosh_axis_distance
 
 
 # -- the big-power criterion ---------------------------------------------------------
@@ -363,27 +448,23 @@ def test_spectrum_report_schema(pts12):
 def test_spectrum_report_analyses_the_element_once(monkeypatch):
     h = loxodromic_ten(points(10))
     charpolys = counting(monkeypatch, intmat, "charpoly")
-    isolations = counting(monkeypatch, spectral, "dominant_real_root")
+    isolations = counting(monkeypatch, spectral, "dominant_root_bracket")
     products = counting(monkeypatch, intmat, "mat_mul")
     powers = counting(monkeypatch, intmat, "mat_pow")
-    passes = counting_property(monkeypatch, spectral._Spectrum, "krylov")
+    passes = counting_property(monkeypatch, spectral._Spectrum, "resolvent")
     rep = spectrum_report(h)
     assert rep["class"] == "loxodromic"
     assert len(charpolys) == 1
-    # the axis reads M^e e0 at the least e = 2^k with
-    # lambda_lo^e >= 2^100 deg^2, here e = 128 (lambda ~ 2.369, deg 13), and
-    # the criterion reads its degrees from the same Krylov pass
-    lam_lo = math.nextafter(rep["lambda"], 0)
-    bound = 2 ** spectral.AXIS_MARGIN_BITS * degree(h) ** 2
-    k = next(k for k in range(10) if k == 9 or lam_lo ** 2 ** k >= bound)
-    assert k == 7
+    # the axis and the criterion read the same resolvent pass, and no matrix
+    # is multiplied
     assert len(passes) == 1 and not products and not powers
     # one isolation answers the report and axis_data
     assert len(isolations) == 1
     # the cached analysis answers later questions without recomputation
     assert dynamical_degree(h) == rep["lambda"]
     assert classify(h).kind == "loxodromic"
-    assert len(charpolys) == 1 and len(isolations) == 1
+    axis_data(h)
+    assert len(charpolys) == 1 and len(isolations) == 1 and len(passes) == 1
 
 
 def test_char_polynomial_is_reciprocal_up_to_sign(pts12):
@@ -393,7 +474,7 @@ def test_char_polynomial_is_reciprocal_up_to_sign(pts12):
     assert cp == cp[::-1] or cp == tuple(-c for c in cp[::-1])
 
 
-# -- the multimodular characteristic polynomial and the Krylov pass ------------------
+# -- the multimodular characteristic polynomial and the resolvent pass ---------------
 
 
 def isometry_bound_bits(m):
@@ -439,19 +520,16 @@ def test_charpoly_equals_the_oracle_on_any_integer_matrix(a):
 
 @pytest.mark.parametrize("build", [loxodromic_ten, lambda pts: coxeter_element()],
                          ids=["loxodromic_ten", "coxeter_10"])
-def test_krylov_columns_are_those_of_the_squares(pts12, build):
+def test_axis_columns_are_eigenvectors_of_the_squares(pts12, build):
+    # M^e C = z^e C mod P for e = 2^k, k < 10, with M^e from mat_pow: the
+    # axis C is what M^e e0 approaches, exactly, at every depth (the Coxeter
+    # element has Lehmer's number, where 2^9 squarings were the old cap)
     h = build(pts12)
-    sp = spectral._spectrum(h)
-    for k in range(10):
-        p = intmat.mat_pow(h.matrix, 2 ** k)
-        col, row = sp.power_e0(2 ** k)
-        assert col == [r[0] for r in p] and row == p[0]
-    # the axis reads the first column and the signed first row of M^(2^k)
     data = axis_data(h)
-    need = spectral.AXIS_MARGIN_BITS + 2 * math.log2(degree(h))
-    k = next((k for k in range(9) if math.log2(data.lam - 1e-9) * 2 ** k >= need), 9)
-    assert k == (7 if build is loxodromic_ten else 9)
-    p = intmat.mat_pow(h.matrix, 2 ** k)
-    cp, cm = data.columns
-    assert cp == ClassVector(p[0][0], {q: r[0] for q, r in zip(h.support, p[1:])})
-    assert cm == ClassVector(p[0][0], {q: -x for q, x in zip(h.support, p[0][1:])})
+    p, rows = data.bracket.poly, axis_rows(h, data)
+    for k in range(10):
+        e = 2 ** k
+        assert apply_rows(intmat.mat_pow(h.matrix, e), rows) == [shift(r, e, p) for r in rows]
+    # C is B mod P, B = adj(zI - M) e0 of the resolvent pass
+    b = spectral._spectrum(h).resolvent
+    assert rows == [poly_mod(r, p) for r in zip(*b)]
