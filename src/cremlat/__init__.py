@@ -6,23 +6,29 @@ Modules:
   intersection form;
 * :mod:`cremlat.intmat` -- small exact integer matrix kernels;
 * :mod:`cremlat.weyl` -- words and integer matrices for the infinite Weyl
-  group, degree/multiplicity identities, normal forms;
+  group, base-point multiplicities;
+* :mod:`cremlat.normalform` -- the increasing normal form of a word;
+* :mod:`cremlat.roots` -- the root kernel: monic integer polynomials,
+  cyclotomic stripping, Sturm counts, and the bracket of a dominant root,
+  which decides signs and rounds ratios of integer polynomials at the root
+  exactly;
 * :mod:`cremlat.spectral` -- certified isometry classification, dynamical
   degrees, the big-power loxodromy criterion, and the exact axis: one
   resolvent pass B(z) = adj(zI - M) e0 gives the closed form
   v+- = B(lambda^+-1) / A(lambda^+-1) over Q(lambda), kept as B mod P;
-* :mod:`cremlat.salem` -- polynomial classification (Salem, Pisot, ...),
-  cyclotomic stripping, bounded exhaustive Salem search, and the bracket of
-  a dominant root, which decides signs and rounds ratios of integer
-  polynomials at the root exactly;
+* :mod:`cremlat.salem` -- polynomial classification (Salem, Pisot, ...) and
+  the bounded exhaustive Salem search;
 * :mod:`cremlat.bounds` -- the bound formulas of the reduction theorem;
 * :mod:`cremlat.reduction` -- the quadratic-conjugation degree reduction
-  loop, which carries B mod P through each conjugation, base-point
-  realizability;
+  loop, which carries B mod P through each conjugation;
+* :mod:`cremlat.realizable` -- base-point realizability of Jonquieres
+  configurations;
 * :mod:`cremlat.orbits` -- truncated base-point orbits of the explicit
   quadratic-case family and their Salem spectral radii;
 * :mod:`cremlat.birmap` -- a desk-scale engine for coordinate triples and
   monomial maps;
+* :mod:`cremlat.checks` -- checks of the paper's statements, which no
+  command runs;
 * :mod:`cremlat.cli` -- the ``cremlat`` command line.
 
 The package root, which every command loads, holds what several layers

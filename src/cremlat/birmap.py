@@ -27,7 +27,7 @@ import math
 import re
 from typing import NamedTuple
 
-from . import SyntaxErrorAt, crt, format_terms, intmat, parse_terms, primes, salem
+from . import SyntaxErrorAt, crt, format_terms, intmat, parse_terms, primes, roots
 
 DEGREE_BUDGET = 512
 TERM_BUDGET = 200_000
@@ -472,4 +472,4 @@ def monomial_lambda(f: MonomialMap) -> float:
     rounded: the eigenvalues are the roots of x^2 - tr x + det, and negating
     tr negates them."""
     tr, det = f.a + f.d, f.a * f.d - f.b * f.c
-    return salem.dominant_real_root(salem.IntPolynomial([det, -abs(tr), 1])) or 1.0
+    return roots.dominant_real_root(roots.IntPolynomial([det, -abs(tr), 1])) or 1.0

@@ -8,13 +8,30 @@ Every parser raises :class:`cremlat.InputSyntaxError` or a subclass, so the
 exit code follows the type of the exception, never its message.  Each
 ``cmd_*`` function returns its output text, and :func:`main` prints it.
 
-A subcommand loads only the layer modules it runs: ``bounds`` runs no
-lattice code, ``classify-number`` only :mod:`cremlat.salem`.  Importing this
-module binds every layer module through :class:`importlib.util.LazyLoader`,
-which puts it in ``sys.modules`` at once and runs it on its first attribute
-access.  Function-local imports would load as little, but leave the layers
-out of ``sys.modules`` until a command runs, where outside-in tracers (such
-as ``bench/tracer.py``) look for them right after ``import cremlat.cli``.
+A subcommand loads only the layer modules it runs, besides the package root
+and this module; where no bytecode is written (``PYTHONDONTWRITEBYTECODE``),
+these are the modules of the package that it compiles:
+
+* ``bounds``: ``bounds``;
+* ``classify-number`` and ``salem-enum``: ``salem`` and ``roots``;
+* ``fk-spectrum``: ``orbits``, ``salem`` and ``roots``;
+* ``degseq``: ``birmap``, with ``intmat`` where a gcd interpolates, and
+  ``roots`` for ``--monomial``;
+* ``weyl-eval``: ``weyl``, ``lattice`` and ``intmat``;
+* ``weyl-normalize``: ``normalform``, ``weyl`` and ``lattice``;
+* ``spectrum``: ``spectral``, ``roots``, ``bounds``, ``weyl``, ``lattice`` and
+  ``intmat``;
+* ``reduce``: those of ``spectrum``, and ``reduction``;
+* ``realizable``: ``realizable``, ``lattice`` and ``intmat``.
+
+No command loads :mod:`cremlat.checks`, the paper checks.  Importing this
+module binds every other layer module through
+:class:`importlib.util.LazyLoader`, which puts it in ``sys.modules`` at once
+and runs it on its first attribute access.  Function-local imports would
+load as little, but leave the layers out of ``sys.modules`` until a command
+runs, where outside-in tracers (such as ``bench/tracer.py``) look for them
+right after ``import cremlat.cli``.  Likewise :func:`build_parser` builds
+only the subparser of the command it is given.
 """
 
 from __future__ import annotations
@@ -45,10 +62,10 @@ def _lazy(name: str):
 
 
 # intmat too, which no command calls directly, so that every layer module is
-# in sys.modules once this module is imported
-birmap, bounds, intmat, lattice, orbits, reduction, salem, spectral, weyl = map(
-    _lazy, ("birmap", "bounds", "intmat", "lattice", "orbits", "reduction", "salem",
-            "spectral", "weyl"))
+# in sys.modules once this module is imported; not checks, which no command runs
+(birmap, bounds, intmat, lattice, normalform, orbits, realizable, reduction, roots, salem,
+ spectral, weyl) = map(_lazy, ("birmap", "bounds", "intmat", "lattice", "normalform", "orbits",
+                               "realizable", "reduction", "roots", "salem", "spectral", "weyl"))
 
 
 def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
@@ -81,7 +98,7 @@ def cmd_classify_number(args) -> str:
     return json.dumps({
         "kind": cls.kind,
         "root": cls.dominant_root,
-        "stripped": salem.format_poly(cls.stripped) if cls.stripped else None,
+        "stripped": roots.format_poly(cls.stripped) if cls.stripped else None,
         "notes": list(cls.notes),
     })
 
@@ -91,7 +108,7 @@ def cmd_salem_enum(args) -> str:
         raise SyntaxErrorAt(f"--upper {args.upper} is not a finite number", 0)
     found = salem.enumerate_salem(args.degree_bound, args.upper)
     return json.dumps([
-        {"polynomial": salem.format_poly(p), "root": r} for p, r in found
+        {"polynomial": roots.format_poly(p), "root": r} for p, r in found
     ])
 
 
@@ -109,11 +126,11 @@ def cmd_weyl_eval(args) -> str:
 def cmd_weyl_normalize(args) -> str:
     w, names = weyl.parse_word(args.word)
     v = _parse_vector(args.vector, names)
-    nw = weyl.normalize_increasing(w, v)
+    nw = normalform.normalize_increasing(w, v)
     return json.dumps({
         "word": weyl.print_word(nw),
         "image": lattice.render(nw.apply(v)),
-        "partial_degrees": [str(d) for d in weyl.increasing_degrees(nw, v)],
+        "partial_degrees": [str(d) for d in normalform.increasing_degrees(nw, v)],
     })
 
 
@@ -130,63 +147,7 @@ def cmd_reduce(args) -> str:
 
 
 def cmd_realizable(args) -> str:
-    try:
-        if args.config == "-":
-            raw = sys.stdin.buffer.read()
-        else:
-            with open(args.config, "rb") as fh:
-                raw = fh.read()
-        data = json.loads(raw.decode("utf-8"))  # JSON text is UTF-8 (RFC 8259)
-    except UnicodeDecodeError as exc:
-        raise SyntaxErrorAt(f"cannot read --config: {exc.reason}", exc.start) from exc
-    except json.JSONDecodeError as exc:
-        raise SyntaxErrorAt(f"cannot read --config: {exc.msg}", exc.pos) from exc
-    except OSError as exc:
-        raise SyntaxErrorAt(f"cannot read --config: {exc}", 0) from exc
-    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
-        raise SyntaxErrorAt("--config needs a JSON object with a list of points", 0)
-    names = {}
-
-    def named(name):
-        if isinstance(name, str) and name in names:
-            return names[name]
-        raise SyntaxErrorAt(f"--config names an unknown point {name!r}", 0)
-
-    def listed(value, key):
-        if not isinstance(value, list):
-            raise SyntaxErrorAt(f"--config: {key} must be a list", 0)
-        return value
-
-    points = []
-    for spec in data["points"]:
-        if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
-            raise SyntaxErrorAt("--config has a point without a string id", 0)
-        name = spec["id"]
-        if "coords" in spec:
-            try:
-                coords = [Fraction(c) for c in listed(spec["coords"], "coords")]
-            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                coords = []
-            if len(coords) != 3:
-                raise SyntaxErrorAt(f"--config: coords of {name!r} are not three numbers", 0)
-            pt = lattice.proper_point(*coords, label=name)
-        elif "parent" in spec:
-            pt = lattice.infinitely_near(named(spec["parent"]), label=name)
-        else:
-            pt = lattice.point(label=name)
-        names[name] = pt
-        points.append(pt)
-    k_max = data.get("k_max", 6)
-    if type(k_max) is not int or k_max < 0:  # bool is a subclass of int
-        raise SyntaxErrorAt(f"--config: k_max {k_max!r} is not a non-negative integer", 0)
-    config = reduction.PointConfiguration(points, k_max=k_max)
-    for fact, key in ((True, "collinear"), (False, "not_collinear")):
-        for triple in listed(data.get(key, []), key):
-            config.collinear_facts[frozenset(named(n).id for n in listed(triple, key))] = fact
-    for spec in data["points"]:
-        for host in listed(spec.get("on_exceptional_of", []), "on_exceptional_of"):
-            config.exceptional_members.setdefault(named(host), set()).add(names[spec["id"]])
-    report = reduction.realizable_jonquieres(config, args.m)
+    report = realizable.realizable_jonquieres(realizable.read_config(args.config), args.m)
     return json.dumps({"status": report.status, "condition": report.condition,
                        "witness": report.witness})
 
@@ -238,62 +199,68 @@ def cmd_bounds(args) -> str:
     return json.dumps(report.as_dict())
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (function, help, {flag: keyword arguments of add_argument})
+COMMANDS = {
+    "classify-number": (cmd_classify_number, "classify a monic integer polynomial",
+                        {"polynomial": {}}),
+    "salem-enum": (cmd_salem_enum, "exhaustive bounded Salem search",
+                   {"--degree-bound": {"type": int, "required": True},
+                    "--upper": {"type": float, "required": True}}),
+    "weyl-eval": (cmd_weyl_eval, "realize a word and print its degree data", {"word": {}}),
+    "weyl-normalize": (cmd_weyl_normalize, "rewrite a word with increasing degrees",
+                       {"word": {}, "--vector": {"default": "e0"}}),
+    "spectrum": (cmd_spectrum, "spectral report of a word", {"word": {}}),
+    "reduce": (cmd_reduce, "degree reduction loop, one JSON line per step",
+               {"word": {}, "--budget": {"type": int, "default": 200}}),
+    "realizable": (cmd_realizable, "base-point realizability of a configuration",
+                   {"--config": {"required": True, "help": "JSON file, or - for stdin"},
+                    "--m": {"type": int, "required": True}}),
+    "fk-spectrum": (cmd_fk_spectrum, "truncated-orbit spectral radii",
+                    {"--m": {"type": int, "required": True},
+                     "--kmax": {"type": int, "required": True}}),
+    "degseq": (cmd_degseq, "degree sequence of a coordinate triple",
+               {"--map": {"help": "triple like [y*z : z*x : x*y]"},
+                "--monomial": {"help": "a,b,c,d exponent matrix entries"},
+                "-n": {"type": int, "default": 8},
+                "--prime-field": {"action": "store_true"}}),
+    "bounds": (cmd_bounds, "explicit bound formulas",
+               {"--lam": {"help": "dynamical degree (rational or decimal)"},
+                "--degrees": {"type": int, "nargs": 2,
+                              "help": "two degrees for the conjugator bound"}}),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the command line, for the arguments argv.
+
+    When argv starts with a command, only that command's subparser is built,
+    since argparse runs no other; its usage line still lists every command,
+    as the one built from all of them does.  Otherwise (help, no command, an
+    unknown one) all are built, and the error for a missing command names
+    it ``command``.
+    """
     ap = argparse.ArgumentParser(
         prog="cremlat",
         description="exact lattice dynamics of plane birational transformations",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    if argv and argv[0] in COMMANDS:
+        names, metavar = argv[:1], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = COMMANDS, None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("classify-number", cmd_classify_number, help="classify a monic integer polynomial")
-    p.add_argument("polynomial")
-
-    p = add("salem-enum", cmd_salem_enum, help="exhaustive bounded Salem search")
-    p.add_argument("--degree-bound", type=int, required=True)
-    p.add_argument("--upper", type=float, required=True)
-
-    p = add("weyl-eval", cmd_weyl_eval, help="realize a word and print its degree data")
-    p.add_argument("word")
-
-    p = add("weyl-normalize", cmd_weyl_normalize, help="rewrite a word with increasing degrees")
-    p.add_argument("word")
-    p.add_argument("--vector", default="e0")
-
-    p = add("spectrum", cmd_spectrum, help="spectral report of a word")
-    p.add_argument("word")
-
-    p = add("reduce", cmd_reduce, help="degree reduction loop, one JSON line per step")
-    p.add_argument("word")
-    p.add_argument("--budget", type=int, default=200)
-
-    p = add("realizable", cmd_realizable, help="base-point realizability of a configuration")
-    p.add_argument("--config", required=True, help="JSON file, or - for stdin")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("fk-spectrum", cmd_fk_spectrum, help="truncated-orbit spectral radii")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-
-    p = add("degseq", cmd_degseq, help="degree sequence of a coordinate triple")
-    p.add_argument("--map", help="triple like [y*z : z*x : x*y]")
-    p.add_argument("--monomial", help="a,b,c,d exponent matrix entries")
-    p.add_argument("-n", type=int, default=8)
-    p.add_argument("--prime-field", action="store_true")
-
-    p = add("bounds", cmd_bounds, help="explicit bound formulas")
-    p.add_argument("--lam", help="dynamical degree (rational or decimal)")
-    p.add_argument("--degrees", type=int, nargs=2, help="two degrees for the conjugator bound")
+        for flag, kwargs in arguments.items():
+            p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         text = args.fn(args)
     except InputSyntaxError as exc:

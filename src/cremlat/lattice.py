@@ -85,11 +85,6 @@ def point(label=None) -> BubblePoint:
     return BubblePoint(label=label)
 
 
-def points(n: int, prefix: str = "p") -> list[BubblePoint]:
-    """``n`` fresh bubble points labelled prefix1..prefixN."""
-    return [BubblePoint(label=f"{prefix}{i + 1}") for i in range(n)]
-
-
 def proper_point(x: Rational, y: Rational, z: Rational, label=None) -> BubblePoint:
     return BubblePoint(label=label, coords=(x, y, z))
 

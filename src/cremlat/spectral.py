@@ -35,21 +35,18 @@ resolvent pass.  Each axis float is rounded once from lambda's bracket.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import mul
 from typing import NamedTuple
 
 from . import intmat
 from .bounds import LOXODROMY_CONSTANT
-from .lattice import ClassVector, intersect
-from .salem import (
+from .lattice import ClassVector
+from .roots import (
     IntPolynomial, RootBracket, _deriv, _divmod_monic, _mul, dominant_root_bracket,
     strip_cyclotomic,
 )
-from .weyl import WeylElement, apply, degree
-
-DISPLACEMENT_FACTOR = 28  # hyperbolicity constant in the axis-distance bound
+from .weyl import WeylElement, degree
 
 KIND_ELLIPTIC = "elliptic"
 KIND_PARABOLIC_LINEAR = "parabolic_linear"
@@ -225,46 +222,6 @@ def _axis_data_at(lam: float, bracket: RootBracket, pairing: list, columns: tupl
     y = _mul(c0, c0[::-1])
     cosh = bracket.ratio([2 * x for x in y], pairing, True)
     return LoxodromicData(lam, bracket.ratio(pairing, y), cosh, columns, bracket, pairing)
-
-
-def cosh_distance_to_axis(data: LoxodromicData, x: ClassVector) -> float:
-    """cosh dist(x, axis) = sqrt(2 (x.v+)(x.v-) / (v+.v-)) for x on the sheet:
-    sqrt(2 X X* / (q^2 <C, C*>)) at lambda, X = q <x, C> for a denominator q
-    of x."""
-    f = [intersect(x, c) for c in data.columns]
-    q = math.lcm(*(Fraction(v).denominator for v in f))
-    f = [int(v * q) for v in f]
-    den = [q * q * v for v in data.pairing]
-    return data.bracket.ratio([2 * v for v in _mul(f, f[::-1])], den, True)
-
-
-class DisplacementReport(NamedTuple):
-    dist_to_axis: float
-    displacement: float
-    factor: int
-    bound_ok: bool
-    translation_length: float
-
-
-def axis_displacement_check(h: WeylElement, x: ClassVector) -> DisplacementReport:
-    """Check dist(x, axis) <= 28 * dist(x, h(x)) for a point x of the sheet.
-
-    The factor 28 is the smallest integer m with m log(lambda_lehmer)
-    at least 4 log 3, log 3 being the hyperbolicity constant of the space.
-    """
-    data = axis_data(h)
-    if intersect(x, x) != 1:
-        raise ValueError("x must lie on the hyperboloid")
-    lhs = math.acosh(cosh_distance_to_axis(data, x))
-    xhx = float(intersect(x, apply(h, x)))
-    rhs = math.acosh(max(xhx, 1.0))
-    return DisplacementReport(
-        dist_to_axis=lhs,
-        displacement=rhs,
-        factor=DISPLACEMENT_FACTOR,
-        bound_ok=lhs <= DISPLACEMENT_FACTOR * rhs + 1e-9,
-        translation_length=math.log(data.lam),
-    )
 
 
 def loxodromy_criterion(h: WeylElement) -> bool:

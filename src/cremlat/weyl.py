@@ -18,15 +18,18 @@ J = diag(1, -1, ..., -1), omega-invariance, and positive degree.  The group
 here is the finite-support part of the full symmetric-group completion;
 every algorithm in the package only ever touches finitely many points, so
 nothing is lost by the restriction.
+
+The increasing normal form of a word is in :mod:`cremlat.normalform`, and
+the checks of the paper's identities on an element (Noether's, the
+Jonquieres and Halphen classes) are in :mod:`cremlat.checks`.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import SyntaxErrorAt, intmat
 from .lattice import (
@@ -190,37 +193,6 @@ def _prune(support, matrix):
     return [support[i] for i in keep], new_matrix
 
 
-def element_from_images(images: dict) -> WeylElement:
-    """Build a WeylElement from explicit images of e0 and of some e(p).
-
-    ``images`` maps the key ``"e0"`` to a ClassVector and bubble points to
-    ClassVectors.  Points appearing in images but without an explicit image
-    are assumed fixed; the result is validated as a form- and omega-
-    preserving integer matrix.
-    """
-    pts = set(p for p in images if p != "e0")
-    for v in images.values():
-        pts |= set(v.point_coeffs)
-    support = sorted(pts)
-    idx = {p: i + 1 for i, p in enumerate(support)}
-    n = len(support) + 1
-    matrix = [[0] * n for _ in range(n)]
-
-    def emplace(col, v):
-        matrix[0][col] = v.e0
-        for p, c in v.point_coeffs.items():
-            matrix[idx[p]][col] = c
-
-    emplace(0, images["e0"])
-    for p in support:
-        if p in images:
-            emplace(idx[p], images[p])
-        else:
-            matrix[idx[p]][idx[p]] = 1
-    support2, matrix2 = _prune(support, matrix)
-    return WeylElement(support2, matrix2)
-
-
 def _left_multiply(w: WeylWord, rows: list, at: dict) -> None:
     """Replace ``rows`` by realize(w) times them, letter by letter.
 
@@ -286,18 +258,6 @@ def _embed(h: WeylElement, support):
     return m
 
 
-def inverse(h: WeylElement) -> WeylElement:
-    """h^{-1} = J h^T J, exact."""
-    m = intmat.form_inverse(h.matrix)
-    support, m = _prune(list(h.support), m)
-    return WeylElement(support, m, validate=False)
-
-
-def conjugate(g: WeylElement, h: WeylElement) -> WeylElement:
-    """g h g^{-1}."""
-    return compose(compose(g, h), inverse(g))
-
-
 def conjugate_by_word(w: WeylWord, h: WeylElement) -> WeylElement:
     """realize(w) h realize(w)^{-1}, by row operations alone.
 
@@ -322,7 +282,7 @@ def degree(h: WeylElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# multiplicities and the degree identities
+# base-point multiplicities
 
 
 class MultiplicityProfile(NamedTuple):
@@ -361,56 +321,6 @@ def multiplicity_profile(h: WeylElement) -> MultiplicityProfile:
     return MultiplicityProfile(d, pts, a, b, c)
 
 
-class NoetherReport(NamedTuple):
-    degree: int
-    applicable: bool
-    equalities_ok: bool = True
-    identity_ok: bool = True
-    pair_bound_ok: bool = True
-    triple_bound_ok: bool = True
-    witness: Optional[str] = None
-
-    @property
-    def ok(self):
-        return self.equalities_ok and self.identity_ok and self.pair_bound_ok and self.triple_bound_ok
-
-
-def noether_identity(d, mults):
-    """(m, lhs, rhs) for the multiplicities m sorted in decreasing order and
-    padded with zeros to three, and the two sides of
-    (d-1)(m1 + m2 + m3 - (d+1)) = (m1-m3)(d-1-m1) + (m2-m3)(d-1-m2)
-                                  + sum_{i>=4} m_i (m3 - m_i)."""
-    m = sorted(mults, reverse=True) + [0] * (3 - len(mults))
-    lhs = (d - 1) * (m[0] + m[1] + m[2] - (d + 1))
-    rhs = (m[0] - m[2]) * (d - 1 - m[0]) + (m[1] - m[2]) * (d - 1 - m[1])
-    return m, lhs, rhs + sum(x * (m[2] - x) for x in m[3:])
-
-
-def noether_report(h: WeylElement) -> NoetherReport:
-    """Check the degree/multiplicity identities and inequalities for h.
-
-    Verifies, with the a_i sorted in decreasing order:
-      * sum a_i^2 = d^2 - 1 and sum a_i = 3d - 3,
-      * the exact identity of :func:`noether_identity`,
-      * a_i + a_j <= d for all pairs, and
-      * a1 + a2 + a3 >= d + 1.
-
-    Degree-1 elements get an inapplicable report.
-    """
-    d = degree(h)
-    if d < 2:
-        return NoetherReport(d, applicable=False)
-    a, lhs, rhs = noether_identity(d, multiplicity_profile(h).a)
-    eq_ok = sum(x * x for x in a) == d * d - 1 and sum(a) == 3 * d - 3
-    identity_ok = lhs == rhs
-    pair_ok = a[0] + a[1] <= d
-    triple_ok = a[0] + a[1] + a[2] >= d + 1
-    witness = None
-    if not (eq_ok and identity_ok and pair_ok and triple_ok):
-        witness = f"d={d}, a={a}"
-    return NoetherReport(d, True, eq_ok, identity_ok, pair_ok, triple_ok, witness)
-
-
 # ---------------------------------------------------------------------------
 # special families
 
@@ -433,206 +343,6 @@ def sigma_omega_word(p1: BubblePoint, omega: Iterable[BubblePoint]) -> WeylWord:
         a, b = omega[i], omega[i + 1]
         letters += [Sigma0(p1, a, b), Tau(a, b)]
     return WeylWord(tuple(letters))
-
-
-def jonquieres_center(h: WeylElement) -> Optional[BubblePoint]:
-    """A point p with h(e0 - e(p)) = e0 - e(p), smallest id first, or None."""
-    for p in h.support:
-        v = e0() - e(p)
-        if apply(h, v) == v:
-            return p
-    return None
-
-
-def halphen_class(points9: Sequence[BubblePoint]) -> ClassVector:
-    pts = sorted(set(points9))
-    if len(pts) != 9:
-        raise ValueError("a Halphen class needs nine distinct points")
-    return ClassVector(3, {p: -1 for p in pts})
-
-
-def halphen_test(h: WeylElement, candidate: Optional[Sequence[BubblePoint]] = None) -> Optional[ClassVector]:
-    """Search for an isotropic class K = 3 e0 - sum of nine e(p) fixed by h.
-
-    With an explicit nine-point candidate this is a single exact check.
-    Without one, nine-point subsets of the base points are tried, limited to
-    the twelve points of largest average multiplicity c_i (a fixed K needs
-    almost all the multiplicity mass on its nine points, so the cap is
-    harmless in practice).  Subsets satisfying the sufficient numeric
-    criterion
-
-        d/3 >= 3 + (3 + sum_out b_j) (max_in |3 a_i - d| + sum_out a_j)
-
-    are tried first; every candidate is confirmed by the exact identity
-    h(K) = K before being returned.
-    """
-    if candidate is not None:
-        K = halphen_class(candidate)
-        return K if apply(h, K) == K else None
-    if degree(h) < 2:
-        return None
-    prof = multiplicity_profile(h)
-    ranked = [p for p, _, _, _ in prof.sorted_by_c()]
-    pool = ranked[:12]
-    if len(pool) < 9:
-        return None
-    d = Fraction(degree(h))
-    amap = dict(zip(prof.points, prof.a))
-    bmap = dict(zip(prof.points, prof.b))
-
-    def criterion(subset):
-        outside = [p for p in prof.points if p not in subset]
-        rest_a = sum(amap[p] for p in outside)
-        rest_b = sum(bmap[p] for p in outside)
-        spread = max(abs(3 * amap[p] - d) for p in subset)
-        return d / 3 >= 3 + (3 + rest_b) * (spread + rest_a)
-
-    subsets = [frozenset(s) for s in itertools.combinations(pool, 9)]
-    subsets.sort(key=lambda s: (not criterion(s), sorted(p.id for p in s)))
-    for subset in subsets:
-        K = halphen_class(sorted(subset))
-        if apply(h, K) == K:
-            return K
-    return None
-
-
-# ---------------------------------------------------------------------------
-# the increasing normal form
-
-
-def _shape_of(v: ClassVector) -> str:
-    pts = v.point_coeffs
-    if v.e0 == 1 and not pts:
-        return "e0"
-    if v.e0 == 0 and len(pts) == 1 and next(iter(pts.values())) == 1:
-        return "e(q)"
-    if v.e0 == 1 and len(pts) == 1 and next(iter(pts.values())) == -1:
-        return "e0-e(q)"
-    if v.e0 == 3 and pts and all(c == -1 for c in pts.values()):
-        return "3e0-sum"
-    raise ValueError(
-        "normalize_increasing only handles e0, e(q), e0 - e(q) and 3e0 - sum of distinct e(q_i)"
-    )
-
-
-def _descent_triple(u: ClassVector, pool):
-    """Top three multiplicity points of u, padded from pool, ties by id."""
-    mult = {p: -c for p, c in u.point_coeffs.items()}
-    ranked = sorted(mult, key=lambda p: (-mult[p], p.id))
-    triple = ranked[:3]
-    it = iter(pool)
-    while len(triple) < 3:
-        cand = next(it, None)
-        if cand is None:
-            cand = point()
-        if cand not in triple:
-            triple.append(cand)
-    gain = sum(mult.get(p, 0) for p in triple)
-    return triple, gain
-
-
-def _involution_pair(mapping: dict):
-    """Split a finite permutation into at most two disjoint-transposition letters."""
-    # cycle decomposition
-    seen = set()
-    r1, r2 = [], []
-    for start in sorted(mapping):
-        if start in seen or mapping[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        nxt = mapping[start]
-        while nxt != start:
-            cycle.append(nxt)
-            nxt = mapping[nxt]
-        seen |= set(cycle)
-        k = len(cycle)
-        # rotation by one = r2 . r1 with two reversals of the cycle:
-        # r1 swaps i with -i (mod k), r2 swaps i with 1-i (mod k)
-        for i in range(1, (k + 1) // 2):
-            r1.append((cycle[i], cycle[k - i]))
-        r2.append((cycle[0], cycle[1]))
-        i = 2
-        while i < k + 1 - i:
-            r2.append((cycle[i], cycle[k + 1 - i]))
-            i += 1
-    letters = []
-    if r2:
-        letters.append(Permutation(tuple(r2)))
-    if r1:
-        letters.append(Permutation(tuple(r1)))
-    return letters
-
-
-def _match_permutation(v: ClassVector, target: ClassVector) -> dict:
-    """A finite permutation mapping with s(v) = target, for same-shape pairs."""
-    src = sorted(v.point_coeffs)
-    dst = sorted(target.point_coeffs)
-    if v.e0 != target.e0 or len(src) != len(dst):
-        raise ValueError("shape mismatch between start vector and descent endpoint")
-    mapping = dict(zip(src, dst))
-    # complete to a genuine permutation of the union
-    missing_src = [p for p in dst if p not in mapping]
-    missing_dst = [p for p in src if p not in set(mapping.values())]
-    mapping.update(dict(zip(missing_src, missing_dst)))
-    return {k: w for k, w in mapping.items() if k != w}
-
-
-def normalize_increasing(w: WeylWord, v: ClassVector) -> WeylWord:
-    """Rewrite a word, relative to v, so partial degrees strictly increase.
-
-    The returned word w' satisfies realize(w')(v) = realize(w)(v) and its
-    quadratic letters, applied right to left, pass through images of v of
-    strictly increasing e0-degree (permutation letters in between leave the
-    degree unchanged).  In particular the final image is some e(q) or has
-    non-negative multiplicities.
-
-    The construction runs the degree descent backwards: starting from the
-    target image, quadratic involutions on the three points of largest
-    multiplicity strictly decrease the degree until a permutation image of
-    v remains; reversing the chain gives the increasing word.
-    """
-    _shape_of(v)
-    target = w.apply(v)
-    pool = sorted(w.support() | set(v.point_coeffs) | set(target.point_coeffs))
-    chain = []
-    cur = target
-    guard = 0
-    while True:
-        pts = list(cur.point_coeffs.values())
-        if any(c > 0 for c in pts) and not (cur.e0 == 0 and pts == [1]):  # e(q) is allowed
-            raise AssertionError("descent produced a negative multiplicity")
-        d = cur.e0
-        triple, gain = _descent_triple(cur, pool)
-        if d <= 0 or gain <= d:
-            break
-        sig = Sigma0(*triple)
-        chain.append(sig)
-        cur = gen_apply(sig, cur)
-        for p in triple:
-            if p not in pool:
-                pool.append(p)
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("descent did not terminate")
-    mapping = _match_permutation(v, cur)
-    letters = tuple(chain) + tuple(_involution_pair(mapping))
-    if not letters:
-        letters = (Permutation(()),)
-    out = WeylWord(letters)
-    assert out.apply(v) == target
-    return out
-
-
-def increasing_degrees(w: WeylWord, v: ClassVector) -> list:
-    """The e0-degrees of the partial images of v after each quadratic letter."""
-    degs = []
-    cur = v
-    for g in reversed(w.letters):
-        cur = gen_apply(g, cur)
-        if isinstance(g, Sigma0):
-            degs.append(cur.e0)
-    return degs
 
 
 # ---------------------------------------------------------------------------

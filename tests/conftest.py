@@ -5,9 +5,14 @@ from functools import cached_property
 import mpmath
 import pytest
 
-from cremlat.lattice import ClassVector, point, points
-from cremlat.salem import IntPolynomial, dominant_real_root
-from cremlat.weyl import Permutation, Sigma0, Tau, WeylWord, compose, realize
+from cremlat.checks import noether_identity, points
+from cremlat.intmat import charpoly
+from cremlat.lattice import ClassVector, point
+from cremlat.roots import IntPolynomial, dominant_real_root
+from cremlat.spectral import dynamical_degree
+from cremlat.weyl import (
+    Permutation, Sigma0, Tau, WeylWord, compose, multiplicity_profile, realize,
+)
 
 LEHMER_POLYNOMIAL = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER = dominant_real_root(LEHMER_POLYNOMIAL)  # Lehmer's number
@@ -94,6 +99,25 @@ def mp_root(coeffs, guess):
     for _ in range(8):
         x -= mpmath.polyval(p, x) / mpmath.polyval(dp, x)
     return x
+
+
+def averaged_noether_margins(h):
+    """The two inequalities of checks.averaged_noether_check as the signs of
+    their margins, sum c_i^2 - (d^2 - 1) + s and lhs - rhs + s of
+    checks.noether_identity on the c_i, with s = (d/2)(1/lambda + lambda + 2)
+    in 80 digits, lambda refined from its float on chi.  Returns
+    ((margin, margin), s)."""
+    prof = multiplicity_profile(h)
+    d = prof.degree
+    c, lhs, rhs = noether_identity(d, prof.c)
+    with mpmath.workdps(80):
+        lam = mp_root(charpoly(h.matrix), dynamical_degree(h))
+        s = mpmath.mpf(d) / 2 * (1 / lam + lam + 2)
+
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        return (mp(sum(x * x for x in c) - (d * d - 1)) + s, mp(lhs - rhs) + s), s
 
 
 def axis_vectors(data):

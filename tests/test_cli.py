@@ -455,24 +455,26 @@ RUN_AND_LIST_MODULES = textwrap.dedent("""
 
 # the modules whose code runs (a lazy module that was never used is still
 # of the pending type), besides cremlat and cremlat.cli; intmat runs only
-# where a matrix or an interpolation is computed
+# where a matrix or an interpolation is computed.  The lattice commands run
+# the root kernel (roots) but not the Salem layer (salem), and no command
+# runs the paper checks (checks)
 MODULES_RUN = {
     "bounds": (("bounds", "--lam", "2"), {"bounds"}),
-    "classify-number": (("classify-number", LEHMER), {"salem"}),
-    "salem-enum": (("salem-enum", "--degree-bound", "6", "--upper", "1.5"), {"salem"}),
+    "classify-number": (("classify-number", LEHMER), {"salem", "roots"}),
+    "salem-enum": (("salem-enum", "--degree-bound", "6", "--upper", "1.5"), {"salem", "roots"}),
     "degseq-cancelling": (("degseq", "--map", CANCELLING_MAP, "-n", "3"), {"birmap", "intmat"}),
     "degseq-generic": (("degseq", "--map", GENERIC_MAP, "-n", "3"), {"birmap"}),
-    "degseq-monomial": (("degseq", "--monomial", "1,1,1,0"), {"birmap", "salem"}),
-    "fk-spectrum": (("fk-spectrum", "--m", "3", "--kmax", "4"), {"orbits", "salem"}),
+    "degseq-monomial": (("degseq", "--monomial", "1,1,1,0"), {"birmap", "roots"}),
+    "fk-spectrum": (("fk-spectrum", "--m", "3", "--kmax", "4"), {"orbits", "salem", "roots"}),
     "weyl-eval": (("weyl-eval", LOXODROMIC), {"weyl", "lattice", "intmat"}),
     "weyl-normalize": (("weyl-normalize", LOXODROMIC, "--vector", "e0-e(a)"),
-                       {"weyl", "lattice"}),
+                       {"normalform", "weyl", "lattice"}),
     "spectrum": (("spectrum", LOXODROMIC),
-                 {"spectral", "bounds", "salem", "weyl", "lattice", "intmat"}),
+                 {"spectral", "bounds", "roots", "weyl", "lattice", "intmat"}),
     "reduce": (("reduce", LOXODROMIC),
-               {"reduction", "bounds", "spectral", "salem", "weyl", "lattice", "intmat"}),
+               {"reduction", "bounds", "spectral", "roots", "weyl", "lattice", "intmat"}),
     "realizable": (("realizable", "--m", "3", "--config", "-", five_points()),
-                   {"reduction", "bounds", "spectral", "salem", "weyl", "lattice", "intmat"}),
+                   {"realizable", "lattice", "intmat"}),
 }
 
 

@@ -15,11 +15,12 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import LEHMER_POLYNOMIAL, coxeter_generators
+from conftest import LEHMER_POLYNOMIAL, averaged_noether_margins, coxeter_generators
 from cremlat import intmat
-from cremlat.reduction import averaged_noether_check
-from cremlat.salem import IntPolynomial, classify_number, format_poly
-from cremlat.weyl import WeylWord, noether_report, realize
+from cremlat.checks import averaged_noether_check, noether_report
+from cremlat.roots import IntPolynomial, format_poly
+from cremlat.salem import classify_number
+from cremlat.weyl import WeylWord, realize
 from test_salem import LEHMER_TO_1_3, PLASTIC_POLYNOMIAL
 
 RANGE = range(10, 21)
@@ -72,4 +73,7 @@ def test_salem_factors_are_found_by_the_degree_ten_search():
 def test_noether_identities_hold(n):
     h, _ = coxeter_element(n)
     assert noether_report(h).ok
-    assert averaged_noether_check(h).ok
+    rep = averaged_noether_check(h)
+    margins, _ = averaged_noether_margins(h)
+    assert (rep.sum_sq_ok, rep.triple_ok) == tuple(m > 0 for m in margins) == (True, True)
+    assert rep.ok

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import norm_sq, word
+from cremlat.checks import points
 from cremlat.lattice import (
     BubblePoint,
     ClassVector,
@@ -11,7 +12,6 @@ from cremlat.lattice import (
     infinitely_near,
     intersect,
     point,
-    points,
     proper_point,
     render,
 )

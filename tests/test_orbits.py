@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremlat import intmat
-from cremlat.orbits import (
-    lambda_limit,
-    lambda_sequence,
-    quadratic_charpoly,
-    quadratic_closed_form,
-    quadratic_orbit_element,
-    quadratic_orbit_matrix,
-)
-from cremlat.salem import IntPolynomial, dominant_real_root, strip_cyclotomic
+from cremlat.checks import quadratic_charpoly, quadratic_orbit_element, quadratic_orbit_matrix
+from cremlat.orbits import lambda_limit, lambda_sequence, quadratic_closed_form
+from cremlat.roots import IntPolynomial, dominant_real_root, strip_cyclotomic
 
 
 @settings(max_examples=60, deadline=None)

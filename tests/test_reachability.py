@@ -19,28 +19,29 @@ SRC = Path(cremlat.__file__).parent
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
 # Checks of the paper's statements that no command calls yet, with what only
-# they use.  A check leaves this set once a command runs it.
+# they use, all in cremlat.checks, which no command loads.  A check leaves
+# this set, and that module, once a command runs it.
 PAPER_CHECKS = {
-    "weyl.NoetherReport",
-    "weyl.noether_report",
-    "weyl.noether_identity",
-    "weyl.conjugate",
-    "weyl.inverse",
-    "weyl.element_from_images",
-    "weyl.jonquieres_center",
-    "weyl.halphen_class",
-    "weyl.halphen_test",
-    "reduction.AxisNoetherReport",
-    "reduction.averaged_noether_check",
-    "reduction.verify_conjugation",
-    "spectral.DISPLACEMENT_FACTOR",
-    "spectral.DisplacementReport",
-    "spectral.axis_displacement_check",
-    "spectral.cosh_distance_to_axis",
-    "orbits.quadratic_charpoly",
-    "orbits.quadratic_orbit_matrix",
-    "orbits.quadratic_orbit_element",
-    "lattice.points",
+    "checks.NoetherReport",
+    "checks.noether_report",
+    "checks.noether_identity",
+    "checks.conjugate",
+    "checks.inverse",
+    "checks.element_from_images",
+    "checks.jonquieres_center",
+    "checks.halphen_class",
+    "checks.halphen_test",
+    "checks.AxisNoetherReport",
+    "checks.averaged_noether_check",
+    "checks.verify_conjugation",
+    "checks.DISPLACEMENT_FACTOR",
+    "checks.DisplacementReport",
+    "checks.axis_displacement_check",
+    "checks.cosh_distance_to_axis",
+    "checks.quadratic_charpoly",
+    "checks.quadratic_orbit_matrix",
+    "checks.quadratic_orbit_element",
+    "checks.points",
 }
 
 

@@ -1,50 +1,34 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     LEHMER,
+    averaged_noether_margins,
     axis_floats,
     axis_point,
     counting,
     counting_property,
     loxodromic_ten,
+    mp_fraction,
     power,
     random_word,
     word,
 )
-from cremlat import intmat, reduction, spectral
+from cremlat import checks, intmat, reduction, spectral
 from cremlat.bounds import bounds, delta
-from cremlat.lattice import (
-    ClassVector,
-    e,
-    e0,
-    infinitely_near,
-    intersect,
-    point,
-    points,
-    proper_point,
+from cremlat.checks import (
+    averaged_noether_check, conjugate, noether_identity, points, verify_conjugation,
 )
-from cremlat.reduction import (
-    PointConfiguration,
-    averaged_noether_check,
-    decreasing_step,
-    realizable_jonquieres,
-    reduce,
-    verify_conjugation,
-)
+from cremlat.lattice import ClassVector, e, e0, infinitely_near, intersect, point, proper_point
+from cremlat.realizable import PointConfiguration, realizable_jonquieres
+from cremlat.reduction import decreasing_step, reduce
 from cremlat.spectral import axis_data, classify, dynamical_degree
-from cremlat.weyl import (
-    Sigma0,
-    conjugate,
-    degree,
-    multiplicity_profile,
-    realize,
-    sigma_omega_word,
-)
+from cremlat.weyl import Sigma0, degree, multiplicity_profile, realize, sigma_omega_word
 
 
 # -- bound formulas -----------------------------------------------------------
@@ -97,6 +81,35 @@ def test_averaged_noether_on_loxodromic_samples(rng, pts12):
             continue
         assert averaged_noether_check(g).ok
         checked += 1
+
+
+def test_averaged_noether_decides_as_80_digits_do(rng):
+    """Each inequality is the sign of its margin at lambda, as an 80-digit
+    evaluation gives it: on 20 random loxodromic words (lambda from 1.35 to
+    15.6 here) and on powers of the standard sample up to lambda ~ 3.1e7."""
+    pts, samples = points(11), [power(loxodromic_ten(points(10)), k) for k in (5, 20)]
+    while len(samples) < 22:
+        g = realize(random_word(rng, rng.randint(4, 24), pts))
+        if classify(g).kind == "loxodromic":
+            samples.append(g)
+    for g in samples:
+        rep = averaged_noether_check(g)
+        margins, _ = averaged_noether_margins(g)
+        assert (rep.sum_sq_ok, rep.triple_ok) == tuple(m > 0 for m in margins)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_averaged_noether_decides_a_margin_of_ten_to_the_minus_40(monkeypatch, pts12, offset):
+    """With lhs - rhs a rational within 10^-40 of -s, the margin's sign is the
+    side of -s it lies on: lambda's bracket decides what a rational read
+    from lambda's float, of denominator at most 10^12, cannot."""
+    h = loxodromic_ten(pts12)
+    _, s = averaged_noether_margins(h)
+    with mpmath.workdps(80):
+        gap = mp_fraction(-s + offset * mpmath.mpf(10) ** -40)
+    c, _, _ = noether_identity(degree(h), multiplicity_profile(h).c)
+    monkeypatch.setattr(checks, "noether_identity", lambda d, mults: (c, gap, 0))
+    assert averaged_noether_check(h).triple_ok == (offset > 0)
 
 
 def test_averaged_noether_rejects_non_loxodromic():
@@ -276,7 +289,7 @@ def assert_reads_as_its_own(h, data):
     assert axis_floats(data) == axis_floats(axis_data(h))
 
 
-def test_carried_axis_reads_as_squared_along_reduce(pts12, monkeypatch):
+def test_carried_axis_reads_as_its_own_along_reduce(pts12, monkeypatch):
     steps = recorded_steps(monkeypatch)
     trace = reduce(stacked_inflated(pts12))
     assert len(trace.steps) == len(steps) == 3
@@ -312,7 +325,7 @@ def test_no_decreasing_triple_above_the_threshold_is_an_error(monkeypatch):
         reduce(theorem_regime_conjugate())
 
 
-def test_carried_axis_reads_as_squared_past_lambda_1e6(monkeypatch):
+def test_carried_axis_reads_as_its_own_past_lambda_1e6(monkeypatch):
     steps = recorded_steps(monkeypatch)
     trace = reduce(theorem_regime_conjugate())
     assert trace.lam > 10 ** 6

@@ -7,19 +7,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEHMER, LEHMER_POLYNOMIAL, counting
-from cremlat import salem
-from cremlat.salem import (
+from cremlat import roots, salem
+from cremlat.roots import (
     IntPolynomial,
-    SearchSpaceError,
-    classify_number,
     count_real_roots,
     cyclotomic,
     dominant_real_root,
-    enumerate_salem,
     format_poly,
+    strip_cyclotomic,
+)
+from cremlat.salem import (
+    SearchSpaceError,
+    classify_number,
+    enumerate_salem,
     from_trace_poly,
     parse_poly,
-    strip_cyclotomic,
     to_trace_poly,
 )
 
@@ -85,12 +87,12 @@ def test_cyclotomic_orders_are_every_n_with_small_phi():
     # phi(n) >= sqrt(n/2), so n <= 2 d^2 + 2 holds every n with phi(n) <= d
     for d in range(1, 41):
         want = [(n, phi_by_gcd(n)) for n in range(1, 2 * d * d + 3) if phi_by_gcd(n) <= d]
-        assert list(salem._cyclotomic_orders(d)) == want
+        assert list(roots._cyclotomic_orders(d)) == want
 
 
 def test_cyclotomic_at_2_is_the_value_at_2():
     for n in range(1, 131):
-        assert salem._cyclotomic_at_2(n) == cyclotomic(n)(2)
+        assert roots._cyclotomic_at_2(n) == cyclotomic(n)(2)
 
 
 def strip_by_trial_division(p):
@@ -180,11 +182,11 @@ def test_dominant_real_root_of_integer_roots(rs):
 
 
 def test_dominant_real_root_builds_one_chain(monkeypatch):
-    salem._sturm_chain.cache_clear()
-    squarefree = counting(monkeypatch, salem, "squarefree_part")
+    roots._sturm_chain.cache_clear()
+    squarefree = counting(monkeypatch, roots, "squarefree_part")
     dominant_real_root(LEHMER_POLYNOMIAL)
     assert len(squarefree) == 1
-    assert salem._sturm_chain.cache_info().misses == 1
+    assert roots._sturm_chain.cache_info().misses == 1
 
 
 # a factor with a root above 1: Salem, Pisot, or a random monic one
@@ -207,7 +209,7 @@ def test_dominant_real_root_is_correctly_rounded(f, orders):
     p = product([f] + [cyclotomic(n) for n in orders])
     lam = dominant_real_root(p)
     half = Fraction(math.ulp(lam)) / 2
-    sf = salem.squarefree_part(p)
+    sf = roots.squarefree_part(p)
     assert sf(Fraction(lam) - half) * sf(Fraction(lam) + half) <= 0
     assert count_real_roots(p, Fraction(lam) + half) == 0
 
@@ -220,7 +222,7 @@ def test_dominant_real_root_is_correctly_rounded(f, orders):
 def test_outside_and_inside_counts_add_up_to_the_degree(coeffs):
     # the roots of the reverse are the 1/z; a trivial gcd rules out |z| = 1
     assume(coeffs[0] != 0 and coeffs[-1] != 0)
-    assume(len(salem._gcd(coeffs, coeffs[::-1])) == 1)
+    assume(len(roots._gcd(coeffs, coeffs[::-1])) == 1)
     n = len(coeffs) - 1
     assert salem._count_outside(coeffs) + salem._count_outside(coeffs[::-1]) == n
 

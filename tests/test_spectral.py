@@ -27,26 +27,18 @@ from conftest import (
 )
 from cremlat import intmat, spectral
 from cremlat.bounds import LOXODROMY_CONSTANT
-from cremlat.lattice import e0, intersect, points
-from cremlat.salem import IntPolynomial
+from cremlat.checks import axis_displacement_check, cosh_distance_to_axis, inverse, points
+from cremlat.lattice import e0, intersect
+from cremlat.roots import IntPolynomial
 from cremlat.spectral import (
     axis_data,
-    axis_displacement_check,
     classify,
-    cosh_distance_to_axis,
     criterion_degrees,
     dynamical_degree,
     loxodromy_criterion,
     spectrum_report,
 )
-from cremlat.weyl import (
-    Sigma0,
-    apply,
-    compose,
-    degree,
-    inverse,
-    realize,
-)
+from cremlat.weyl import Sigma0, apply, compose, degree, realize
 
 
 def degree_sequence(h, N):

@@ -6,7 +6,17 @@ from hypothesis import strategies as st
 
 from conftest import coxeter_generators, identity_element, random_word, sigma_product, word
 from cremlat import intmat
-from cremlat.lattice import ClassVector, e, e0, points
+from cremlat.checks import (
+    conjugate,
+    halphen_class,
+    halphen_test,
+    inverse,
+    jonquieres_center,
+    noether_report,
+    points,
+)
+from cremlat.lattice import ClassVector, e, e0
+from cremlat.normalform import increasing_degrees, normalize_increasing
 from cremlat.weyl import (
     Permutation,
     Sigma0,
@@ -15,17 +25,9 @@ from cremlat.weyl import (
     WeylWord,
     apply,
     compose,
-    conjugate,
     conjugate_by_word,
     degree,
-    halphen_class,
-    halphen_test,
-    increasing_degrees,
-    inverse,
-    jonquieres_center,
     multiplicity_profile,
-    noether_report,
-    normalize_increasing,
     parse_word,
     print_word,
     realize,
