@@ -1,10 +1,10 @@
 """Checks of the paper's statements, and what only they use.
 
 No command runs this module: each function checks an identity or a bound
-of the paper on elements that the tests and the benchmark's oracles build,
-and a check that a command comes to run moves next to the code it checks.
-Kept here, out of the modules that every lattice command loads, none of
-it is compiled on a command's path.
+of the paper on elements that the tests build, and a check that a command
+comes to run moves next to the code it checks.  Kept here, out of the
+modules that the lattice commands load, none of it is compiled on a
+command's path.
 
 * Weyl elements: inverses and conjugates by matrix products, elements from
   explicit images of basis classes, and Noether's identities and

@@ -7,10 +7,12 @@ without a line break before the trailing ``...``; earlier versions break
 there.
 """
 
+import argparse
 import sys
 
 import pytest
 
+from cremlat.cli import COMMANDS, build_parser
 from test_cli import child, run
 
 CHOICES = ("{classify-number,salem-enum,weyl-eval,weyl-normalize,spectrum,reduce,"
@@ -170,3 +172,13 @@ def test_no_arguments_in_a_fresh_interpreter(monkeypatch):
     """main() with no argv reads sys.argv, where the command is not named."""
     proc = child("-m", "cremlat.cli")
     assert (proc.returncode, proc.stdout, proc.stderr) == TEXT[()]
+
+
+def test_a_named_command_builds_only_its_subparser():
+    def built(argv):
+        (sub,) = [a for a in build_parser(argv)._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert built(("spectrum", "q(a,b,c)")) == ["spectrum"]
+    assert built(()) == built(("--help",)) == built(("frobnicate",)) == list(COMMANDS)
