@@ -1,8 +1,8 @@
 """Salem and Pisot numbers: classification, and the bounded Salem search.
 
-This is the Salem/Pisot layer over the root kernel of :mod:`cremlat.roots`,
-which no lattice command runs.  Every classification is decided exactly.
-Circle roots of reciprocal polynomials are located through the
+This is the Salem/Pisot layer, which no lattice command runs, over the
+root kernel of :mod:`cremlat.roots`.  Every classification is decided
+exactly.  Circle roots of reciprocal polynomials are located through the
 substitution y = x + 1/x (a root lies on the unit circle exactly when the
 transformed polynomial has a real root in (-2, 2)).  Roots outside the unit
 circle are counted by the Routh-Hurwitz theorem after the map
