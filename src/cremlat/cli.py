@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on a domain error (a well-formed request whose
 mathematics refuses: non-loxodromic input to reduce, resource guards, ...),
-2 on a usage error (unknown flags, malformed words/polynomials/triples; the
-message carries the offending position where the parsers provide one).
+2 on a usage error (unknown flags, malformed words/polynomials/triples, a
+negative count; the message names the offending position where it can).
 Every parser raises :class:`cremlat.InputSyntaxError` or a subclass, so the
 exit code follows the type of the exception, never its message.  Each
 ``cmd_*`` function returns its output text, and :func:`main` prints it.
@@ -262,6 +262,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
+        for flag in ("-n", "--budget", "--kmax"):  # the counts; below 0 they give nothing
+            if (value := getattr(args, flag.lstrip("-"), 0)) < 0:
+                raise SyntaxErrorAt(f"{flag} {value} is not a non-negative integer", 0)
         text = args.fn(args)
     except InputSyntaxError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,15 +2,15 @@
 cyclotomic stripping.
 
 Everything is decided exactly, in integers: cyclotomic factors are removed
-by trial division over Z; gcds, squarefree parts and Sturm chains come from
-primitive remainder sequences over Z, with one chain built per polynomial
-and reused by every count on it; signs at a rational n/d are read from the
-integer d^deg p(n/d).  Stripping divides by Phi_n only when Phi_n(2)
-divides p(2), as it must when Phi_n divides p.  The largest real root is
-isolated by Sturm counts and kept as a :class:`RootBracket`, which refines
-itself in place to round the root, or the value of a ratio of integer
-polynomials at the root, to the nearest float, and to decide its sign.
-Floating point only reports a value, as the float nearest to it.
+by trial division over Z; one primitive remainder sequence over Z per
+polynomial p, ending in gcd(p, p'), gives its squarefree part and its Sturm
+chain, built once and reused by every count on it; signs at a rational n/d
+are read from the integer d^deg p(n/d).  Stripping divides by Phi_n only
+when Phi_n(2) divides p(2), as it must when Phi_n divides p.  The largest
+real root is isolated by Sturm counts and kept as a :class:`RootBracket`,
+which refines itself in place to round the root, or the value of a ratio of
+integer polynomials at the root, to the nearest float, and to decide its
+sign.  Floating point only reports a value, as the float nearest to it.
 
 This is the part of the polynomial code that the lattice commands run (the
 dynamical degree and the axis of :mod:`cremlat.spectral`, the steps of
@@ -142,26 +142,9 @@ def _prem(a, b):
     return _trim(r)
 
 
-def _gcd(a, b):
-    """gcd over Z[x] by a primitive remainder sequence (Collins; Brown-Traub).
-
-    The result is primitive with a positive leading coefficient; by Gauss's
-    lemma it is therefore monic whenever a or b is monic.  Each divisor is
-    made primitive before it divides, which keeps the coefficients small.
-    Needs deg a >= deg b and no leading zeros.
-    """
-    while any(b):
-        b = _primitive(b)
-        a, b = b, _prem(a, b)
-    a = _primitive(a)
-    return a if a[-1] > 0 else [-c for c in a]
-
-
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    g = _gcd(p.coeffs, _deriv(p.coeffs))
-    if len(g) == 1:
-        return p
-    return exact_div(p, IntPolynomial(g))
+    """p / gcd(p, p'), the head of p's Sturm chain."""
+    return IntPolynomial(_sturm_chain(p)[0])
 
 
 # -- cyclotomic polynomials --------------------------------------------------
@@ -237,9 +220,10 @@ def _remainders(a, b) -> list:
     """The signed remainder sequence a, b, -rem(a, b), ... in integers.
 
     Each remainder is the negated pseudo-remainder of the two members before
-    it, made primitive: a positive multiple of the sequence over Q, with the
-    same signs everywhere.  It stops at a constant or when a division is
-    exact.  Needs deg a >= deg b.
+    it, made primitive (Collins; Brown-Traub): a positive multiple of the
+    sequence over Q, with the same signs everywhere.  It stops at a constant
+    or when a division is exact, so its last member is gcd(a, b) up to a
+    constant factor.  Needs deg a >= deg b.
     """
     seq = [a, b]
     while len(seq[-1]) > 1:
@@ -261,13 +245,19 @@ def _changes_at_infinity(seq) -> tuple[int, int]:
 
 @lru_cache(maxsize=16)
 def _sturm_chain(p: IntPolynomial) -> tuple:
-    """The Sturm chain of p's squarefree part, in integers, once per polynomial.
+    """A Sturm chain of p's distinct roots, in integers, once per polynomial.
 
-    The cache serves the counts that follow one another on the same
-    polynomial (a Salem candidate, a bisection).
+    The remainder sequence of p and p' ends in g = gcd(p, p'), monic up to
+    sign since p is monic (Gauss's lemma).  A nonconstant g divides every
+    member, which keeps each count of sign changes and leaves p's squarefree
+    part at the head.  The cache serves the counts that follow one another
+    on the same polynomial (a Salem candidate, a bisection).
     """
-    sf = list(squarefree_part(p).coeffs)
-    return tuple(tuple(c) for c in _remainders(sf, _primitive(_deriv(sf))))
+    seq = _remainders(p.coeffs, _primitive(_deriv(p.coeffs)))
+    g = seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]]
+    if len(g) > 1:
+        seq = [_divmod_monic(c, g)[0] for c in seq]
+    return tuple(tuple(c) for c in seq)
 
 
 def _sign_at(coeffs, n: int, d: int) -> int:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from . import InputSyntaxError, parse_terms
 from .roots import (
-    IntPolynomial, _changes, _changes_at, _changes_at_infinity, _gcd, _mul, _remainders,
+    IntPolynomial, _changes, _changes_at, _changes_at_infinity, _mul, _remainders,
     _sturm_chain, _trim, count_real_roots, dominant_real_root, squarefree_part,
     strip_cyclotomic,
 )
@@ -160,7 +160,7 @@ def classify_number(p: IntPolynomial) -> NumberClass:
     # A nontrivial gcd without circle roots holds pairs z, 1/z and so one
     # root outside; its cofactor is monic and nonconstant with a nonzero
     # constant term and no root of unity, so it has another one.
-    if len(_gcd(sf.coeffs, sf.coeffs[::-1])) == 1 and _count_outside(sf.coeffs) == 1:
+    if len(_remainders(sf.coeffs, sf.coeffs[::-1])[-1]) == 1 and _count_outside(sf.coeffs) == 1:
         return NumberClass("pisot", lam, stripped, tuple(notes))
     return NumberClass("other_perron", lam, stripped, tuple(notes))
 
@@ -205,12 +205,15 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
         at_a = [big_n ** (n - i) * dpow[i] for i in range(n + 1)]
         descartes = _descartes_rows(n)
 
-        def extend(qs, ss):
+        def visit(nodes):
             nonlocal visited
-            visited += 1
+            visited += nodes
             if visited > node_limit:
                 raise SearchSpaceError(
                     f"search space exceeded {node_limit} nodes; tighten the bounds")
+
+        def extend(qs, ss):
+            visit(1)
             k = len(qs) + 1
             # newton: s_k = -(k q_k + sum_{i<k} q_i s_{k-i})
             tail = sum(qs[i] * ss[k - 2 - i] for i in range(k - 1))
@@ -230,6 +233,7 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
                     q_hi = min(q_hi, -basem2)
                 else:
                     q_lo = max(q_lo, -basem2)
+                visit(max(0, q_hi - q_lo + 1))  # each candidate is a node
                 for qn in range(q_lo, q_hi + 1):
                     _check_candidate(qs + [qn], big_a, descartes, found)
                 return

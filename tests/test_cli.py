@@ -150,6 +150,11 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
     ("salem-enum", "--degree-bound", "4", "--upper", "nan"),
     ("salem-enum", "--degree-bound", "4", "--upper", "inf"),
     ("salem-enum", "--degree-bound", "4", "--upper", "1e400"),
+    # a count below zero
+    ("degseq", "--map", "[y*z : z*x : x*y]", "-n", "-1"),
+    ("degseq", "--monomial", "1,1,1,0", "-n", "-1"),
+    ("reduce", "q(a,b,c)*q(d,e,f)*q(g,h,i)*q(j,a,d)", "--budget", "-1"),
+    ("fk-spectrum", "--m", "3", "--kmax", "-1"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv[0] == "realizable":
@@ -162,6 +167,8 @@ def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     assert "(position" not in err
     if argv[0] == "salem-enum":
         assert err.endswith(" is not a finite number (at position 0)\n")
+    if "-1" in argv:
+        assert err.endswith(" -1 is not a non-negative integer (at position 0)\n")
 
 
 @pytest.mark.parametrize("source", ["file", "-"])

@@ -9,18 +9,25 @@ realized by automorphisms of rational surfaces (McMullen, IHES 2007), so
 lambda(w_n) is a dynamical degree.  lambda(w_10) is Lehmer's number, and
 lambda(w_n) increases to the plastic number, the smallest Pisot number, the
 root of x^3 - x - 1.
+
+The census of W(E_10) checks the same generators as a group: the number of
+its elements of each length through 7, and Lehmer's number on every Coxeter
+element, the least dynamical degree above 1 in W(E_n), n >= 10 (McMullen,
+Publ. IHES 2002).
 """
 
+import itertools
 from functools import lru_cache
 
 import pytest
 
-from conftest import LEHMER_POLYNOMIAL, averaged_noether_margins, coxeter_generators
+from conftest import LEHMER, LEHMER_POLYNOMIAL, averaged_noether_margins, coxeter_generators
 from cremlat import intmat
 from cremlat.checks import averaged_noether_check, noether_report
 from cremlat.roots import IntPolynomial, format_poly
 from cremlat.salem import classify_number
-from cremlat.weyl import WeylWord, realize
+from cremlat.spectral import classify, dynamical_degree
+from cremlat.weyl import WeylWord, _left_multiply, realize
 from test_salem import LEHMER_TO_1_3, PLASTIC_POLYNOMIAL
 
 RANGE = range(10, 21)
@@ -77,3 +84,55 @@ def test_noether_identities_hold(n):
     margins, _ = averaged_noether_margins(h)
     assert (rep.sum_sq_ok, rep.triple_ok) == tuple(m > 0 for m in margins) == (True, True)
     assert rep.ok
+
+
+# -- the census of W(E_10) --------------------------------------------------------
+
+# the number of elements of each length, Steinberg's formula for the T(2, 3, 7)
+# diagram (Humphreys, "Reflection groups and Coxeter groups", 1990, ch. 5)
+GROWTH_SERIES = [1, 10, 54, 210, 660, 1782, 4290, 9439]
+
+
+def test_growth_series_through_length_seven():
+    gens = coxeter_generators(10)
+    support = sorted(set().union(*(g.support() for g in gens)))
+    at = {p: i + 1 for i, p in enumerate(support)}
+    # the realized elements of length <= 2 are those of the row operations below
+    short = {realize(WeylWord(())), *(realize(g) for g in gens),
+             *(realize(g * h) for g in gens for h in gens)}
+    assert len(short) == sum(GROWTH_SERIES[:3])
+    # a generator times an element of length k has length k +- 1
+    previous, layer, counts = set(), {tuple(map(tuple, intmat.identity(11)))}, [1]
+    while len(counts) < len(GROWTH_SERIES):
+        products = set()
+        for rows in layer:
+            for g in gens:
+                moved = [list(r) for r in rows]
+                _left_multiply(g, moved, at)
+                products.add(tuple(map(tuple, moved)))
+        previous, layer = layer, products - previous
+        counts.append(len(layer))
+    assert counts == GROWTH_SERIES
+
+
+def test_every_coxeter_element_has_lehmers_number():
+    # the T(2, 3, 7) diagram joins the generators that do not commute; it is a
+    # tree, so each of its 2^9 acyclic orientations is a distinct Coxeter element
+    gens = coxeter_generators(10)
+    edges = [(i, j) for i, j in itertools.combinations(range(10), 2)
+             if realize(gens[i] * gens[j]) != realize(gens[j] * gens[i])]
+    assert len(edges) == 9
+    elements = set()
+    for heads in itertools.product((0, 1), repeat=len(edges)):
+        # each edge points from the generator applied first, on the right
+        before = {(e[1 - h], e[h]) for e, h in zip(edges, heads)}
+        order = []
+        while len(order) < 10:
+            order.append(next(i for i in range(10) if i not in order
+                              and all(a in order for a, b in before if b == i)))
+        h = realize(WeylWord(tuple(gens[i].letters[0] for i in reversed(order))))
+        assert classify(h).is_loxodromic
+        assert dynamical_degree(h) == LEHMER == 1.1762808182599176
+        assert noether_report(h).ok
+        elements.add(h)
+    assert len(elements) == 2 ** 9

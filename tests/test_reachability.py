@@ -2,12 +2,14 @@
 
 The walk parses every module with ``ast``.  Starting from the top-level
 statements of ``cli.py``, it follows the names they use to the top-level
-definitions of that name in any module, and on through the names those use.
-A use is a name read that no enclosing function, lambda or comprehension
-binds (so a local ``points`` does not reach ``lattice.points``), or an
-attribute read off a module of the package (``lattice.point``, not
-``self.points``).  Matching is by name alone, so two definitions that share
-a name are reached together.
+definitions they name, and on through the names those use.  A use is a name
+read that no enclosing function, lambda or comprehension binds (so a local
+``points`` does not reach ``checks.points``), or an attribute read off a
+module of the package (``lattice.point``, not ``self.points``).  Each use is
+resolved to the module that defines it: a name defined in the same module,
+one imported by ``from .m import name`` (or ``from . import name`` from the
+package root), followed on through re-imports, or ``m.name`` on a module of
+the package.  Two definitions that share a name are reached apart.
 """
 
 import ast
@@ -44,22 +46,45 @@ PAPER_CHECKS = {
     "checks.points",
 }
 
+# Definitions that no command runs but that the bench tracer, bench/tracer.py,
+# names in its LAYERS and times when a command does run them.
+TRACED = {
+    "weyl.compose",
+}
 
-def top_level_definitions():
-    """(module, name, node) for each function, class and assigned name at
-    module level, dunder names such as ``__version__`` aside."""
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for name in names:
-                if not (name.startswith("__") and name.endswith("__")):
-                    yield path.stem, name, node
+
+def parsed_modules():
+    """{module stem: its parsed body}."""
+    return {path.stem: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
+
+
+def top_level_definitions(body):
+    """(name, node) for each function, class and assigned name at module
+    level, dunder names such as ``__version__`` aside."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def imported_names(body):
+    """{name: (module, name there)} for each ``from .m import name`` and each
+    ``from . import name`` of a name that is not itself a module."""
+    out = {}
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in MODULES:
+                    continue  # a module, whose attributes are module uses
+                out[alias.asname or alias.name] = (node.module or "__init__", alias.name)
+    return out
 
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
@@ -88,15 +113,16 @@ def local_names(scope):
 
 
 def used_names(node, local=frozenset()):
-    """The names read that no enclosing scope binds, and the attributes read
-    off a module of the package, such as ``lattice.point``."""
+    """The names read that no enclosing scope binds, as (None, name), and the
+    attributes read off a module of the package, such as ``lattice.point``,
+    as (module, name)."""
     if isinstance(node, SCOPES):
         local = local | local_names(node)
     if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in MODULES):
-        uses = {node.attr}
+        uses = {(node.value.id, node.attr)}
     elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        uses = set() if node.id in local else {node.id}
+        uses = set() if node.id in local else {(None, node.id)}
     else:
         uses = set()
     for child in ast.iter_child_nodes(node):
@@ -105,18 +131,32 @@ def used_names(node, local=frozenset()):
 
 
 def test_every_definition_is_reached_from_the_cli_or_is_a_paper_check():
-    defs = list(top_level_definitions())
-    by_name = {}
-    for _, name, node in defs:
-        by_name.setdefault(name, []).append(node)
-    cli = ast.parse((SRC / "cli.py").read_text())
-    todo = set().union(*(used_names(node) for node in cli.body))
+    bodies = parsed_modules()
+    defs = {}
+    for mod, body in bodies.items():
+        for name, node in top_level_definitions(body):
+            defs.setdefault((mod, name), []).append(node)
+    imports = {mod: imported_names(body) for mod, body in bodies.items()}
+
+    def resolve(mod, name):
+        """The (module, name) that defines name as seen from mod, or None
+        for a builtin or a name from outside the package."""
+        while (mod, name) not in defs:
+            if name not in imports.get(mod, {}):
+                return None
+            mod, name = imports[mod][name]
+        return mod, name
+
+    def uses_in(mod, node):
+        return {resolve(m or mod, name) for m, name in used_names(node)} - {None}
+
+    todo = set().union(*(uses_in("cli", node) for node in bodies["cli"]))
     reached = set()
     while todo:
-        name = todo.pop()
-        reached.add(name)
-        for node in by_name.get(name, ()):
-            todo |= used_names(node) - reached
-    unreached = {f"{mod}.{name}" for mod, name, _ in defs
-                 if mod != "cli" and name not in reached}
-    assert unreached == PAPER_CHECKS
+        key = todo.pop()
+        reached.add(key)
+        for node in defs[key]:
+            todo |= uses_in(key[0], node) - reached
+    unreached = {f"{mod}.{name}" for mod, name in defs
+                 if mod != "cli" and (mod, name) not in reached}
+    assert unreached == PAPER_CHECKS | TRACED

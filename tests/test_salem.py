@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -172,6 +173,26 @@ def test_count_real_roots_counts_distinct_roots(rs, mults, k, lo, hi):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(1, 12),
+       endpoint, endpoint)
+# both ends at a root, and a repeated root at Phi_1's
+@example([1, 2], [3, 2, 1, 1], 1, 1, 2)
+@example([-1, 3], [2, 3, 1, 1], 2, -1, 3)
+# the remainder sequence ends in -(x + 3)
+@example([-3], [2, 1, 1, 1], 3, -3, None)
+def test_squarefree_part_and_counts_of_repeated_roots(rs, mults, n, lo, hi):
+    # prod (x - r_i)^m_i Phi_n: Phi_1 = x - 1 and Phi_2 = x + 1 add a real root
+    p = product([linear(r) for r, m in zip(rs, mults) for _ in range(m)] + [cyclotomic(n)])
+    distinct = set(rs) | {1: {1}, 2: {-1}}.get(n, set())
+    want = product([linear(r) for r in sorted(distinct)] + [cyclotomic(n)] * (n > 2))
+    assert roots.squarefree_part(p) == want
+    inside = {r for r in distinct if (lo is None or r > lo) and (hi is None or r <= hi)}
+    if lo is None or hi is None or lo < hi:
+        assert count_real_roots(p, lo, hi) == len(inside)
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_roots)
 def test_dominant_real_root_of_integer_roots(rs):
     dom = dominant_real_root(product([linear(r) for r in rs]))
@@ -182,11 +203,12 @@ def test_dominant_real_root_of_integer_roots(rs):
 
 
 def test_dominant_real_root_builds_one_chain(monkeypatch):
+    # one remainder sequence: a pseudo-remainder for each member after p, p'
     roots._sturm_chain.cache_clear()
-    squarefree = counting(monkeypatch, roots, "squarefree_part")
+    prems = counting(monkeypatch, roots, "_prem")
     dominant_real_root(LEHMER_POLYNOMIAL)
-    assert len(squarefree) == 1
     assert roots._sturm_chain.cache_info().misses == 1
+    assert len(prems) == len(roots._sturm_chain(LEHMER_POLYNOMIAL)) - 2
 
 
 # a factor with a root above 1: Salem, Pisot, or a random monic one
@@ -222,7 +244,7 @@ def test_dominant_real_root_is_correctly_rounded(f, orders):
 def test_outside_and_inside_counts_add_up_to_the_degree(coeffs):
     # the roots of the reverse are the 1/z; a trivial gcd rules out |z| = 1
     assume(coeffs[0] != 0 and coeffs[-1] != 0)
-    assume(len(roots._gcd(coeffs, coeffs[::-1])) == 1)
+    assume(len(roots._remainders(coeffs, coeffs[::-1])[-1]) == 1)
     n = len(coeffs) - 1
     assert salem._count_outside(coeffs) + salem._count_outside(coeffs[::-1]) == n
 
@@ -420,11 +442,20 @@ def test_enumerate_salem_degree_eight(upper, count):
     assert [format_poly(p) for p, _ in enumerate_salem(8, upper)] == DEGREE_8_TO_2[:count]
 
 
-@pytest.mark.parametrize("upper,nodes", [(1.4, 1575), (2.0, 2010)])
+# the nodes are the inner ones and the candidates for the last coefficient
+@pytest.mark.parametrize("upper,nodes", [(1.4, 1963), (2.0, 4286)])
 def test_enumerate_salem_degree_eight_visits_the_same_tree(upper, nodes):
     enumerate_salem(8, upper, node_limit=nodes)
     with pytest.raises(SearchSpaceError):
         enumerate_salem(8, upper, node_limit=nodes - 1)
+
+
+def test_the_last_coefficient_counts_against_the_node_limit():
+    # about 10^4 inner nodes, but about 10^8 candidates for the last coefficient
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError):
+        enumerate_salem(4, 10000.0, node_limit=10_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_every_found_polynomial_classifies_as_salem():
