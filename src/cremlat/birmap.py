@@ -440,21 +440,11 @@ def monomial_map(matrix) -> MonomialMap:
     return MonomialMap(a, b, c, d)
 
 
-def _homogenized_exponents(f: MonomialMap) -> list[tuple]:
-    """The exponents in (x, y, z) of the three monomial components of f.
-
-    Lifting (X, Y) = (x/z, y/z) gives Laurent exponent vectors for the three
-    components; adding the smallest monomial that clears every negative
-    exponent leaves a common-factor-free triple.
-    """
-    vecs = [(f.a, f.b, -f.a - f.b), (f.c, f.d, -f.c - f.d), (0, 0, 0)]
-    shift = [-min(v[t] for v in vecs) for t in range(3)]
-    return [tuple(v[t] + shift[t] for t in range(3)) for v in vecs]
-
-
 def monomial_degree(f: MonomialMap) -> int:
-    """Plane degree via exponent homogenization, pure integer arithmetic."""
-    return sum(_homogenized_exponents(f)[0])
+    """Plane degree of f: its lift x^a y^b z^(-a-b), x^c y^d z^(-c-d), 1
+    through (X, Y) = (x/z, y/z), cleared of the least exponent of each of x,
+    y and z, has degree max(0, a+b, c+d) - min(0, a, c) - min(0, b, d)."""
+    return max(0, f.a + f.b, f.c + f.d) - min(0, f.a, f.c) - min(0, f.b, f.d)
 
 
 def monomial_iterates(f: MonomialMap, N: int) -> list[int]:

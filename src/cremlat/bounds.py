@@ -61,17 +61,14 @@ def bounds(*args) -> BoundReport:
         lam = args[0]
         if lam <= 1:
             raise ValueError("the bound formulas need lambda > 1")
-        exact = isinstance(lam, (int, Fraction))
-        mcdeg = THEOREM_DEGREE_COEFF * lam ** 5 if exact else THEOREM_DEGREE_COEFF * float(lam) ** 5
-        thresh = DEGREE_THRESHOLD_COEFF * lam ** 3 if exact else DEGREE_THRESHOLD_COEFF * float(lam) ** 3
         arg = THEOREM_COSH_SHIFT + THEOREM_COSH_SLOPE * math.log(lam)
         cosh_bound = math.cosh(arg) if arg < 700 else math.inf
         return BoundReport(
             lam=float(lam),
-            mcdeg_bound=mcdeg,
+            mcdeg_bound=THEOREM_DEGREE_COEFF * lam ** 5,
             cosh_bound=cosh_bound,
             log_cosh_bound=arg - math.log(2) if arg >= 700 else math.log(cosh_bound),
-            degree_threshold=thresh,
+            degree_threshold=DEGREE_THRESHOLD_COEFF * lam ** 3,
             decrease_quantum=delta(float(lam)),
         )
     if len(args) == 2:

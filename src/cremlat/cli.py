@@ -119,7 +119,7 @@ def cmd_weyl_eval(args) -> str:
         "degree": weyl.degree(h),
         "image_e0": lattice.render(weyl.apply(h, lattice.e0())),
         "support": [repr(p) for p in h.support],
-        "word": weyl.print_word(w),
+        "word": repr(w),
     })
 
 
@@ -128,7 +128,7 @@ def cmd_weyl_normalize(args) -> str:
     v = _parse_vector(args.vector, names)
     nw = normalform.normalize_increasing(w, v)
     return json.dumps({
-        "word": weyl.print_word(nw),
+        "word": repr(nw),
         "image": lattice.render(nw.apply(v)),
         "partial_degrees": [str(d) for d in normalform.increasing_degrees(nw, v)],
     })

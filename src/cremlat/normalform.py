@@ -3,7 +3,11 @@
 :func:`normalize_increasing` rewrites a word so that the images of a class
 v of shape e0, e(q), e0 - e(q) or 3 e0 - sum e(q_i) have strictly increasing
 degree along its quadratic letters; :func:`increasing_degrees` lists those
-degrees.  Of the commands, only ``weyl-normalize`` loads this module.
+degrees.  The word ends in at most one permutation letter, an involution:
+the degree descent ends at a class of v's shape, and within one shape the
+form and omega force every point coefficient to be equal, so swapping the
+points that only one of the two classes has carries v there.  Of the
+commands, only ``weyl-normalize`` loads this module.
 """
 
 from __future__ import annotations
@@ -43,51 +47,16 @@ def _descent_triple(u: ClassVector, pool):
     return triple, gain
 
 
-def _involution_pair(mapping: dict):
-    """Split a finite permutation into at most two disjoint-transposition letters."""
-    # cycle decomposition
-    seen = set()
-    r1, r2 = [], []
-    for start in sorted(mapping):
-        if start in seen or mapping[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        nxt = mapping[start]
-        while nxt != start:
-            cycle.append(nxt)
-            nxt = mapping[nxt]
-        seen |= set(cycle)
-        k = len(cycle)
-        # rotation by one = r2 . r1 with two reversals of the cycle:
-        # r1 swaps i with -i (mod k), r2 swaps i with 1-i (mod k)
-        for i in range(1, (k + 1) // 2):
-            r1.append((cycle[i], cycle[k - i]))
-        r2.append((cycle[0], cycle[1]))
-        i = 2
-        while i < k + 1 - i:
-            r2.append((cycle[i], cycle[k + 1 - i]))
-            i += 1
-    letters = []
-    if r2:
-        letters.append(Permutation(tuple(r2)))
-    if r1:
-        letters.append(Permutation(tuple(r1)))
-    return letters
-
-
-def _match_permutation(v: ClassVector, target: ClassVector) -> dict:
-    """A finite permutation mapping with s(v) = target, for same-shape pairs."""
-    src = sorted(v.point_coeffs)
-    dst = sorted(target.point_coeffs)
-    if v.e0 != target.e0 or len(src) != len(dst):
+def _closing_involution(v: ClassVector, end: ClassVector) -> Permutation:
+    """The involution that sends v to the descent end: it swaps each point
+    found only in v with one found only in end, pairs in point order.  Within
+    one shape every point coefficient is the same (+1 for e(q), -1 for the
+    other three), so any bijection of the two supports works."""
+    if v.e0 != end.e0:  # with e0, the form and omega fix the shape
         raise ValueError("shape mismatch between start vector and descent endpoint")
-    mapping = dict(zip(src, dst))
-    # complete to a genuine permutation of the union
-    missing_src = [p for p in dst if p not in mapping]
-    missing_dst = [p for p in src if p not in set(mapping.values())]
-    mapping.update(dict(zip(missing_src, missing_dst)))
-    return {k: w for k, w in mapping.items() if k != w}
+    src, dst = v.point_coeffs, end.point_coeffs
+    pairs = zip(sorted(src.keys() - dst.keys()), sorted(dst.keys() - src.keys()))
+    return Permutation(tuple(sorted(tuple(sorted(pair)) for pair in pairs)))
 
 
 def normalize_increasing(w: WeylWord, v: ClassVector) -> WeylWord:
@@ -102,7 +71,8 @@ def normalize_increasing(w: WeylWord, v: ClassVector) -> WeylWord:
     The construction runs the degree descent backwards: starting from the
     target image, quadratic involutions on the three points of largest
     multiplicity strictly decrease the degree until a permutation image of
-    v remains; reversing the chain gives the increasing word.
+    v remains; reversing the chain, after the one involution that carries v
+    to that image, gives the increasing word.
     """
     _shape_of(v)
     target = w.apply(v)
@@ -127,11 +97,8 @@ def normalize_increasing(w: WeylWord, v: ClassVector) -> WeylWord:
         guard += 1
         if guard > 10000:
             raise RuntimeError("descent did not terminate")
-    mapping = _match_permutation(v, cur)
-    letters = tuple(chain) + tuple(_involution_pair(mapping))
-    if not letters:
-        letters = (Permutation(()),)
-    out = WeylWord(letters)
+    s = _closing_involution(v, cur)
+    out = WeylWord(tuple(chain) + ((s,) if s.pairs or not chain else ()))
     assert out.apply(v) == target
     return out
 

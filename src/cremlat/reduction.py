@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cmp_to_key
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .bounds import DEGREE_THRESHOLD_COEFF, delta
 from .lattice import BubblePoint, e, e0, intersect
@@ -55,20 +55,8 @@ class ReductionStep(NamedTuple):
     degree_after: int
     cosh_before: float
     cosh_after: float
-    achieved: float
-    guarantee: float
-
-    def as_dict(self):
-        return {
-            "root": str(self.root),
-            "omega": [str(p) for p in self.omega],
-            "degree_before": self.degree_before,
-            "degree_after": self.degree_after,
-            "cosh_before": self.cosh_before,
-            "cosh_after": self.cosh_after,
-            "achieved_decrease": self.achieved,
-            "guaranteed_decrease": self.guarantee,
-        }
+    achieved_decrease: float
+    guaranteed_decrease: float
 
 
 class ReductionTrace(NamedTuple):
@@ -82,7 +70,8 @@ class ReductionTrace(NamedTuple):
 
     def json_lines(self):
         for s in self.steps:
-            yield json.dumps(s.as_dict())
+            yield json.dumps({**s._asdict(), "root": str(s.root),
+                              "omega": [str(p) for p in s.omega]})
         yield json.dumps({
             "terminal": self.terminal,
             "lambda": self.lam,
@@ -93,7 +82,7 @@ class ReductionTrace(NamedTuple):
         })
 
 
-def decreasing_step(h: WeylElement, data: Optional[LoxodromicData] = None):
+def decreasing_step(h: WeylElement, data: LoxodromicData):
     """One conjugation step, or None when the triple hypothesis fails.
 
     Returns (step, h_conjugated, word, data_conjugated) where ``word`` is
@@ -106,8 +95,6 @@ def decreasing_step(h: WeylElement, data: Optional[LoxodromicData] = None):
     the axis projection) and based at the two remaining points of largest
     averaged multiplicity.  Every decision is an exact sign in Q(lambda).
     """
-    if data is None:
-        data = axis_data(h)
     bracket, cols = data.bracket, data.columns
     prof = multiplicity_profile(h)
     d = prof.degree
@@ -151,8 +138,8 @@ def decreasing_step(h: WeylElement, data: Optional[LoxodromicData] = None):
         degree_after=degree(h2),
         cosh_before=data.cosh_axis_distance,
         cosh_after=data2.cosh_axis_distance,
-        achieved=data.cosh_axis_distance - data2.cosh_axis_distance,
-        guarantee=math.copysign(size, bracket.sign(x, y)),
+        achieved_decrease=data.cosh_axis_distance - data2.cosh_axis_distance,
+        guaranteed_decrease=math.copysign(size, bracket.sign(x, y)),
     )
     return step, h2, w, data2
 

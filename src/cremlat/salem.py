@@ -242,8 +242,7 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
                 extend(qs + [qk], ss + [sk])
 
         extend([], [])
-    result = sorted(found.items(), key=lambda kv: kv[1])
-    return [(poly, root) for poly, root in result]
+    return sorted(found.items(), key=lambda kv: kv[1])
 
 
 def _descartes_rows(n: int) -> list:

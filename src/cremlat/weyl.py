@@ -107,7 +107,8 @@ def gen_apply(g, v: ClassVector) -> ClassVector:
 
 
 class WeylWord(NamedTuple):
-    """An ordered tuple of generator letters, applied right-to-left."""
+    """An ordered tuple of generator letters, applied right-to-left; its repr
+    is the text that :func:`parse_word` reads back."""
 
     letters: tuple
 
@@ -415,8 +416,3 @@ def parse_word(text: str):
     if expecting_term and letters:
         raise SyntaxErrorAt("dangling '*'", len(text))
     return WeylWord(tuple(letters)), names
-
-
-def print_word(w: WeylWord) -> str:
-    """Inverse of parse_word for words over labelled points."""
-    return repr(w)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -308,17 +309,16 @@ def test_monomial_validation():
 
 
 def test_monomial_vs_polynomial_path():
-    rng = random.Random(11)
-    p = DEFAULT_PRIME
-    for _ in range(6):
-        while True:
-            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-            if abs(a * d - b * c) == 1:
-                break
+    # all 232 exponent matrices of determinant +-1 with entries in -3..3,
+    # over Q and over the default prime field
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        if abs(a * d - b * c) != 1:
+            continue
         f = monomial_map([[a, b], [c, d]])
-        fast = monomial_iterates(f, 4)
-        slow, _ = iterate_degrees(monomial_triple(f, p), 4)
-        assert fast[: len(slow)] == slow
+        for prime in (None, DEFAULT_PRIME):
+            slow, truncated = iterate_degrees(monomial_triple(f, prime), 4)
+            assert not truncated
+            assert monomial_iterates(f, 4) == slow
 
 
 # -- text format ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -328,6 +329,15 @@ def test_exit_code_of_every_subcommand(capsys, monkeypatch, argv, code):
         assert err.startswith("error:" if code == 1 else "usage")
 
 
+def test_fk_spectrum_refuses_a_kmax_past_its_limit_at_once(capsys):
+    # the work grows about as kmax^3: a million would run for hours
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "fk-spectrum", "--m", "3", "--kmax", "1000000")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: k = 1000000 is past the limit")
+
+
 def test_failed_certificate_is_a_domain_error(capsys, monkeypatch):
     # a wrong characteristic polynomial, chi + 1, fails chi(M) e0 = 0
     charpoly = intmat.charpoly
@@ -391,6 +401,92 @@ def test_golden_output(capsys, argv, expected):
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
     assert out == expected
+
+
+def points_config(coords):
+    """A config of proper points, from {id: coordinates}."""
+    return json.dumps({"points": [{"id": n, "coords": c} for n, c in coords.items()]})
+
+
+THREE_POINTS = points_config({"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})
+THREE_ON_A_LINE = points_config({"a": [1, 0, 0], "b": [0, 1, 0], "c": [1, 1, 0]})
+# four satellites on a line that misses the first point: condition (6) at k = 1
+FOUR_ON_A_LINE = points_config({"a": [0, 0, 1], "b": [1, 0, 0], "c": [0, 1, 0],
+                                "d": [1, 1, 0], "e": [1, 2, 0]})
+NEAR_POINT = json.dumps({"points": [{"id": "a", "coords": [1, 0, 0]},
+                                    {"id": "b", "parent": "a", "on_exceptional_of": ["a"]},
+                                    {"id": "c", "coords": ["1/2", 0, 1]}],
+                         "collinear": [["a", "b", "c"]], "not_collinear": []})
+BARE_POINT = json.dumps({"points": [{"id": "a", "coords": [1, 0, 0]}, {"id": "b"},
+                                    {"id": "c", "coords": [0, 1, 0]}]})
+
+# the commands that no bench call runs (the normal form, realizability, the
+# monomial maps and the bound formulas), as (argv, exit code, stdout,
+# stderr); realizable reads the last item of argv from stdin.  A negative
+# first --monomial entry needs the --monomial=... form, which argparse does
+# not read as a flag
+NOT_BENCHED = [
+    (("weyl-normalize", LOXODROMIC, "--vector", "e0"),
+     0, '{"word": "q(a,b,c) * q(d,e,f) * q(g,h,i) * q(a,d,j)", "image": "13*e0 - 7*e(a) - 6*e(b) - 6*e(c) - 4*e(d) - 3*e(e) - 3*e(f) - 2*e(g) - 2*e(h) - 2*e(i) - e(j)", "partial_degrees": ["2", "4", "7", "13"]}\n', ''),
+    (("weyl-normalize", LOXODROMIC, "--vector", "e(a)"),
+     0, '{"word": "q(a,b,c) * q(d,e,f) * q(d,g,h) * q(i,j,a)", "image": "6*e0 - 3*e(a) - 3*e(b) - 3*e(c) - 2*e(d) - e(e) - e(f) - e(g) - e(h) - e(i) - e(j)", "partial_degrees": ["1", "2", "3", "6"]}\n', ''),
+    (("weyl-normalize", LOXODROMIC, "--vector", "e0-e(a)"),
+     0, '{"word": "q(a,b,c) * q(d,e,f) * q(a,g,h) * s(a i)", "image": "7*e0 - 4*e(a) - 3*e(b) - 3*e(c) - 2*e(d) - 2*e(e) - 2*e(f) - e(g) - e(h) - e(i)", "partial_degrees": ["2", "4", "7"]}\n', ''),
+    (("weyl-normalize", LOXODROMIC, "--vector", "3e0-e(a)-e(b)-e(c)"),
+     0, '{"word": "q(a,b,c) * q(d,e,f) * q(g,h,i) * q(a,d,j)", "image": "31*e0 - 16*e(a) - 14*e(b) - 14*e(c) - 10*e(d) - 8*e(e) - 8*e(f) - 5*e(g) - 5*e(h) - 5*e(i) - 2*e(j)", "partial_degrees": ["5", "10", "18", "31"]}\n', ''),
+    (("weyl-normalize", "t(a,b)*q(a,c,d)", "--vector", "e(b)"),
+     0, '{"word": "s(a b)", "image": "e(a)", "partial_degrees": []}\n', ''),
+    (("weyl-normalize", "t(p6,p9)*q(p4,p2,p5)", "--vector", "3e0-e(p9)-e(p5)-e(p6)-e(p8)-e(p4)-e(p7)-e(p3)"),
+     0, '{"word": "q(p4,p5,p6) * s(p6 p2)", "image": "4*e0 - e(p6) - e(p9) - 2*e(p4) - e(p2) - 2*e(p5) - e(p8) - e(p7) - e(p3)", "partial_degrees": ["4"]}\n', ''),
+    (("weyl-normalize", "q(p7,p8,p10)*q(p8,p9,p4)*q(p2,p7,p3)", "--vector", "3e0-e(p8)-e(p7)-e(p5)-e(p6)-e(p10)-e(p3)-e(p2)-e(p9)"),
+     0, '{"word": "q(p8,p9,p7) * s(p7 p4)", "image": "4*e0 - e(p7) - 2*e(p8) - e(p10) - 2*e(p9) - e(p4) - e(p2) - e(p3) - e(p5) - e(p6)", "partial_degrees": ["4"]}\n', ''),
+    (("realizable", "--m", "3", "--config", "-", five_points()),
+     0, '{"status": "pass", "condition": null, "witness": null}\n', ''),
+    (("realizable", "--m", "2", "--config", "-", five_points()),
+     1, '', 'error: a degree-2 configuration needs 3 points\n'),
+    (("realizable", "--m", "2", "--config", "-", THREE_POINTS),
+     0, '{"status": "pass", "condition": null, "witness": null}\n', ''),
+    (("realizable", "--m", "2", "--config", "-", THREE_ON_A_LINE),
+     0, '{"status": "fail", "condition": 3, "witness": "line through a, b, c"}\n', ''),
+    (("realizable", "--m", "2", "--config", "-", NEAR_POINT),
+     0, '{"status": "fail", "condition": 3, "witness": "line through a, b, c"}\n', ''),
+    (("realizable", "--m", "3", "--config", "-", FOUR_ON_A_LINE),
+     0, '{"status": "fail", "condition": 6, "witness": "a degree-1 curve with multiplicity 0 at a passes through 4 satellites: b, c, d, e"}\n', ''),
+    (("realizable", "--m", "2", "--config", "-", BARE_POINT),
+     0, '{"status": "undecidable", "condition": 2, "witness": "b carries no annotation"}\n', ''),
+    (("degseq", "--monomial", "1,1,1,0"),
+     0, '{"degrees": [2, 3, 5, 8, 13, 21, 34, 55], "truncated": false, "lambda": 1.618033988749895}\n', ''),
+    (("degseq", "--monomial", "2,1,1,1", "-n", "6"),
+     0, '{"degrees": [3, 8, 21, 55, 144, 377], "truncated": false, "lambda": 2.618033988749895}\n', ''),
+    (("degseq", "--monomial", "0,-1,1,0", "-n", "5"),
+     0, '{"degrees": [2, 2, 2, 1, 2], "truncated": false, "lambda": 1.0}\n', ''),
+    (("degseq", "--monomial=-3,2,1,-1", "-n", "5"),
+     0, '{"degrees": [4, 15, 56, 209, 780], "truncated": false, "lambda": 3.732050807568877}\n', ''),
+    (("bounds", "--lam", "2"),
+     0, '{"lam": 2.0, "mcdeg_bound": "150400", "cosh_bound": 2.3529851303503287e+111, "log_cosh_bound": 256.4426301126212, "degree_threshold": "192", "decrease_quantum": 0.023810763598327678, "loxodromy_constant": "1162261467"}\n', ''),
+    (("bounds", "--lam", "3/2"),
+     0, '{"lam": 1.5, "mcdeg_bound": "285525/8", "cosh_bound": 1.852486504537659e+68, "log_cosh_bound": 157.19231511675676, "degree_threshold": "81", "decrease_quantum": 0.028572916317993215, "loxodromy_constant": "1162261467"}\n', ''),
+    (("bounds", "--lam", "1.5"),
+     0, '{"lam": 1.5, "mcdeg_bound": 35690.625, "cosh_bound": 1.852486504537659e+68, "log_cosh_bound": 157.19231511675676, "degree_threshold": 81.0, "decrease_quantum": 0.028572916317993215, "loxodromy_constant": "1162261467"}\n', ''),
+    (("bounds", "--lam", "1e6"),
+     0, '{"lam": 1000000.0, "mcdeg_bound": "4700000000000000000000000000000000", "cosh_bound": "inf", "log_cosh_bound": 4783.657995317114, "degree_threshold": "24000000000000000000", "decrease_quantum": 7.143221936276367e-08, "loxodromy_constant": "1162261467"}\n', ''),
+    (("bounds", "--lam", "1234.5678"),
+     0, '{"lam": 1234.5678, "mcdeg_bound": 1.3479462830143357e+19, "cosh_bound": "inf", "log_cosh_bound": 2473.181151582176, "degree_threshold": 45160223046.39741, "decrease_quantum": 5.781333148612568e-05, "loxodromy_constant": "1162261467"}\n', ''),
+    (("bounds", "--lam", "1000000"),
+     0, '{"lam": 1000000.0, "mcdeg_bound": "4700000000000000000000000000000000", "cosh_bound": "inf", "log_cosh_bound": 4783.657995317114, "degree_threshold": "24000000000000000000", "decrease_quantum": 7.143221936276367e-08, "loxodromy_constant": "1162261467"}\n', ''),
+    (("bounds", "--degrees", "2", "3"),
+     0, '{"loxodromy_constant": "1162261467", "conjugator_bound": "5310018253203358388078621456810599514112"}\n', ''),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", NOT_BENCHED,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, *_) in enumerate(NOT_BENCHED)])
+def test_golden_output_of_the_commands_no_bench_call_runs(capsys, monkeypatch, argv, code,
+                                                         stdout, stderr):
+    if argv[0] == "realizable":
+        monkeypatch.setattr(sys, "stdin", stdin_of(argv[-1].encode()))
+        argv = argv[:-1]
+    assert run(capsys, *argv) == (code, stdout, stderr)
 
 
 @pytest.mark.parametrize("mode", [(), ("--prime-field",)])

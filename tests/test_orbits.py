@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cremlat import intmat
 from cremlat.checks import quadratic_charpoly, quadratic_orbit_element, quadratic_orbit_matrix
-from cremlat.orbits import lambda_limit, lambda_sequence, quadratic_closed_form
+from cremlat.orbits import K_LIMIT, lambda_limit, lambda_sequence, quadratic_closed_form
 from cremlat.roots import IntPolynomial, dominant_real_root, strip_cyclotomic
 
 
@@ -138,3 +138,9 @@ def test_lambda_sequence_isolates_each_root_once():
 def test_lambda_sequence_rejects_small_m():
     with pytest.raises(ValueError):
         lambda_sequence(1, [3])
+
+
+def test_lambda_sequence_refuses_a_k_past_its_limit():
+    assert [ent.k for ent in lambda_sequence(3, [K_LIMIT])] == [K_LIMIT]
+    with pytest.raises(RuntimeError, match="past the limit"):
+        lambda_sequence(3, [2, K_LIMIT + 1])

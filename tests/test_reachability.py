@@ -9,7 +9,10 @@ module of the package (``lattice.point``, not ``self.points``).  Each use is
 resolved to the module that defines it: a name defined in the same module,
 one imported by ``from .m import name`` (or ``from . import name`` from the
 package root), followed on through re-imports, or ``m.name`` on a module of
-the package.  Two definitions that share a name are reached apart.
+the package.  Two definitions that share a name are reached apart.  A class
+is reached without its methods, dunder methods aside: each other method is
+a definition of its own, reached once its class is and reached code reads
+an attribute of its name (``x.json_lines``, whatever x is).
 """
 
 import ast
@@ -58,9 +61,19 @@ def parsed_modules():
     return {path.stem: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def is_method(node):
+    """Whether a statement of a class body is a method other than a dunder."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(node.name)
+
+
 def top_level_definitions(body):
     """(name, node) for each function, class and assigned name at module
-    level, dunder names such as ``__version__`` aside."""
+    level, dunder names such as ``__version__`` aside, and (``C.m``, node)
+    for each method m of a class C that :func:`is_method` admits."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -70,8 +83,26 @@ def top_level_definitions(body):
         else:
             continue
         for name in names:
-            if not (name.startswith("__") and name.endswith("__")):
+            if not is_dunder(name):
                 yield name, node
+        if isinstance(node, ast.ClassDef):
+            for method in filter(is_method, node.body):
+                yield f"{node.name}.{method.name}", method
+
+
+def parts(node):
+    """What reaching a definition reaches at once: all of a function or an
+    assignment, and of a class all but the methods :func:`is_method` admits."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return (node.decorator_list + node.bases + node.keywords
+            + [stmt for stmt in node.body if not is_method(stmt)])
+
+
+def attributes_read(node):
+    """The names of the attributes read anywhere in node."""
+    return {n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
 def imported_names(body):
@@ -150,13 +181,28 @@ def test_every_definition_is_reached_from_the_cli_or_is_a_paper_check():
     def uses_in(mod, node):
         return {resolve(m or mod, name) for m, name in used_names(node)} - {None}
 
+    def class_of(key):
+        """(module, class) of a method's key, or None for another definition."""
+        mod, name = key
+        cls, dot, _ = name.rpartition(".")
+        return (mod, cls) if dot else None
+
     todo = set().union(*(uses_in("cli", node) for node in bodies["cli"]))
+    attrs = set().union(*map(attributes_read, bodies["cli"]))
     reached = set()
     while todo:
         key = todo.pop()
         reached.add(key)
         for node in defs[key]:
-            todo |= uses_in(key[0], node) - reached
+            for part in parts(node):
+                todo |= uses_in(key[0], part) - reached
+                attrs |= attributes_read(part)
+        if not todo:  # the methods that reached code now reads
+            todo = {key for key in defs if class_of(key) in reached
+                    and key[1].rpartition(".")[2] in attrs} - reached
+    # a method of a class that is not reached goes with its class
+    owners = reached | {None}
     unreached = {f"{mod}.{name}" for mod, name in defs
-                 if mod != "cli" and (mod, name) not in reached}
+                 if mod != "cli" and (mod, name) not in reached
+                 and class_of((mod, name)) in owners}
     assert unreached == PAPER_CHECKS | TRACED

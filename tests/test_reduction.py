@@ -149,8 +149,8 @@ def stacked_inflated(pts12):
 def test_decreasing_step_requires_loxodromic():
     p = points(3)
     h = realize(word(Sigma0(*p)))
-    with pytest.raises(ValueError):
-        decreasing_step(h)
+    with pytest.raises(ValueError):  # it has no axis data
+        decreasing_step(h, axis_data(h))
 
 
 def test_decreasing_step_on_an_inflated_element(pts12):
@@ -159,12 +159,12 @@ def test_decreasing_step_on_an_inflated_element(pts12):
     lam = dynamical_degree(core)
     inflated = build_inflated(core, extra[0], extra[1:11])
     assert degree(inflated) > 24 * lam ** 3
-    result = decreasing_step(inflated)
+    result = decreasing_step(inflated, axis_data(inflated))
     assert result is not None
     step, h2, w, _ = result
-    assert step.achieved >= delta(lam) - 1e-9
-    assert step.achieved >= step.guarantee - 1e-6
-    assert step.guarantee >= delta(lam) - 1e-9
+    assert step.achieved_decrease >= delta(lam) - 1e-9
+    assert step.achieved_decrease >= step.guaranteed_decrease - 1e-6
+    assert step.guaranteed_decrease >= delta(lam) - 1e-9
     assert step.cosh_after < step.cosh_before
     # exact conjugation by the two-letter word
     assert conjugate(realize(w), inflated) == h2
@@ -198,7 +198,7 @@ def test_reduce_inflated_instances(pts12, omega_size, stacked):
     assert len(trace.steps) <= trace.step_bound
     q = delta(trace.lam)
     for step in trace.steps:
-        assert step.achieved >= q - 1e-9
+        assert step.achieved_decrease >= q - 1e-9
     assert verify_conjugation(trace, h)
     assert len(trace.conjugator.letters) == 2 * len(trace.steps)
 
@@ -264,7 +264,7 @@ def test_a_step_makes_no_matrix_product(pts12, monkeypatch):
 
 def test_conjugate_inherits_the_exact_lambda(pts12):
     h = stacked_inflated(pts12)
-    _, h2, _, data2 = decreasing_step(h)
+    _, h2, _, data2 = decreasing_step(h, axis_data(h))
     assert data2.lam == dynamical_degree(h2)
     assert data2.lam == axis_data(h).lam
 
@@ -313,8 +313,8 @@ def test_reduce_in_the_theorem_regime():
     assert verify_conjugation(trace, h)
     q = delta(trace.lam)
     for step in trace.steps:
-        assert step.achieved >= q
-        assert step.guarantee >= q
+        assert step.achieved_decrease >= q
+        assert step.guaranteed_decrease >= q
         assert step.degree_after < step.degree_before
 
 

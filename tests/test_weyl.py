@@ -29,7 +29,6 @@ from cremlat.weyl import (
     degree,
     multiplicity_profile,
     parse_word,
-    print_word,
     realize,
     sigma_omega_word,
 )
@@ -429,19 +428,28 @@ def test_normalize_images_have_nonnegative_multiplicities(rng):
 
 def test_normalize_matches_matrix_images(rng):
     pts = points(10)
-    vectors = [
-        e0(),
-        e(pts[0]),
-        e0() - e(pts[1]),
-        ClassVector(3, {q: -1 for q in pts[:9]}),
-    ]
     for _ in range(120):
         w = random_word(rng, rng.randint(0, 8), pts)
+        # the four shapes, at points drawn afresh
+        vectors = [
+            e0(),
+            e(rng.choice(pts)),
+            e0() - e(rng.choice(pts)),
+            ClassVector(3, {q: -1 for q in rng.sample(pts, rng.randint(1, 9))}),
+        ]
         for v in vectors:
             nw = normalize_increasing(w, v)
             assert apply(realize(nw), v) == apply(realize(w), v)
             degs = increasing_degrees(nw, v)
             assert all(x < y for x, y in zip(degs, degs[1:]))
+            # at most one permutation letter, at the end, which moves no point
+            # that v and its image under that letter share
+            *rest, last = nw.letters
+            assert all(isinstance(g, Sigma0) for g in rest)
+            if not isinstance(last, Sigma0):
+                moved = {p for pair in last.pairs for p in pair}
+                shared = v.point_coeffs.keys() & word(last).apply(v).point_coeffs.keys()
+                assert not moved & shared
 
 
 def test_normalize_rejects_other_shapes():
@@ -456,8 +464,8 @@ def test_normalize_rejects_other_shapes():
 def test_grammar_round_trip():
     text = "q(p1,p2,p3) * t(p1,p4) * s(p2 p3)(p4 p5)"
     w, names = parse_word(text)
-    w2, names2 = parse_word(print_word(w))
-    assert print_word(w2) == print_word(w)
+    w2, names2 = parse_word(repr(w))
+    assert repr(w2) == repr(w)
     # fresh points of the same names, made in the same order, act alike
     h, h2 = realize(w), realize(w2)
     assert repr(apply(h2, e0())) == repr(apply(h, e0()))
