@@ -27,8 +27,6 @@ Modules:
   quadratic-case family and their Salem spectral radii;
 * :mod:`cremlat.birmap` -- a desk-scale engine for coordinate triples and
   monomial maps;
-* :mod:`cremlat.checks` -- checks of the paper's statements, which no
-  command runs;
 * :mod:`cremlat.cli` -- the ``cremlat`` command line.
 
 The package root, which every command loads, holds what several layers

@@ -24,8 +24,7 @@ these are the modules of the package that it compiles:
 * ``reduce``: those of ``spectrum``, and ``reduction``;
 * ``realizable``: ``realizable``, ``lattice`` and ``intmat``.
 
-No command loads :mod:`cremlat.checks`, the paper checks.  Importing this
-module binds every other layer module through
+Importing this module binds every other layer module through
 :class:`importlib.util.LazyLoader`, which puts it in ``sys.modules`` at once
 and runs it on its first attribute access.  Function-local imports would
 load as little, but leave the layers out of ``sys.modules`` until a command
@@ -62,7 +61,7 @@ def _lazy(name: str):
 
 
 # intmat too, which no command calls directly, so that every layer module is
-# in sys.modules once this module is imported; not checks, which no command runs
+# in sys.modules once this module is imported
 (birmap, bounds, intmat, lattice, normalform, orbits, realizable, reduction, roots, salem,
  spectral, weyl) = map(_lazy, ("birmap", "bounds", "intmat", "lattice", "normalform", "orbits",
                                "realizable", "reduction", "roots", "salem", "spectral", "weyl"))
@@ -258,8 +257,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-" and a digit as a flag, so
+    # --monomial -3,2,1,-1 is passed on as --monomial=-3,2,1,-1
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[0] == "degseq" and argv[i - 1] == "--monomial" and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--monomial={argv[i]}"]
     args = build_parser(argv).parse_args(argv)
     try:
         for flag in ("-n", "--budget", "--kmax"):  # the counts; below 0 they give nothing

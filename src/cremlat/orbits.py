@@ -10,8 +10,8 @@ as k grows.
   form, of the explicit (2k+4)-square matrix of the construction, indexed
   by the construction degree m >= 3 exactly as written.  The matrix itself,
   the check of the closed form against it, and the same action realized as
-  an isometry of the Picard-Manin lattice are paper checks, in
-  :mod:`cremlat.checks`;
+  an isometry of the Picard-Manin lattice are paper checks, which the tests
+  run;
 * :func:`lambda_sequence` reads the closed forms and is indexed by the
   target trace parameter: its values converge to the largest root of
   x^2 - (m+1)x + 1, which the construction realizes at degree m + 2.  (The
@@ -45,9 +45,11 @@ def quadratic_closed_form(m: int, k: int) -> IntPolynomial:
     return IntPolynomial(c)
 
 
-# the largest k that lambda_sequence takes: the work grows about as k^3,
-# and k up to 128 at m = 3 takes about 2.5 s on a 2-vCPU Xeon host
+# the largest k and m that lambda_sequence takes: the work grows about as
+# k^3, and with the digits of m; on a 2-vCPU Xeon host, k up to 128 takes
+# about 3.3 s at m = 3 and 11 s at m = 1000
 K_LIMIT = 128
+M_LIMIT = 1000
 
 
 class LambdaEntry(NamedTuple):
@@ -62,12 +64,14 @@ def lambda_sequence(m: int, ks: Sequence[int]) -> list[LambdaEntry]:
     ``m`` is the target trace parameter (m >= 2); the values are dominant
     roots of the closed-form polynomials at construction degree m + 2, each
     correctly rounded and classified by one call of the polynomial
-    classifier.  A k above :data:`K_LIMIT` is refused before any closed form
-    is built.  Rounding is monotone, so the values rise with k and stay
-    below the limit.
+    classifier.  A k above :data:`K_LIMIT`, or an m above :data:`M_LIMIT`,
+    is refused before any closed form is built.  Rounding is monotone, so
+    the values rise with k and stay below the limit.
     """
     if m < 2:
         raise ValueError("need m >= 2")
+    if m > M_LIMIT:
+        raise RuntimeError(f"m = {m} is past the limit {M_LIMIT} of the truncated orbits")
     if max(ks, default=0) > K_LIMIT:
         raise RuntimeError(f"k = {max(ks)} is past the limit {K_LIMIT} of the truncated orbits")
     out = []

@@ -15,13 +15,12 @@ termination in that regime, so a step budget is mandatory.  Each step is a
 genuine conjugation in the Weyl group, kept only as its two-letter
 conjugator word: the word conjugates the matrix by row operations
 (:func:`weyl.conjugate_by_word`) and carries the axis letter by letter, and
-the product of the words is verifiable exactly
-(:func:`cremlat.checks.verify_conjugation`).  The axis is the input's
-B mod P (see :func:`cremlat.spectral.axis_data`), B(z) = adj(zI - M) e0 and
-P the minimal polynomial of lambda, kept as integer columns; its values at
-lambda and 1/lambda are the two eigenvectors.  Each step decides the
-hypothesis, the root and the sign of its guarantee in Q(lambda) = Q[z]/P,
-as exact signs at lambda's bracket.
+the product of the words conjugates the input to the result exactly.  The
+axis is the input's B mod P (see :func:`cremlat.spectral.axis_data`),
+B(z) = adj(zI - M) e0 and P the minimal polynomial of lambda, kept as
+integer columns; its values at lambda and 1/lambda are the two
+eigenvectors.  Each step decides the hypothesis, the root and the sign of
+its guarantee in Q(lambda) = Q[z]/P, as exact signs at lambda's bracket.
 
 The geometric half of the story, deciding whether a configuration of base
 points is realized by an actual plane Jonquieres transformation, is
@@ -151,8 +150,7 @@ def reduce(h: WeylElement, budget: int = 200) -> ReductionTrace:
     the budget runs out.  The number of successful steps can never exceed
     cosh(dist(e0, axis)) / delta(lambda), which is recorded as step_bound.
     The total conjugator word g satisfies
-    realize(g) h realize(g)^{-1} = final exactly
-    (:func:`cremlat.checks.verify_conjugation`).
+    realize(g) h realize(g)^{-1} = final exactly.
     """
     cls = classify(h)
     if not cls.is_loxodromic:
@@ -165,10 +163,10 @@ def reduce(h: WeylElement, budget: int = 200) -> ReductionTrace:
     steps = []
     conj = WeylWord(())
     cur = h
-    terminal = "step_budget_exhausted"
-    for _ in range(budget):
-        if degree(cur) <= threshold:
-            terminal = "reached_degree_threshold"
+    terminal = "reached_degree_threshold"
+    while degree(cur) > threshold:
+        if len(steps) >= budget:
+            terminal = "step_budget_exhausted"
             break
         result = decreasing_step(cur, data)
         if result is None:
@@ -181,8 +179,6 @@ def reduce(h: WeylElement, budget: int = 200) -> ReductionTrace:
         step, cur, w, data = result
         steps.append(step)
         conj = w * conj
-    if terminal == "step_budget_exhausted" and degree(cur) <= threshold:
-        terminal = "reached_degree_threshold"
     return ReductionTrace(
         steps=tuple(steps),
         terminal=terminal,

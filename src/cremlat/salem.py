@@ -171,7 +171,12 @@ class SearchSpaceError(RuntimeError):
     pass
 
 
-def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000):
+# the nodes that enumerate_salem visits before it gives up, the candidates
+# for the last coefficient included
+NODE_LIMIT = 5_000_000
+
+
+def enumerate_salem(degree_bound: int, upper: float):
     """All Salem numbers of degree <= degree_bound with value <= upper.
 
     The search is exhaustive: a Salem polynomial of degree 2n with root in
@@ -208,9 +213,9 @@ def enumerate_salem(degree_bound: int, upper: float, node_limit: int = 5_000_000
         def visit(nodes):
             nonlocal visited
             visited += nodes
-            if visited > node_limit:
+            if visited > NODE_LIMIT:
                 raise SearchSpaceError(
-                    f"search space exceeded {node_limit} nodes; tighten the bounds")
+                    f"search space exceeded {NODE_LIMIT} nodes; tighten the bounds")
 
         def extend(qs, ss):
             visit(1)

@@ -19,9 +19,7 @@ here is the finite-support part of the full symmetric-group completion;
 every algorithm in the package only ever touches finitely many points, so
 nothing is lost by the restriction.
 
-The increasing normal form of a word is in :mod:`cremlat.normalform`, and
-the checks of the paper's identities on an element (Noether's, the
-Jonquieres and Halphen classes) are in :mod:`cremlat.checks`.
+The increasing normal form of a word is in :mod:`cremlat.normalform`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from functools import cached_property
 import mpmath
 import pytest
 
-from cremlat.checks import noether_identity, points
+from paper_checks import noether_identity, points
 from cremlat.intmat import charpoly
 from cremlat.lattice import ClassVector, point
 from cremlat.roots import IntPolynomial, dominant_real_root
@@ -102,11 +102,11 @@ def mp_root(coeffs, guess):
 
 
 def averaged_noether_margins(h):
-    """The two inequalities of checks.averaged_noether_check as the signs of
-    their margins, sum c_i^2 - (d^2 - 1) + s and lhs - rhs + s of
-    checks.noether_identity on the c_i, with s = (d/2)(1/lambda + lambda + 2)
-    in 80 digits, lambda refined from its float on chi.  Returns
-    ((margin, margin), s)."""
+    """The two inequalities of paper_checks.averaged_noether_check as the
+    signs of their margins, sum c_i^2 - (d^2 - 1) + s and lhs - rhs + s of
+    paper_checks.noether_identity on the c_i, with
+    s = (d/2)(1/lambda + lambda + 2) in 80 digits, lambda refined from its
+    float on chi.  Returns ((margin, margin), s)."""
     prof = multiplicity_profile(h)
     d = prof.degree
     c, lhs, rhs = noether_identity(d, prof.c)

@@ -1,10 +1,8 @@
-"""Checks of the paper's statements, and what only they use.
+"""Checks of the paper's statements, on elements that the tests build.
 
-No command runs this module: each function checks an identity or a bound
-of the paper on elements that the tests build, and a check that a command
-comes to run moves next to the code it checks.  Kept here, out of the
-modules that the lattice commands load, none of it is compiled on a
-command's path.
+Blanc and Cantat (arXiv 1307.0361) prove identities and bounds that no
+command of ``cremlat`` prints; the tests check them here against the
+lattice model that the commands run:
 
 * Weyl elements: inverses and conjugates by matrix products, elements from
   explicit images of basis classes, and Noether's identities and
@@ -18,6 +16,12 @@ command's path.
 * orbits: the explicit matrix of the truncated quadratic orbits, its
   characteristic polynomial against the closed form, and the same action
   as a lattice isometry.
+
+The module lives under ``tests/`` because no command runs it, and the
+package holds only what a command runs (``test_reachability.py``).  A
+check that a command comes to run moves into the package, next to the code
+it checks.  The tests import it as they import ``conftest``: pytest puts
+this directory on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from . import intmat
-from .lattice import BubblePoint, ClassVector, e, e0, intersect, point
-from .orbits import quadratic_closed_form
-from .reduction import ReductionTrace
-from .roots import IntPolynomial, _mul
-from .spectral import LoxodromicData, _spectrum, axis_data, classify
-from .weyl import (
+from cremlat import intmat
+from cremlat.lattice import BubblePoint, ClassVector, e, e0, intersect, point
+from cremlat.orbits import quadratic_closed_form
+from cremlat.reduction import ReductionTrace
+from cremlat.roots import IntPolynomial, _mul
+from cremlat.spectral import LoxodromicData, _spectrum, axis_data, classify
+from cremlat.weyl import (
     WeylElement, _prune, apply, compose, degree, multiplicity_profile, realize,
 )
 

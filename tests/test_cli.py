@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cremlat
-from cremlat import intmat
+from cremlat import intmat, orbits
 from cremlat.cli import main
 
 LOXODROMIC = "q(a,b,c)*q(d,e,f)*q(g,h,i)*q(j,a,d)"
@@ -338,6 +339,32 @@ def test_fk_spectrum_refuses_a_kmax_past_its_limit_at_once(capsys):
     assert err.startswith("error: k = 1000000 is past the limit")
 
 
+def test_fk_spectrum_refuses_an_m_past_its_limit_at_once(capsys):
+    # the work grows with the digits of m: a 101-digit m at --kmax 64 ran for
+    # minutes
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "fk-spectrum", "--m", str(10 ** 100), "--kmax", "64")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: m = {10 ** 100} is past the limit {orbits.M_LIMIT}")
+    rc, out, _ = run(capsys, "fk-spectrum", "--m", str(orbits.M_LIMIT), "--kmax", "2")
+    assert rc == 0 and json.loads(out)["m"] == orbits.M_LIMIT
+
+
+def test_a_monomial_matrix_may_start_with_a_negative_entry(capsys):
+    # every exponent matrix with entries in -6..6 and determinant +-1 (346
+    # of them start with a negative entry, which argparse would read as a
+    # flag) prints the same in both spellings
+    matrices = [m for m in itertools.product(range(-6, 7), repeat=4)
+                if abs(m[0] * m[3] - m[1] * m[2]) == 1]
+    assert (len(matrices), sum(m[0] < 0 for m in matrices)) == (744, 346)
+    for m in matrices:
+        text = ",".join(map(str, m))
+        spaced = run(capsys, "degseq", "--monomial", text)
+        assert spaced[0] == 0
+        assert spaced == run(capsys, "degseq", f"--monomial={text}")
+
+
 def test_failed_certificate_is_a_domain_error(capsys, monkeypatch):
     # a wrong characteristic polynomial, chi + 1, fails chi(M) e0 = 0
     charpoly = intmat.charpoly
@@ -422,9 +449,7 @@ BARE_POINT = json.dumps({"points": [{"id": "a", "coords": [1, 0, 0]}, {"id": "b"
 
 # the commands that no bench call runs (the normal form, realizability, the
 # monomial maps and the bound formulas), as (argv, exit code, stdout,
-# stderr); realizable reads the last item of argv from stdin.  A negative
-# first --monomial entry needs the --monomial=... form, which argparse does
-# not read as a flag
+# stderr); realizable reads the last item of argv from stdin
 NOT_BENCHED = [
     (("weyl-normalize", LOXODROMIC, "--vector", "e0"),
      0, '{"word": "q(a,b,c) * q(d,e,f) * q(g,h,i) * q(a,d,j)", "image": "13*e0 - 7*e(a) - 6*e(b) - 6*e(c) - 4*e(d) - 3*e(e) - 3*e(f) - 2*e(g) - 2*e(h) - 2*e(i) - e(j)", "partial_degrees": ["2", "4", "7", "13"]}\n', ''),
@@ -559,8 +584,7 @@ RUN_AND_LIST_MODULES = textwrap.dedent("""
 # the modules whose code runs (a lazy module that was never used is still
 # of the pending type), besides cremlat and cremlat.cli; intmat runs only
 # where a matrix or an interpolation is computed.  The lattice commands run
-# the root kernel (roots) but not the Salem layer (salem), and no command
-# runs the paper checks (checks)
+# the root kernel (roots) but not the Salem layer (salem)
 MODULES_RUN = {
     "bounds": (("bounds", "--lam", "2"), {"bounds"}),
     "classify-number": (("classify-number", LEHMER), {"salem", "roots"}),

@@ -22,8 +22,8 @@ from functools import lru_cache
 import pytest
 
 from conftest import LEHMER, LEHMER_POLYNOMIAL, averaged_noether_margins, coxeter_generators
+from paper_checks import averaged_noether_check, noether_report
 from cremlat import intmat
-from cremlat.checks import averaged_noether_check, noether_report
 from cremlat.roots import IntPolynomial, format_poly
 from cremlat.salem import classify_number
 from cremlat.spectral import classify, dynamical_degree

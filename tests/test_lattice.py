@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import norm_sq, word
-from cremlat.checks import points
+from paper_checks import points
 from cremlat.lattice import (
     BubblePoint,
     ClassVector,

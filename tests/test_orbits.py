@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper_checks import quadratic_charpoly, quadratic_orbit_element, quadratic_orbit_matrix
 from cremlat import intmat
-from cremlat.checks import quadratic_charpoly, quadratic_orbit_element, quadratic_orbit_matrix
 from cremlat.orbits import K_LIMIT, lambda_limit, lambda_sequence, quadratic_closed_form
 from cremlat.roots import IntPolynomial, dominant_real_root, strip_cyclotomic
 

@@ -1,10 +1,10 @@
-"""Only what a command runs, and the paper checks, live in src/cremlat.
+"""Only what a command runs lives in src/cremlat.
 
 The walk parses every module with ``ast``.  Starting from the top-level
 statements of ``cli.py``, it follows the names they use to the top-level
 definitions they name, and on through the names those use.  A use is a name
 read that no enclosing function, lambda or comprehension binds (so a local
-``points`` does not reach ``checks.points``), or an attribute read off a
+``triple`` does not reach ``birmap.triple``), or an attribute read off a
 module of the package (``lattice.point``, not ``self.points``).  Each use is
 resolved to the module that defines it: a name defined in the same module,
 one imported by ``from .m import name`` (or ``from . import name`` from the
@@ -22,32 +22,6 @@ import cremlat
 
 SRC = Path(cremlat.__file__).parent
 MODULES = {path.stem for path in SRC.glob("*.py")}
-
-# Checks of the paper's statements that no command calls yet, with what only
-# they use, all in cremlat.checks, which no command loads.  A check leaves
-# this set, and that module, once a command runs it.
-PAPER_CHECKS = {
-    "checks.NoetherReport",
-    "checks.noether_report",
-    "checks.noether_identity",
-    "checks.conjugate",
-    "checks.inverse",
-    "checks.element_from_images",
-    "checks.jonquieres_center",
-    "checks.halphen_class",
-    "checks.halphen_test",
-    "checks.AxisNoetherReport",
-    "checks.averaged_noether_check",
-    "checks.verify_conjugation",
-    "checks.DISPLACEMENT_FACTOR",
-    "checks.DisplacementReport",
-    "checks.axis_displacement_check",
-    "checks.cosh_distance_to_axis",
-    "checks.quadratic_charpoly",
-    "checks.quadratic_orbit_matrix",
-    "checks.quadratic_orbit_element",
-    "checks.points",
-}
 
 # Definitions that no command runs but that the bench tracer, bench/tracer.py,
 # names in its LAYERS and times when a command does run them.
@@ -161,7 +135,7 @@ def used_names(node, local=frozenset()):
     return uses
 
 
-def test_every_definition_is_reached_from_the_cli_or_is_a_paper_check():
+def test_every_definition_is_reached_from_the_cli_or_is_traced():
     bodies = parsed_modules()
     defs = {}
     for mod, body in bodies.items():
@@ -205,4 +179,4 @@ def test_every_definition_is_reached_from_the_cli_or_is_a_paper_check():
     unreached = {f"{mod}.{name}" for mod, name in defs
                  if mod != "cli" and (mod, name) not in reached
                  and class_of((mod, name)) in owners}
-    assert unreached == PAPER_CHECKS | TRACED
+    assert unreached == TRACED

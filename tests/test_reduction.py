@@ -19,11 +19,12 @@ from conftest import (
     random_word,
     word,
 )
-from cremlat import checks, intmat, reduction, spectral
-from cremlat.bounds import bounds, delta
-from cremlat.checks import (
+import paper_checks
+from paper_checks import (
     averaged_noether_check, conjugate, noether_identity, points, verify_conjugation,
 )
+from cremlat import intmat, reduction, spectral
+from cremlat.bounds import bounds, delta
 from cremlat.lattice import ClassVector, e, e0, infinitely_near, intersect, point, proper_point
 from cremlat.realizable import PointConfiguration, realizable_jonquieres
 from cremlat.reduction import decreasing_step, reduce
@@ -108,7 +109,7 @@ def test_averaged_noether_decides_a_margin_of_ten_to_the_minus_40(monkeypatch, p
     with mpmath.workdps(80):
         gap = mp_fraction(-s + offset * mpmath.mpf(10) ** -40)
     c, _, _ = noether_identity(degree(h), multiplicity_profile(h).c)
-    monkeypatch.setattr(checks, "noether_identity", lambda d, mults: (c, gap, 0))
+    monkeypatch.setattr(paper_checks, "noether_identity", lambda d, mults: (c, gap, 0))
     assert averaged_noether_check(h).triple_ok == (offset > 0)
 
 
@@ -204,11 +205,20 @@ def test_reduce_inflated_instances(pts12, omega_size, stacked):
 
 
 def test_reduce_budget_exhaustion(pts12):
+    # a budget below the n steps of the unbounded run runs out; a budget of
+    # n runs out on the step that reaches the threshold, which still ends
+    # there.  Each run takes the first steps of the unbounded one
     extra = points(12)
     core = loxodromic_ten(pts12)
-    h = build_inflated(core, extra[0], extra[1:11])
-    trace = reduce(h, budget=0)
-    assert trace.terminal == "step_budget_exhausted"
+    for h in (build_inflated(core, extra[0], extra[1:11]), stacked_inflated(pts12)):
+        unbounded = reduce(h)
+        n = len(unbounded.steps)
+        assert unbounded.terminal == "reached_degree_threshold" and n >= 1
+        for b in range(n + 1):
+            trace = reduce(h, budget=b)
+            assert trace.terminal == ("step_budget_exhausted" if b < n
+                                      else "reached_degree_threshold")
+            assert trace.steps == unbounded.steps[:b]
 
 
 def test_trace_json_lines(pts12):

@@ -368,9 +368,10 @@ def test_enumeration_postconditions():
         assert classify_number(poly).kind == "salem"
 
 
-def test_enumeration_resource_guard():
-    with pytest.raises(SearchSpaceError):
-        enumerate_salem(10, 1.18, node_limit=10)
+def test_enumeration_resource_guard(monkeypatch):
+    monkeypatch.setattr(salem, "NODE_LIMIT", 10)
+    with pytest.raises(SearchSpaceError, match="^search space exceeded 10 nodes; tighten"):
+        enumerate_salem(10, 1.18)
 
 
 def test_enumerate_salem_rejects_bad_input():
@@ -444,17 +445,20 @@ def test_enumerate_salem_degree_eight(upper, count):
 
 # the nodes are the inner ones and the candidates for the last coefficient
 @pytest.mark.parametrize("upper,nodes", [(1.4, 1963), (2.0, 4286)])
-def test_enumerate_salem_degree_eight_visits_the_same_tree(upper, nodes):
-    enumerate_salem(8, upper, node_limit=nodes)
+def test_enumerate_salem_degree_eight_visits_the_same_tree(upper, nodes, monkeypatch):
+    monkeypatch.setattr(salem, "NODE_LIMIT", nodes)
+    enumerate_salem(8, upper)
+    monkeypatch.setattr(salem, "NODE_LIMIT", nodes - 1)
     with pytest.raises(SearchSpaceError):
-        enumerate_salem(8, upper, node_limit=nodes - 1)
+        enumerate_salem(8, upper)
 
 
-def test_the_last_coefficient_counts_against_the_node_limit():
+def test_the_last_coefficient_counts_against_the_node_limit(monkeypatch):
     # about 10^4 inner nodes, but about 10^8 candidates for the last coefficient
+    monkeypatch.setattr(salem, "NODE_LIMIT", 10_000)
     start = time.perf_counter()
     with pytest.raises(SearchSpaceError):
-        enumerate_salem(4, 10000.0, node_limit=10_000)
+        enumerate_salem(4, 10000.0)
     assert time.perf_counter() - start < 1
 
 

@@ -25,9 +25,9 @@ from conftest import (
     sigma_product,
     word,
 )
+from paper_checks import axis_displacement_check, cosh_distance_to_axis, inverse, points
 from cremlat import intmat, spectral
 from cremlat.bounds import LOXODROMY_CONSTANT
-from cremlat.checks import axis_displacement_check, cosh_distance_to_axis, inverse, points
 from cremlat.lattice import e0, intersect
 from cremlat.roots import IntPolynomial
 from cremlat.spectral import (

@@ -5,8 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import coxeter_generators, identity_element, random_word, sigma_product, word
-from cremlat import intmat
-from cremlat.checks import (
+from paper_checks import (
     conjugate,
     halphen_class,
     halphen_test,
@@ -15,6 +14,7 @@ from cremlat.checks import (
     noether_report,
     points,
 )
+from cremlat import intmat
 from cremlat.lattice import ClassVector, e, e0
 from cremlat.normalform import increasing_degrees, normalize_increasing
 from cremlat.weyl import (
