@@ -83,6 +83,8 @@ def _parse_vector(text: str, names: dict) -> lattice.ClassVector:
     m = re.fullmatch(r"3(?:\*|\s*)e0((?:-e\([^()]*\))+)", text)
     if m:
         pts = re.findall(r"-e\(([^()]*)\)", m.group(1))
+        if len(set(pts)) < len(pts):
+            raise SyntaxErrorAt(f"the points of 3e0-e(q1)-... must be distinct in {text!r}", 0)
         vec = lattice.ClassVector(3, {})
         for name in pts:
             vec = vec - lattice.e(weyl.named_point(name, names))
@@ -259,9 +261,11 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value that starts with "-" and a digit as a flag, so
-    # --monomial -3,2,1,-1 is passed on as --monomial=-3,2,1,-1
+    # --monomial -3,2,1,-1 is passed on as --monomial=-3,2,1,-1, and so is
+    # each abbreviation from --mo on (--m is also --map's)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[0] == "degseq" and argv[i - 1] == "--monomial" and re.match(r"-\d", argv[i]):
+        if (argv[0] == "degseq" and len(argv[i - 1]) > 3 and "--monomial".startswith(argv[i - 1])
+                and re.match(r"-\d", argv[i])):
             argv[i - 1:i + 1] = [f"--monomial={argv[i]}"]
     args = build_parser(argv).parse_args(argv)
     try:

@@ -7,10 +7,10 @@ polynomial p, ending in gcd(p, p'), gives its squarefree part and its Sturm
 chain, built once and reused by every count on it; signs at a rational n/d
 are read from the integer d^deg p(n/d).  Stripping divides by Phi_n only
 when Phi_n(2) divides p(2), as it must when Phi_n divides p.  The largest
-real root is isolated by Sturm counts and kept as a :class:`RootBracket`,
-which refines itself in place to round the root, or the value of a ratio of
-integer polynomials at the root, to the nearest float, and to decide its
-sign.  Floating point only reports a value, as the float nearest to it.
+real root is a :class:`RootBracket`, one bisection in integers, by Sturm
+counts until it holds that root alone and then by signs, in place, to round
+the root, or a ratio of integer polynomials at the root, to the nearest
+float, and to decide its sign.  Floating point only reports a value.
 
 This is the part of the polynomial code that the lattice commands run (the
 dynamical degree and the axis of :mod:`cremlat.spectral`, the steps of
@@ -107,13 +107,6 @@ def _divmod_monic(a, b):
     return q, a[:db] if db else [0]
 
 
-def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    q, r = _divmod_monic(a.coeffs, b.coeffs)
-    if any(c != 0 for c in r):
-        raise ValueError("division is not exact")
-    return IntPolynomial(q)
-
-
 def _deriv(a):
     return [i * c for i, c in enumerate(a)][1:] or [0]
 
@@ -152,11 +145,13 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by recursive exact division."""
-    result = IntPolynomial([-1] + [0] * (n - 1) + [1])
+    coeffs = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            result = exact_div(result, cyclotomic(d))
-    return result
+            coeffs, r = _divmod_monic(coeffs, cyclotomic(d).coeffs)
+            if any(r):
+                raise ValueError("division is not exact")
+    return IntPolynomial(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -281,25 +276,20 @@ def _changes_at(chain, x) -> int:
     return _changes(_sign_at(c, x.numerator, x.denominator) for c in chain)
 
 
-def count_real_roots(p: IntPolynomial, lo=None, hi=None) -> int:
-    """Distinct real roots in (lo, hi]; None endpoints mean +-infinity."""
+def count_real_roots(p: IntPolynomial, lo, hi) -> int:
+    """Distinct real roots in (lo, hi], for rationals lo and hi."""
     chain = _sturm_chain(p)
-    at_minus_inf, at_inf = _changes_at_infinity(chain)
-    va = _changes_at(chain, lo) if lo is not None else at_minus_inf
-    vb = _changes_at(chain, hi) if hi is not None else at_inf
-    return va - vb
-
-
-def cauchy_bound(p: IntPolynomial) -> Fraction:
-    return Fraction(1 + max(abs(c) for c in p.coeffs[:-1]))
+    return _changes_at(chain, lo) - _changes_at(chain, hi)
 
 
 class RootBracket:
     """The largest real root, above 1, of a squarefree monic integer
-    polynomial ``poly`` (ascending), as a bracket (a/den, b/den] that holds
-    no other root; a == b once a midpoint hits the root.  poly is negative
-    from a/den to the root and positive above it.  Each answer halves the
-    bracket in place as far as it needs, and the next starts from there.
+    polynomial ``poly`` (ascending), as a bracket (a/den, b/den] in
+    integers, from (1, 1 + max |c_i|] (Cauchy's bound) on.  Once isolated
+    it holds no other root, a == b once a midpoint hits the root, and poly
+    is negative from a/den to the root and positive above it.  Each answer
+    halves the bracket in place as far as it needs, and the next starts
+    from there.
 
     :meth:`sign` and :meth:`ratio` answer for r = num/den, num and den
     integer polynomials, at the root.  They need ``poly`` irreducible, so
@@ -308,8 +298,29 @@ class RootBracket:
     terms, each increasing for x >= 1.
     """
 
-    def __init__(self, poly, a, b, den):
-        self.poly, self.a, self.b, self.den = poly, a, b, den
+    def __init__(self, poly):
+        self.poly, self.a, self.b, self.den = poly, 1, 1 + max(abs(c) for c in poly[:-1]), 1
+
+    def isolate(self, chain) -> bool:
+        """Halve by Sturm counts on ``chain``, a Sturm chain of poly, until
+        the bracket holds one root and a/den is none; False if it holds
+        none.  The sign changes at b are those at +infinity, which no root
+        lies between, and stay so: a half without a root has as many at
+        both ends."""
+        upper = _changes_at_infinity(chain)[1]
+        signs = [_sign_at(c, self.a, self.den) for c in chain]
+        count, low = _changes(signs) - upper, signs[0]
+        while count > 1 or count and not low:
+            mid, self.a, self.b, self.den = self.a + self.b, 2 * self.a, 2 * self.b, 2 * self.den
+            signs = [_sign_at(c, mid, self.den) for c in chain]
+            if above := _changes(signs) - upper:
+                self.a, count, low = mid, above, signs[0]
+            elif signs[0]:
+                self.b = mid
+            else:  # the largest root is mid
+                self.a = self.b = mid
+                break
+        return count > 0
 
     def halve(self, times: int = 1):
         for _ in range(times):  # in integers: doubling keeps the midpoint one
@@ -321,17 +332,15 @@ class RootBracket:
                 self.b = mid
 
     def nearest(self) -> float:
-        """The root, correctly rounded (int true division rounds correctly)."""
-        while (x := self.a / self.den) != (y := self.b / self.den):
-            if math.nextafter(x, y) == y:
-                # the ends round to adjacent floats: the root rounds to x below
-                # their tie t and to y above it, and the sign at t decides, also
-                # for a root at t (an integer above 2^53), which a midpoint need not hit
-                t = (Fraction(x) + Fraction(y)) / 2
-                st = _sign_at(self.poly, t.numerator, t.denominator)
-                return float(t) if st == 0 else y if st < 0 else x
+        """The root, correctly rounded (int true division rounds correctly),
+        also a root at the tie of two floats (an integer above 2^53), which
+        a midpoint need not hit."""
+        def side(t):  # poly is negative below the root
+            return -_sign_at(self.poly, t.numerator, t.denominator)
+
+        while (out := _nearest(self.a / self.den, self.b / self.den, side)) is None:
             self.halve()
-        return x
+        return out
 
     def sign(self, num, den=(1,)) -> int:
         """The sign of r."""
@@ -345,17 +354,13 @@ class RootBracket:
         num, den = self._reduced(num), self._reduced(den)
         rounded = _sqrt_ratio if sqrt else operator.truediv
 
+        def side(t):  # the sign of r - t, or of r - t^2 for sqrt(r)
+            s = t * t if sqrt else t
+            return self.sign([s.denominator * u - s.numerator * v for u, v in zip(num, den)], den)
+
         def answer(lo, hi):
             x, y = rounded(max(lo[0], 0) if sqrt else lo[0], lo[1]), rounded(*hi)
-            if x == y:
-                return x
-            if math.nextafter(x, y) != y:
-                return None
-            # adjacent floats: the side of their tie t decides, as for the root
-            t = (Fraction(x) + Fraction(y)) / 2
-            s = t * t if sqrt else t
-            side = self.sign([s.denominator * u - s.numerator * v for u, v in zip(num, den)], den)
-            return float(t) if side == 0 else y if side > 0 else x
+            return _nearest(x, y, side)
 
         return self._decide(num, den, answer)
 
@@ -397,30 +402,29 @@ def _bounds(f, ends) -> tuple:
 
 def dominant_root_bracket(p: IntPolynomial) -> Optional[RootBracket]:
     """The largest real root > 1 of p, as a bracket on p's squarefree part,
-    or None.  A Sturm count isolates it, by exact sign bisection."""
-    sf = _sturm_chain(p)[0]
-    bound = cauchy_bound(IntPolynomial(sf))
-    n_gt1 = count_real_roots(p, 1, bound)
-    if n_gt1 == 0:
-        return None
-    # shrink until (lo, hi] holds exactly the largest root, n of them
-    # throughout, and lo is not a root itself
-    lo, hi, n, slo = Fraction(1), bound, n_gt1, _sign_at(sf, 1, 1)
-    while n > 1 or slo == 0:
-        mid = (lo + hi) / 2
-        if above := count_real_roots(p, mid, hi):
-            lo, n, slo = mid, above, _sign_at(sf, mid.numerator, mid.denominator)
-        else:
-            hi = mid
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    exact = _sign_at(sf, hi.numerator, hi.denominator) == 0
-    return RootBracket(sf, b if exact else a, b, lo.denominator * hi.denominator)
+    or None."""
+    chain = _sturm_chain(p)
+    root = RootBracket(chain[0])
+    return root if root.isolate(chain) else None
 
 
 def dominant_real_root(p: IntPolynomial) -> Optional[float]:
     """The largest real root > 1, correctly rounded to a float, or None."""
     root = dominant_root_bracket(p)
     return None if root is None else root.nearest()
+
+
+def _nearest(x: float, y: float, side) -> Optional[float]:
+    """The float nearest to v, x <= v <= y, or None while x and y are not
+    adjacent floats: for adjacent ones, x below their tie t, y above it and
+    float(t), the even one, at it, where side(t) is the sign of v - t."""
+    if x == y:
+        return x
+    if math.nextafter(x, y) != y:
+        return None
+    t = (Fraction(x) + Fraction(y)) / 2
+    s = side(t)
+    return float(t) if s == 0 else y if s > 0 else x
 
 
 def _sqrt_ratio(n: int, m: int) -> float:

@@ -300,11 +300,20 @@ def _check_candidate(qcoeffs, big_a, descartes, found):
 # -- text format --------------------------------------------------------------
 
 
+# the largest degree that parse_poly reads: on a 2-vCPU Xeon host,
+# classify_number takes 7.0 s on x^800 - 3x^799 + 1 and 16 s at degree 1000
+DEGREE_LIMIT = 800
+
+
 def parse_poly(text: str) -> IntPolynomial:
     """Parse ``x^10 + x^9 - x^7 - ... + 1`` (the grammar of
-    :func:`cremlat.parse_terms` in x) into an IntPolynomial."""
+    :func:`cremlat.parse_terms` in x) into an IntPolynomial, of degree at
+    most :data:`DEGREE_LIMIT`."""
     terms = parse_terms(text, "x")
-    coeffs = [0] * (max((e for e, in terms), default=0) + 1)
+    degree = max((e for e, in terms), default=0)
+    if degree > DEGREE_LIMIT:
+        raise RuntimeError(f"degree {degree} is past the limit {DEGREE_LIMIT}")
+    coeffs = [0] * (degree + 1)
     for (e,), c in terms.items():
         if c.denominator != 1:
             raise InputSyntaxError(f"the coefficient {c} of x^{e} is not an integer")

@@ -79,7 +79,7 @@ class _Spectrum:
     @cached_property
     def charpoly(self) -> IntPolynomial:
         """chi, with its Mahler measure bounded by max(1, ||M||_inf): realize
-        validates each element as an isometry of a form of signature (1, n),
+        checks each element as an isometry of a form of signature (1, n),
         and products, inverses and conjugates of isometries are isometries.
         Such an isometry has at most one eigenvalue off the closed unit disc,
         so the Mahler measure is lambda, at most ||M||_inf."""

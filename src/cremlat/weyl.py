@@ -13,7 +13,7 @@ form omega.  An element is represented in two ways:
 
 A word acts on matrices by integer row operations, one per letter, both in
 :func:`realize` and in :func:`conjugate_by_word`, with no matrix product.
-Realized matrices are checked on construction: M^T J M = J with
+:func:`realize` checks each matrix it makes: M^T J M = J with
 J = diag(1, -1, ..., -1), omega-invariance, and positive degree.  The group
 here is the finite-support part of the full symmetric-group completion;
 every algorithm in the package only ever touches finitely many points, so
@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import SyntaxErrorAt, intmat
 from .lattice import (
@@ -132,64 +132,43 @@ class WeylWord(NamedTuple):
 # realized elements
 
 
-class WeylElement:
+class WeylElement(NamedTuple):
     """A finite-support lattice isometry as an exact integer matrix.
 
     ``matrix[i][j]`` is the coefficient of basis vector i in the image of
-    basis vector j, over the basis (e0, e(p) for p in support).  Off the
-    support the element acts as the identity.
+    basis vector j, over the basis (e0, e(p) for p in support), a sorted
+    tuple; rows are tuples.  Off the support the element acts as the
+    identity.
     """
 
-    __slots__ = ("support", "matrix")
-
-    def __init__(self, support: Sequence[BubblePoint], matrix, validate: bool = True):
-        support = tuple(sorted(support))
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        if validate:
-            n = len(support) + 1
-            if len(matrix) != n or any(len(r) != n for r in matrix):
-                raise ValueError("matrix size does not match support")
-            if not intmat.preserves_form(matrix):
-                raise ValueError("matrix does not preserve the intersection form")
-            omega = [3] + [1] * len(support)
-            if intmat.mat_vec(intmat.transpose(matrix), omega) != omega:
-                raise ValueError("matrix does not preserve the canonical form")
-            if matrix[0][0] < 1:
-                raise ValueError("image of e0 must have positive degree")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.support == other.support
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.support, self.matrix))
+    support: tuple
+    matrix: tuple
 
     def __repr__(self):
         return f"<WeylElement deg={degree(self)} on {len(self.support)} points>"
 
 
-def _prune(support, matrix):
-    """Drop support points whose basis column is the unit vector."""
-    n = len(support)
-    keep = []
-    for i in range(n):
-        col = [matrix[r][i + 1] for r in range(n + 1)]
-        unit = all(c == (1 if r == i + 1 else 0) for r, c in enumerate(col))
-        if not unit:
-            keep.append(i)
-    if len(keep) == n:
-        return support, matrix
-    idx = [0] + [i + 1 for i in keep]
-    new_matrix = [[matrix[r][c] for c in idx] for r in idx]
-    return [support[i] for i in keep], new_matrix
+def checked(h: WeylElement) -> WeylElement:
+    """h, once its matrix is checked to preserve the form and omega and to
+    send e0 to a class of positive degree; otherwise ValueError."""
+    m = h.matrix
+    if not intmat.preserves_form(m):
+        raise ValueError("matrix does not preserve the intersection form")
+    omega = [3] + [1] * len(h.support)
+    if intmat.mat_vec(intmat.transpose(m), omega) != omega:
+        raise ValueError("matrix does not preserve the canonical form")
+    if m[0][0] < 1:
+        raise ValueError("image of e0 must have positive degree")
+    return h
+
+
+def _prune(support, matrix) -> WeylElement:
+    """The element of a matrix on a sorted support, without the points
+    whose basis column is the unit vector."""
+    n = len(support) + 1
+    keep = [0] + [i for i in range(1, n) if any(matrix[r][i] != (r == i) for r in range(n))]
+    return WeylElement(tuple(support[i - 1] for i in keep[1:]),
+                       tuple(tuple(matrix[r][c] for c in keep) for r in keep))
 
 
 def _left_multiply(w: WeylWord, rows: list, at: dict) -> None:
@@ -219,13 +198,13 @@ def realize(w: WeylWord) -> WeylElement:
 
     The identity on the support of the word, left-multiplied by its letters
     (:func:`_left_multiply`), pruned to the points the product moves and
-    checked on construction (form, omega, degree); :meth:`WeylWord.apply`
-    is the independent letter-by-letter action.
+    :func:`checked` (form, omega, degree); :meth:`WeylWord.apply` is the
+    independent letter-by-letter action.
     """
     support = sorted(w.support())
     rows = intmat.identity(len(support) + 1)
     _left_multiply(w, rows, {p: i + 1 for i, p in enumerate(support)})
-    return WeylElement(*_prune(support, rows))
+    return checked(_prune(support, rows))
 
 
 def apply(h: WeylElement, v: ClassVector) -> ClassVector:
@@ -242,8 +221,7 @@ def compose(h1: WeylElement, h2: WeylElement) -> WeylElement:
     support = sorted(set(h1.support) | set(h2.support))
     m1 = _embed(h1, support)
     m2 = _embed(h2, support)
-    support2, matrix = _prune(support, intmat.mat_mul(m1, m2))
-    return WeylElement(support2, matrix, validate=False)
+    return _prune(support, intmat.mat_mul(m1, m2))
 
 
 def _embed(h: WeylElement, support):
@@ -271,8 +249,7 @@ def conjugate_by_word(w: WeylWord, h: WeylElement) -> WeylElement:
     _left_multiply(w, rows, at)
     rows = intmat.form_inverse(rows)
     _left_multiply(w, rows, at)
-    support, rows = _prune(support, intmat.form_inverse(rows))
-    return WeylElement(support, rows, validate=False)
+    return _prune(support, intmat.form_inverse(rows))
 
 
 def degree(h: WeylElement) -> int:

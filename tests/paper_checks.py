@@ -38,7 +38,7 @@ from cremlat.reduction import ReductionTrace
 from cremlat.roots import IntPolynomial, _mul
 from cremlat.spectral import LoxodromicData, _spectrum, axis_data, classify
 from cremlat.weyl import (
-    WeylElement, _prune, apply, compose, degree, multiplicity_profile, realize,
+    WeylElement, _prune, apply, checked, compose, degree, multiplicity_profile, realize,
 )
 
 DISPLACEMENT_FACTOR = 28  # hyperbolicity constant in the axis-distance bound
@@ -58,8 +58,8 @@ def element_from_images(images: dict) -> WeylElement:
 
     ``images`` maps the key ``"e0"`` to a ClassVector and bubble points to
     ClassVectors.  Points appearing in images but without an explicit image
-    are assumed fixed; the result is validated as a form- and omega-
-    preserving integer matrix.
+    are assumed fixed; the result is checked as :func:`realize` checks its
+    matrices (form, omega, degree).
     """
     pts = set(p for p in images if p != "e0")
     for v in images.values():
@@ -80,15 +80,12 @@ def element_from_images(images: dict) -> WeylElement:
             emplace(idx[p], images[p])
         else:
             matrix[idx[p]][idx[p]] = 1
-    support2, matrix2 = _prune(support, matrix)
-    return WeylElement(support2, matrix2)
+    return checked(_prune(support, matrix))
 
 
 def inverse(h: WeylElement) -> WeylElement:
     """h^{-1} = J h^T J, exact."""
-    m = intmat.form_inverse(h.matrix)
-    support, m = _prune(list(h.support), m)
-    return WeylElement(support, m, validate=False)
+    return _prune(h.support, intmat.form_inverse(h.matrix))
 
 
 def conjugate(g: WeylElement, h: WeylElement) -> WeylElement:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cremlat
-from cremlat import intmat, orbits
+from cremlat import intmat, orbits, salem
 from cremlat.cli import main
 
 LOXODROMIC = "q(a,b,c)*q(d,e,f)*q(g,h,i)*q(j,a,d)"
@@ -157,6 +157,8 @@ def test_reduce_of_an_elliptic_element_is_a_domain_error(capsys):
     ("degseq", "--monomial", "1,1,1,0", "-n", "-1"),
     ("reduce", "q(a,b,c)*q(d,e,f)*q(g,h,i)*q(j,a,d)", "--budget", "-1"),
     ("fk-spectrum", "--m", "3", "--kmax", "-1"),
+    # 3e0 less distinct points only: this is 3e0 - 2e(a)
+    ("weyl-normalize", "q(a,b,c)", "--vector", "3e0-e(a)-e(a)"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
     if argv[0] == "realizable":
@@ -171,6 +173,8 @@ def test_malformed_input_is_a_usage_error(capsys, monkeypatch, argv):
         assert err.endswith(" is not a finite number (at position 0)\n")
     if "-1" in argv:
         assert err.endswith(" -1 is not a non-negative integer (at position 0)\n")
+    if "--vector" in argv:
+        assert err.endswith("(at position 0)\n")
 
 
 @pytest.mark.parametrize("source", ["file", "-"])
@@ -278,9 +282,10 @@ def test_well_formed_input_the_mathematics_refuses_is_a_domain_error(capsys, arg
 
 # for every subcommand an input that exits 0 (JSON on stdout), 1 (a domain
 # error) and 2 (a usage error); realizable reads the last item from stdin.
-# weyl-eval has no domain error, since every well-formed word realizes, and
-# spectrum refuses only on a failed certificate, which
-# test_failed_certificate_is_a_domain_error forces
+# weyl-eval has no domain error, since every well-formed word realizes, nor
+# has weyl-normalize, whose vector parser builds only the four shapes that
+# the normal form handles; spectrum refuses only on a failed certificate,
+# which test_failed_certificate_is_a_domain_error forces
 EXIT_CODES = [
     (("classify-number", LEHMER), 0),
     (("classify-number", "2*x^2 + 1"), 1),
@@ -291,7 +296,6 @@ EXIT_CODES = [
     (("weyl-eval", LOXODROMIC), 0),
     (("weyl-eval", "q(a,b"), 2),
     (("weyl-normalize", LOXODROMIC, "--vector", "e0-e(a)"), 0),
-    (("weyl-normalize", LOXODROMIC, "--vector", "3e0-e(a)-e(a)"), 1),
     (("weyl-normalize", LOXODROMIC, "--vector", "xx"), 2),
     (("spectrum", LOXODROMIC), 0),
     (("spectrum", "q(a,a,b)"), 2),
@@ -351,10 +355,23 @@ def test_fk_spectrum_refuses_an_m_past_its_limit_at_once(capsys):
     assert rc == 0 and json.loads(out)["m"] == orbits.M_LIMIT
 
 
+def test_classify_number_refuses_a_degree_past_its_limit_at_once(capsys):
+    # the work grows faster than the degree squared: x^100000 + 1 ran for
+    # minutes, and its coefficient list alone would be built first
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify-number", "x^100000 + 1")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (1, "")
+    assert err == f"error: degree 100000 is past the limit {salem.DEGREE_LIMIT}\n"
+    rc, out, _ = run(capsys, "classify-number", f"x^{salem.DEGREE_LIMIT} + 1")
+    assert rc == 0 and json.loads(out)["kind"] == "cyclotomic_product"
+
+
 def test_a_monomial_matrix_may_start_with_a_negative_entry(capsys):
     # every exponent matrix with entries in -6..6 and determinant +-1 (346
     # of them start with a negative entry, which argparse would read as a
-    # flag) prints the same in both spellings
+    # flag) prints the same in both spellings, and in each abbreviation of
+    # the flag that --map does not share
     matrices = [m for m in itertools.product(range(-6, 7), repeat=4)
                 if abs(m[0] * m[3] - m[1] * m[2]) == 1]
     assert (len(matrices), sum(m[0] < 0 for m in matrices)) == (744, 346)
@@ -363,6 +380,17 @@ def test_a_monomial_matrix_may_start_with_a_negative_entry(capsys):
         spaced = run(capsys, "degseq", "--monomial", text)
         assert spaced[0] == 0
         assert spaced == run(capsys, "degseq", f"--monomial={text}")
+    flags = ["--monomial"[:k] for k in range(4, 10)]
+    assert flags == ["--mo", "--mon", "--mono", "--monom", "--monomi", "--monomia"]
+    for m in matrices[::37] + [(-3, 2, 1, -1)]:
+        text = ",".join(map(str, m))
+        expected = run(capsys, "degseq", "--monomial", text, "-n", "2")
+        assert expected[0] == 0
+        for flag in flags:
+            assert run(capsys, "degseq", flag, text, "-n", "2") == expected
+    # --m abbreviates --map too, which argparse refuses as ambiguous
+    rc, _, err = run(capsys, "degseq", "--m", "-3,2,1,-1")
+    assert rc == 2 and "ambiguous option: --m could match --map, --monomial" in err
 
 
 def test_failed_certificate_is_a_domain_error(capsys, monkeypatch):

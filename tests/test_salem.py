@@ -157,7 +157,7 @@ def linear(r):
 
 
 small_roots = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
-endpoint = st.none() | st.integers(-8, 8)
+endpoint = st.integers(-8, 8)  # -8 and 8 lie beyond every root
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,8 +167,8 @@ def test_count_real_roots_counts_distinct_roots(rs, mults, k, lo, hi):
     # prod (x - r_i)^m_i (x^2 + 1)^k: only the r_i are real
     p = product([linear(r) for r, m in zip(rs, mults) for _ in range(m)]
                 + [IntPolynomial([1, 0, 1])] * k)
-    inside = {r for r in rs if (lo is None or r > lo) and (hi is None or r <= hi)}
-    if lo is None or hi is None or lo < hi:
+    inside = {r for r in rs if lo < r <= hi}
+    if lo < hi:
         assert count_real_roots(p, lo, hi) == len(inside)
 
 
@@ -180,15 +180,15 @@ def test_count_real_roots_counts_distinct_roots(rs, mults, k, lo, hi):
 @example([1, 2], [3, 2, 1, 1], 1, 1, 2)
 @example([-1, 3], [2, 3, 1, 1], 2, -1, 3)
 # the remainder sequence ends in -(x + 3)
-@example([-3], [2, 1, 1, 1], 3, -3, None)
+@example([-3], [2, 1, 1, 1], 3, -3, 8)
 def test_squarefree_part_and_counts_of_repeated_roots(rs, mults, n, lo, hi):
     # prod (x - r_i)^m_i Phi_n: Phi_1 = x - 1 and Phi_2 = x + 1 add a real root
     p = product([linear(r) for r, m in zip(rs, mults) for _ in range(m)] + [cyclotomic(n)])
     distinct = set(rs) | {1: {1}, 2: {-1}}.get(n, set())
     want = product([linear(r) for r in sorted(distinct)] + [cyclotomic(n)] * (n > 2))
     assert roots.squarefree_part(p) == want
-    inside = {r for r in distinct if (lo is None or r > lo) and (hi is None or r <= hi)}
-    if lo is None or hi is None or lo < hi:
+    inside = {r for r in distinct if lo < r <= hi}
+    if lo < hi:
         assert count_real_roots(p, lo, hi) == len(inside)
 
 
@@ -211,12 +211,13 @@ def test_dominant_real_root_builds_one_chain(monkeypatch):
     assert len(prems) == len(roots._sturm_chain(LEHMER_POLYNOMIAL)) - 2
 
 
-# a factor with a root above 1: Salem, Pisot, or a random monic one
+# a factor with a root above 1: Salem, Pisot, or a random monic one, whose
+# roots lie below 1 + 9 (Cauchy)
 ABOVE_ONE = [LEHMER_POLYNOMIAL, parse_poly("x^4 - x^3 - x^2 - x + 1"),
              parse_poly("x^8 - x^5 - x^4 - x^3 + 1"), GOLDEN_POLYNOMIAL, PLASTIC_POLYNOMIAL,
              parse_poly("x^3 - x^2 - 1")]
 above_one = st.sampled_from(ABOVE_ONE) | st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(
-    lambda c: IntPolynomial(c + [1])).filter(lambda p: count_real_roots(p, 1) > 0)
+    lambda c: IntPolynomial(c + [1])).filter(lambda p: count_real_roots(p, 1, 10) > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,6 +227,12 @@ above_one = st.sampled_from(ABOVE_ONE) | st.lists(st.integers(-9, 9), min_size=1
 @example(linear(2 ** 53 + 3), [1])
 # (x - 1)(x + 10^7) - 1 has a root at 1 + 1e-7 and, times x - 1, a root at 1
 @example(IntPolynomial([-10 ** 7 - 1, 10 ** 7 - 1, 1]), [1])
+# three roots above 1, which the Sturm counts part before the signs round
+@example(product([linear(2), linear(3), linear(5)]), [])
+# the largest root, 4, on a midpoint: of (1, 7], which holds 3 too, and,
+# for (x - 2)(x - 4), of (3, 5], which holds 4 alone
+@example(product([linear(3), linear(4)]), [])
+@example(product([linear(2), linear(4)]), [])
 def test_dominant_real_root_is_correctly_rounded(f, orders):
     # with up to two cyclotomic factors, the float nearest to the largest root
     p = product([f] + [cyclotomic(n) for n in orders])
@@ -233,7 +240,7 @@ def test_dominant_real_root_is_correctly_rounded(f, orders):
     half = Fraction(math.ulp(lam)) / 2
     sf = roots.squarefree_part(p)
     assert sf(Fraction(lam) - half) * sf(Fraction(lam) + half) <= 0
-    assert count_real_roots(p, Fraction(lam) + half) == 0
+    assert count_real_roots(p, Fraction(lam) + half, 1 + max(map(abs, p.coeffs))) == 0
 
 
 # -- roots outside the unit circle ----------------------------------------------------

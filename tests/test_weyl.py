@@ -24,6 +24,7 @@ from cremlat.weyl import (
     WeylElement,
     WeylWord,
     apply,
+    checked,
     compose,
     conjugate_by_word,
     degree,
@@ -151,11 +152,12 @@ def test_degree_examples():
 
 
 def test_form_preservation_checked_on_construction():
+    # the check that realize makes of every matrix it builds
     with pytest.raises(ValueError):
-        WeylElement((), ((2,),))  # scales the form
+        checked(WeylElement((), ((2,),)))  # scales the form
     p = points(1)
     with pytest.raises(ValueError):
-        WeylElement(p, ((1, 0), (0, -1)))  # sends e(p) to -e(p): breaks omega
+        checked(WeylElement(tuple(p), ((1, 0), (0, -1))))  # sends e(p) to -e(p): breaks omega
 
 
 def form_check(m):
