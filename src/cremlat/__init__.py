@@ -9,7 +9,7 @@ Modules:
   group, base-point multiplicities;
 * :mod:`cremlat.normalform` -- the increasing normal form of a word;
 * :mod:`cremlat.roots` -- the root kernel: monic integer polynomials,
-  cyclotomic stripping, Sturm counts, and the bracket of a dominant root,
+  cyclotomic stripping, Descartes counts, and the bracket of a dominant root,
   which decides signs and rounds ratios of integer polynomials at the root
   exactly;
 * :mod:`cremlat.spectral` -- certified isometry classification, dynamical

@@ -2,15 +2,17 @@
 cyclotomic stripping.
 
 Everything is decided exactly, in integers: cyclotomic factors are removed
-by trial division over Z; one primitive remainder sequence over Z per
-polynomial p, ending in gcd(p, p'), gives its squarefree part and its Sturm
-chain, built once and reused by every count on it; signs at a rational n/d
-are read from the integer d^deg p(n/d).  Stripping divides by Phi_n only
-when Phi_n(2) divides p(2), as it must when Phi_n divides p.  The largest
-real root is a :class:`RootBracket`, one bisection in integers, by Sturm
-counts until it holds that root alone and then by signs, in place, to round
-the root, or a ratio of integer polynomials at the root, to the nearest
-float, and to decide its sign.  Floating point only reports a value.
+by trial division over Z; one primitive remainder sequence over Z of p and
+p' ends in gcd(p, p') and gives p's squarefree part; real roots on an
+interval are counted by Descartes' rule of signs on a Taylor shift of p,
+halving the interval until each part holds at most one root
+(Collins-Akritas); signs at a rational n/d are read from the integer
+d^deg p(n/d).  Stripping divides by Phi_n only when Phi_n(2) divides p(2),
+as it must when Phi_n divides p.  The largest real root is a
+:class:`RootBracket`, one bisection in integers, by Descartes counts until
+it holds that root alone and then by signs, in place, to round the root,
+or a ratio of integer polynomials at the root, to the nearest float, and
+to decide its sign.  Floating point only reports a value.
 
 This is the part of the polynomial code that the lattice commands run (the
 dynamical degree and the axis of :mod:`cremlat.spectral`, the steps of
@@ -121,7 +123,7 @@ def _prem(a, b):
     """Sign-preserving pseudo-remainder |lc(b)|^(deg a - deg b + 1) * a mod b.
 
     A positive multiple of the remainder over Q, so it keeps every sign that
-    a Sturm count reads.  Needs deg a >= deg b.
+    a count of sign changes reads.  Needs deg a >= deg b.
     """
     m = abs(b[-1])
     s = 1 if b[-1] > 0 else -1
@@ -135,9 +137,12 @@ def _prem(a, b):
     return _trim(r)
 
 
+@lru_cache(maxsize=16)
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p / gcd(p, p'), the head of p's Sturm chain."""
-    return IntPolynomial(_sturm_chain(p)[0])
+    """p / gcd(p, p'), once per polynomial: gcd(p, p') ends the remainder
+    sequence of p and p', monic up to sign as p is monic (Gauss's lemma)."""
+    g = _remainders(p.coeffs, _primitive(_deriv(p.coeffs)))[-1]
+    return IntPolynomial(_divmod_monic(p.coeffs, g if g[-1] > 0 else [-c for c in g])[0])
 
 
 # -- cyclotomic polynomials --------------------------------------------------
@@ -209,7 +214,7 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[Optional[IntPolynomial], tuple[i
     return IntPolynomial(coeffs), tuple(orders)
 
 
-# -- Sturm sequences and exact real-root location ---------------------------
+# -- remainder sequences and exact real-root location -----------------------
 
 def _remainders(a, b) -> list:
     """The signed remainder sequence a, b, -rem(a, b), ... in integers.
@@ -230,29 +235,10 @@ def _remainders(a, b) -> list:
 
 
 def _changes_at_infinity(seq) -> tuple[int, int]:
-    """Sign changes along seq at -infinity and at +infinity.
-
-    There each member has the sign of its leading term times (+-1)^degree.
-    """
+    """Sign changes along seq at -infinity and at +infinity, where each
+    member has the sign of its leading term times (+-1)^degree."""
     return (_changes(c[-1] if len(c) % 2 else -c[-1] for c in seq),
             _changes(c[-1] for c in seq))
-
-
-@lru_cache(maxsize=16)
-def _sturm_chain(p: IntPolynomial) -> tuple:
-    """A Sturm chain of p's distinct roots, in integers, once per polynomial.
-
-    The remainder sequence of p and p' ends in g = gcd(p, p'), monic up to
-    sign since p is monic (Gauss's lemma).  A nonconstant g divides every
-    member, which keeps each count of sign changes and leaves p's squarefree
-    part at the head.  The cache serves the counts that follow one another
-    on the same polynomial (a Salem candidate, a bisection).
-    """
-    seq = _remainders(p.coeffs, _primitive(_deriv(p.coeffs)))
-    g = seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]]
-    if len(g) > 1:
-        seq = [_divmod_monic(c, g)[0] for c in seq]
-    return tuple(tuple(c) for c in seq)
 
 
 def _sign_at(coeffs, n: int, d: int) -> int:
@@ -270,26 +256,61 @@ def _changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _changes_at(chain, x) -> int:
-    """Sign changes along a Sturm chain at the rational x."""
-    x = Fraction(x)
-    return _changes(_sign_at(c, x.numerator, x.denominator) for c in chain)
+def _shift(a, t) -> list:
+    """The coefficients of a(x + t): each synthetic division by x - t, from
+    the top (Horner's rule), leaves the next one as its remainder."""
+    step = operator.add if t == 1 else lambda acc, c: acc * t + c
+    q, out = a[::-1], []
+    while q:
+        q = list(itertools.accumulate(q, step))
+        out.append(q.pop())
+    return out
+
+
+def _variations(p, a: int, b: int, den: int) -> int:
+    """Descartes' bound on p's roots in (a/den, b/den), exact when 0 or 1: the
+    sign changes of (y + 1)^n p((a y + b)/(den (y + 1))), whose roots in
+    (0, inf) are p's in the interval."""
+    n = len(p) - 1
+    s = _shift([c * den ** (n - i) for i, c in enumerate(p)], a)  # den^n p((x + a)/den)
+    return _changes(_shift([c * (b - a) ** i for i, c in enumerate(s)][::-1], 1))
+
+
+def _isolating(p, a: int, b: int, den: int):
+    """Intervals (a/den, b/den) holding one root of the squarefree p each,
+    and (m, m, den) for a root m/den that a midpoint hits, largest first:
+    what Descartes' rule leaves of (a/den, b/den) by halving each part with
+    more than one sign change, which ends (Vincent)."""
+    todo = [(a, b, den)] if a < b else []
+    while todo:
+        a, b, den = todo.pop()
+        count = 1 if a == b else _variations(p, a, b, den)
+        if count == 1:
+            yield a, b, den
+        elif count:
+            m, den = a + b, 2 * den
+            root = [] if _sign_at(p, m, den) else [(m, m, den)]
+            todo += [(2 * a, m, den), *root, (m, 2 * b, den)]
 
 
 def count_real_roots(p: IntPolynomial, lo, hi) -> int:
-    """Distinct real roots in (lo, hi], for rationals lo and hi."""
-    chain = _sturm_chain(p)
-    return _changes_at(chain, lo) - _changes_at(chain, hi)
+    """Distinct real roots in (lo, hi], for rationals lo < hi."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    sf, a, b = squarefree_part(p).coeffs, int(lo * den), int(hi * den)
+    return sum(1 for _ in _isolating(sf, a, b, den)) + (not _sign_at(sf, b, den))
 
 
 class RootBracket:
     """The largest real root, above 1, of a squarefree monic integer
     polynomial ``poly`` (ascending), as a bracket (a/den, b/den] in
-    integers, from (1, 1 + max |c_i|] (Cauchy's bound) on.  Once isolated
-    it holds no other root, a == b once a midpoint hits the root, and poly
-    is negative from a/den to the root and positive above it.  Each answer
-    halves the bracket in place as far as it needs, and the next starts
-    from there.
+    integers.  It starts from (1, b] with b the smaller of Cauchy's bound
+    1 + max |c_i| and 2^(1 + max_i ceil(bits(c_i) / (n - i))), a power of
+    two above Fujiwara's bound 2 max_i |c_i|^(1 / (n - i)); both lie above
+    every root.  Once isolated it holds no other root, a == b once a
+    midpoint hits the root, and poly is negative from a/den to the root and
+    positive above it.  Each answer halves the bracket in place as far as
+    it needs, and the next starts from there.
 
     :meth:`sign` and :meth:`ratio` answer for r = num/den, num and den
     integer polynomials, at the root.  They need ``poly`` irreducible, so
@@ -299,28 +320,20 @@ class RootBracket:
     """
 
     def __init__(self, poly):
-        self.poly, self.a, self.b, self.den = poly, 1, 1 + max(abs(c) for c in poly[:-1]), 1
+        n, low = len(poly) - 1, poly[:-1]
+        fujiwara = 2 << max(-(-c.bit_length() // (n - i)) for i, c in enumerate(low))
+        self.poly, self.a, self.b, self.den = poly, 1, min(1 + max(map(abs, low)), fujiwara), 1
 
-    def isolate(self, chain) -> bool:
-        """Halve by Sturm counts on ``chain``, a Sturm chain of poly, until
-        the bracket holds one root and a/den is none; False if it holds
-        none.  The sign changes at b are those at +infinity, which no root
-        lies between, and stay so: a half without a root has as many at
-        both ends."""
-        upper = _changes_at_infinity(chain)[1]
-        signs = [_sign_at(c, self.a, self.den) for c in chain]
-        count, low = _changes(signs) - upper, signs[0]
-        while count > 1 or count and not low:
-            mid, self.a, self.b, self.den = self.a + self.b, 2 * self.a, 2 * self.b, 2 * self.den
-            signs = [_sign_at(c, mid, self.den) for c in chain]
-            if above := _changes(signs) - upper:
-                self.a, count, low = mid, above, signs[0]
-            elif signs[0]:
-                self.b = mid
-            else:  # the largest root is mid
-                self.a = self.b = mid
-                break
-        return count > 0
+    def isolate(self) -> bool:
+        """Whether poly has a root above 1.  Descartes' rule on poly(x + 1)
+        counts those roots, exactly when it finds one or none; with more, the
+        bracket narrows to the first part that :func:`_isolating` leaves of
+        it, which holds the largest root alone."""
+        if (count := _changes(_shift(self.poly, 1))) < 2:
+            return count == 1
+        for self.a, self.b, self.den in _isolating(self.poly, self.a, self.b, self.den):
+            return True
+        return False
 
     def halve(self, times: int = 1):
         for _ in range(times):  # in integers: doubling keeps the midpoint one
@@ -400,18 +413,10 @@ def _bounds(f, ends) -> tuple:
             sum(c * ends[c > 0][i] for i, c in enumerate(f)))
 
 
-def dominant_root_bracket(p: IntPolynomial) -> Optional[RootBracket]:
-    """The largest real root > 1 of p, as a bracket on p's squarefree part,
-    or None."""
-    chain = _sturm_chain(p)
-    root = RootBracket(chain[0])
-    return root if root.isolate(chain) else None
-
-
 def dominant_real_root(p: IntPolynomial) -> Optional[float]:
     """The largest real root > 1, correctly rounded to a float, or None."""
-    root = dominant_root_bracket(p)
-    return None if root is None else root.nearest()
+    root = RootBracket(squarefree_part(p).coeffs)
+    return root.nearest() if root.isolate() else None
 
 
 def _nearest(x: float, y: float, side) -> Optional[float]:

@@ -10,7 +10,7 @@ w = (z - 1)/(z + 1), with Cauchy indices read off the remainder sequence of
 the kernel.  Polynomials are read as text by the package's signed-term
 reader, :func:`cremlat.parse_terms`, in the one variable x.
 
-The Salem search rejects a candidate Q of degree n before any Sturm chain
+The Salem search rejects a candidate Q of degree n before any exact count
 when Descartes' rule of signs, applied to (x + 1)^n Q((2x - 2)/(x + 1)),
 leaves room for fewer than n - 1 roots in (-2, 2] (Collins-Akritas).
 """
@@ -25,9 +25,8 @@ from typing import NamedTuple, Optional
 
 from . import InputSyntaxError, parse_terms
 from .roots import (
-    IntPolynomial, _changes, _changes_at, _changes_at_infinity, _mul, _remainders,
-    _sturm_chain, _trim, count_real_roots, dominant_real_root, squarefree_part,
-    strip_cyclotomic,
+    IntPolynomial, _changes, _changes_at_infinity, _deriv, _mul, _primitive, _remainders,
+    _shift, _trim, count_real_roots, dominant_real_root, squarefree_part, strip_cyclotomic,
 )
 
 
@@ -101,13 +100,14 @@ def from_trace_poly(q: IntPolynomial) -> IntPolynomial:
 def _salem_layout(q: IntPolynomial) -> bool:
     """Whether the trace polynomial q of degree n has n - 1 distinct roots in
     (-2, 2], one in (2, inf) and none in (-inf, -2], the roots of a Salem
-    polynomial x^n q(x + 1/x); the infinite ends are read off the leading
-    terms.  Each end is read once."""
-    chain = _sturm_chain(q)
-    at_minus_inf, at_inf = _changes_at_infinity(chain)
-    at_minus_2, at_2 = _changes_at(chain, -2), _changes_at(chain, 2)
-    return (at_minus_2 - at_2 == q.degree - 1 and at_2 - at_inf == 1
-            and at_minus_inf == at_minus_2)
+    polynomial x^n q(x + 1/x): n distinct real roots by the remainder
+    sequence of q and q' at +-inf (Sturm), which makes Descartes' rule exact,
+    one sign change of q(2x + 2) and none of q(-2x - 2), with q(-2) != 0."""
+    c = q.coeffs
+    above = _shift([x << i for i, x in enumerate(c)], 1)
+    below = _shift([(-x if i % 2 else x) << i for i, x in enumerate(c)], 1)
+    return (_changes(above) == 1 and _changes(below) == 0 and below[0] != 0
+            and _changes_at_infinity(_remainders(c, _primitive(_deriv(c)))) == (q.degree, 0))
 
 
 class NumberClass(NamedTuple):
@@ -120,7 +120,7 @@ class NumberClass(NamedTuple):
 def classify_number(p: IntPolynomial) -> NumberClass:
     """Classify the dominant root of p after removing cyclotomic factors.
 
-    Salem and circle-root decisions on the reciprocal part are exact (Sturm
+    Salem and circle-root decisions on the reciprocal part are exact (root
     counts through the y = x + 1/x transform); only the root value itself is
     a float, the one nearest to the root.  Reciprocal quadratic integers are
     reported as their own kind; by the usual convention they count as Pisot
@@ -187,8 +187,8 @@ def enumerate_salem(degree_bound: int, upper: float):
     this is the symmetric-function coefficient bound made effective.  With
     A = N/D every bound is an integer over D^k, so each node takes floor
     divisions only.  Every candidate surviving the interval pruning is
-    checked exactly, first by Descartes' rule and then with Sturm counts, so
-    the output is complete and certified.
+    checked exactly, first by Descartes' rule and then by the exact root
+    layout, so the output is complete and certified.
 
     Returns (polynomial, root) pairs sorted by root.
     """
@@ -277,11 +277,11 @@ def _check_candidate(qcoeffs, big_a, descartes, found):
     # qcoeffs = [q1, ..., qn] with Q = y^n + q1 y^{n-1} + ... + qn
     n = len(qcoeffs)
     desc = [1] + qcoeffs
-    # the Sturm count below needs n - 1 roots in (-2, 2]
+    # the layout below needs n - 1 roots in (-2, 2]
     if _band_root_bound(desc, descartes) < n - 1:
         return
     q = IntPolynomial(desc[::-1])
-    if count_real_roots(q, 2, big_a) != 1 or not _salem_layout(q):
+    if not _salem_layout(q) or count_real_roots(q, 2, big_a) != 1:
         return
     p = from_trace_poly(q)
     if strip_cyclotomic(p)[1]:
@@ -300,19 +300,25 @@ def _check_candidate(qcoeffs, big_a, descartes, found):
 # -- text format --------------------------------------------------------------
 
 
-# the largest degree that parse_poly reads: on a 2-vCPU Xeon host,
-# classify_number takes 7.0 s on x^800 - 3x^799 + 1 and 16 s at degree 1000
-DEGREE_LIMIT = 800
+# the largest cost degree^2 * max(bits, 10), bits those of the largest
+# coefficient, that parse_poly reads: classify_number's remainder sequences
+# take about 10 s * (cost / 10^7)^2 (within a factor 3 on 20 inputs).  On a
+# 2-vCPU Xeon host, at the limit x^1000 - 3x^999 + 1 took 11.6 s,
+# x^1000 - x^999 - 1 9.3 s and x^100 - 10^300*x - 1 8.8 s; past it,
+# x^30 - 10^4000*x - 1 took 11.5 s and x^50 - 10^2400*x - 1 29 s
+COST_LIMIT = 10 ** 7
 
 
 def parse_poly(text: str) -> IntPolynomial:
     """Parse ``x^10 + x^9 - x^7 - ... + 1`` (the grammar of
-    :func:`cremlat.parse_terms` in x) into an IntPolynomial, of degree at
-    most :data:`DEGREE_LIMIT`."""
+    :func:`cremlat.parse_terms` in x) into an IntPolynomial, of cost at most
+    :data:`COST_LIMIT`, read from the terms before any coefficient list."""
     terms = parse_terms(text, "x")
     degree = max((e for e, in terms), default=0)
-    if degree > DEGREE_LIMIT:
-        raise RuntimeError(f"degree {degree} is past the limit {DEGREE_LIMIT}")
+    cost = degree ** 2 * max([10] + [abs(c.numerator).bit_length() for c in terms.values()])
+    if cost > COST_LIMIT:
+        raise RuntimeError(f"cost {cost} = degree^2 * max(coefficient bits, 10) "
+                           f"is past the limit {COST_LIMIT}")
     coeffs = [0] * (degree + 1)
     for (e,), c in terms.items():
         if c.denominator != 1:

@@ -43,8 +43,7 @@ from . import intmat
 from .bounds import LOXODROMY_CONSTANT
 from .lattice import ClassVector
 from .roots import (
-    IntPolynomial, RootBracket, _deriv, _divmod_monic, _mul, dominant_root_bracket,
-    strip_cyclotomic,
+    IntPolynomial, RootBracket, _deriv, _divmod_monic, _mul, strip_cyclotomic,
 )
 from .weyl import WeylElement, degree
 
@@ -95,9 +94,9 @@ class _Spectrum:
         """lambda's bracket on the cyclotomic-free part P, lambda's minimal
         polynomial: in signature (1, n), lambda and 1/lambda are its only
         roots off the unit circle, and by Kronecker any other factor would be
-        cyclotomic."""
-        bracket = dominant_root_bracket(self.split[0])
-        if bracket is None or bracket.nearest() <= 1:
+        cyclotomic.  So P is squarefree, and Descartes' rule isolates lambda."""
+        bracket = RootBracket(self.split[0].coeffs)
+        if not bracket.isolate() or bracket.nearest() <= 1:
             raise CertificateError(
                 "cyclotomic-free characteristic factor without a root > 1; "
                 "the input is not an isometry of signature (1, n)")

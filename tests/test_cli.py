@@ -355,15 +355,21 @@ def test_fk_spectrum_refuses_an_m_past_its_limit_at_once(capsys):
     assert rc == 0 and json.loads(out)["m"] == orbits.M_LIMIT
 
 
-def test_classify_number_refuses_a_degree_past_its_limit_at_once(capsys):
-    # the work grows faster than the degree squared: x^100000 + 1 ran for
-    # minutes, and its coefficient list alone would be built first
-    start = time.perf_counter()
-    rc, out, err = run(capsys, "classify-number", "x^100000 + 1")
-    assert time.perf_counter() - start < 1
-    assert (rc, out) == (1, "")
-    assert err == f"error: degree 100000 is past the limit {salem.DEGREE_LIMIT}\n"
-    rc, out, _ = run(capsys, "classify-number", f"x^{salem.DEGREE_LIMIT} + 1")
+def test_classify_number_refuses_a_cost_past_its_limit_at_once(capsys):
+    # the time grows about as the square of degree^2 * coefficient bits:
+    # x^100000 + 1 ran for minutes, and x^50 - 10^2400*x - 1 for 29 s; each
+    # is refused from its terms, before its coefficient list is built
+    limit = salem.COST_LIMIT
+    for text, cost in ((f"x^{10 ** 5} + 1", 10 ** 11),
+                       (f"x^50 - {10 ** 2400}*x - 1", 50 ** 2 * 7973)):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "classify-number", text)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (1, "")
+        assert err == (f"error: cost {cost} = degree^2 * max(coefficient bits, 10) "
+                       f"is past the limit {limit}\n")
+    # x^1000 + 1 costs 1000^2 * 10, the limit itself
+    rc, out, _ = run(capsys, "classify-number", "x^1000 + 1")
     assert rc == 0 and json.loads(out)["kind"] == "cyclotomic_product"
 
 

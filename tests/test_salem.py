@@ -139,6 +139,9 @@ def test_trace_transform_round_trip():
 def test_real_root_counting():
     p = parse_poly("x^3 - x")  # roots -1, 0, 1
     assert count_real_roots(p, -2, 2) == 3
+    # with all roots real, the first Descartes count on (-2, 2) is 3, so
+    # the count halves the interval
+    assert roots._variations(p.coeffs, -2, 2, 1) == 3
     assert count_real_roots(p, 0, 2) == 1
     q = parse_poly("x^2 + 1")
     assert count_real_roots(q, -10, 10) == 0
@@ -202,13 +205,27 @@ def test_dominant_real_root_of_integer_roots(rs):
         assert dom is None
 
 
-def test_dominant_real_root_builds_one_chain(monkeypatch):
-    # one remainder sequence: a pseudo-remainder for each member after p, p'
-    roots._sturm_chain.cache_clear()
-    prems = counting(monkeypatch, roots, "_prem")
-    dominant_real_root(LEHMER_POLYNOMIAL)
-    assert roots._sturm_chain.cache_info().misses == 1
-    assert len(prems) == len(roots._sturm_chain(LEHMER_POLYNOMIAL)) - 2
+def test_classify_number_builds_one_remainder_sequence_of_p_and_p_prime(monkeypatch):
+    # the squarefree part and lambda's isolation share gcd(p, p'); the
+    # layout test reads the sequence of the trace polynomial at +-infinity
+    roots.squarefree_part.cache_clear()
+    kernel = counting(monkeypatch, roots, "_remainders")
+    layer = counting(monkeypatch, salem, "_remainders")
+    assert classify_number(LEHMER_POLYNOMIAL).kind == "salem"
+    p, q = LEHMER_POLYNOMIAL.coeffs, to_trace_poly(LEHMER_POLYNOMIAL).coeffs
+    assert kernel == [(p, roots._primitive(roots._deriv(p)))]
+    assert layer == [(q, roots._primitive(roots._deriv(q)))]
+
+
+def test_a_huge_coefficient_starts_the_bracket_near_lambda():
+    # Cauchy's bound 1 + 10^300 left about 1,000 halvings; the power of two
+    # above Fujiwara's bound, 2 << ceil(997 / 99) = 4096, leaves about 50
+    p = IntPolynomial([-1, -10 ** 300] + [0] * 98 + [1])
+    assert roots.RootBracket(p.coeffs).b == 4096
+    start = time.perf_counter()
+    lam = dominant_real_root(p)
+    assert time.perf_counter() - start < 1
+    assert lam == 1072.2672220103232
 
 
 # a factor with a root above 1: Salem, Pisot, or a random monic one, whose
@@ -227,7 +244,7 @@ above_one = st.sampled_from(ABOVE_ONE) | st.lists(st.integers(-9, 9), min_size=1
 @example(linear(2 ** 53 + 3), [1])
 # (x - 1)(x + 10^7) - 1 has a root at 1 + 1e-7 and, times x - 1, a root at 1
 @example(IntPolynomial([-10 ** 7 - 1, 10 ** 7 - 1, 1]), [1])
-# three roots above 1, which the Sturm counts part before the signs round
+# three roots above 1, which Descartes' rule parts before the signs round
 @example(product([linear(2), linear(3), linear(5)]), [])
 # the largest root, 4, on a midpoint: of (1, 7], which holds 3 too, and,
 # for (x - 2)(x - 4), of (3, 5], which holds 4 alone
@@ -490,3 +507,81 @@ def test_descartes_bound_never_undercounts(qcoeffs):
     q = IntPolynomial([*reversed(qcoeffs), 1])
     bound = salem._band_root_bound([1] + qcoeffs, salem._descartes_rows(n))
     assert count_real_roots(q, -2, 2) <= bound
+
+
+# -- the Sturm count, the reference for Descartes' rule --------------------------------
+
+
+def sturm_count(p, lo, hi):
+    """p's distinct real roots in (lo, hi], by Sturm's theorem on one remainder
+    sequence of p and p' divided by its last member, gcd(p, p')."""
+    seq = roots._remainders(p.coeffs, roots._primitive(roots._deriv(p.coeffs)))
+    g = seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]]
+    chain = [roots._divmod_monic(c, g)[0] for c in seq]
+
+    def changes(x):
+        x = Fraction(x)
+        return roots._changes(roots._sign_at(c, x.numerator, x.denominator) for c in chain)
+
+    return changes(lo) - changes(hi)
+
+
+def sturm_layout(q):
+    """Whether q has n - 1 distinct roots in (-2, 2], one above 2 and none at
+    or below -2, by Sturm counts inside Cauchy's bound."""
+    bound = 1 + max(map(abs, q.coeffs))
+    return (sturm_count(q, -2, 2) == q.degree - 1 and sturm_count(q, 2, bound) == 1
+            and sturm_count(q, -bound, -2) == 0)
+
+
+# products of real roots near the band [-2, 2] (repeated, or at +-2), of
+# pairs of complex roots (x - b)^2 + c, and of random monic factors
+real_root = st.integers(-4, 4).map(linear)
+complex_pair = st.tuples(st.integers(-3, 3), st.integers(1, 4)).map(
+    lambda bc: IntPolynomial([bc[0] ** 2 + bc[1], -2 * bc[0], 1]))
+random_monic = st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(
+    lambda c: IntPolynomial(c + [1]))
+factored = st.lists(real_root | complex_pair | random_monic, min_size=1, max_size=4).map(product)
+rational_end = st.fractions(-8, 8, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=12), st.integers(-99, 99))
+@example([3, -2, 5, 1], 1)  # the shift by 1 adds without multiplying
+def test_taylor_shift_is_the_nested_horner_loop(coeffs, t):
+    # pass i adds t times each coefficient to the one below it, from the top
+    want = list(coeffs)
+    for i in range(len(want) - 1):
+        for j in range(len(want) - 2, i - 1, -1):
+            want[j] += t * want[j + 1]
+    assert roots._shift(coeffs, t) == want
+    assert roots._shift(tuple(coeffs), t) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored, rational_end, rational_end)
+# three roots in (-2, 2): the first Descartes count is 3, so the interval
+# is halved, and the midpoint 0 is a root
+@example(product([linear(-1), linear(0), linear(1)]), Fraction(-2), Fraction(2))
+# roots at both ends, one of them repeated, and a complex pair
+@example(product([linear(2), linear(2), linear(-2), IntPolynomial([2, 2, 1])]),
+         Fraction(-2), Fraction(2))
+# Mignotte's x^4 - 2(10x - 1)^2: two roots near 1/10, about 0.0014 apart
+@example(IntPolynomial([-2, 40, -200, 0, 1]), Fraction(0), Fraction(1))
+def test_count_real_roots_agrees_with_the_sturm_count(p, lo, hi):
+    assume(lo < hi)
+    assert count_real_roots(p, lo, hi) == sturm_count(p, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([to_trace_poly(parse_poly(text)) for text, _ in LEHMER_TO_1_3])
+       | st.lists(real_root, min_size=1, max_size=5).map(product) | factored)
+@example(to_trace_poly(LEHMER_POLYNOMIAL))
+# a root at 2 keeps the layout, a root at -2 or a repeated root breaks it
+@example(product([linear(0), linear(2), linear(3)]))
+@example(product([linear(-2), linear(0), linear(3)]))
+@example(product([linear(1), linear(1), linear(3)]))
+# the right signs at +-2, but a complex pair in place of two band roots
+@example(product([linear(3), IntPolynomial([1, 0, 1])]))
+def test_salem_layout_agrees_with_the_sturm_counts(q):
+    assert salem._salem_layout(q) == sturm_layout(q)

@@ -26,10 +26,10 @@ from conftest import (
     word,
 )
 from paper_checks import axis_displacement_check, cosh_distance_to_axis, inverse, points
-from cremlat import intmat, spectral
+from cremlat import intmat, roots, spectral
 from cremlat.bounds import LOXODROMY_CONSTANT
 from cremlat.lattice import e0, intersect
-from cremlat.roots import IntPolynomial
+from cremlat.roots import IntPolynomial, RootBracket
 from cremlat.spectral import (
     axis_data,
     classify,
@@ -440,7 +440,8 @@ def test_spectrum_report_schema(pts12):
 def test_spectrum_report_analyses_the_element_once(monkeypatch):
     h = loxodromic_ten(points(10))
     charpolys = counting(monkeypatch, intmat, "charpoly")
-    isolations = counting(monkeypatch, spectral, "dominant_root_bracket")
+    isolations = counting(monkeypatch, RootBracket, "isolate")
+    prems = counting(monkeypatch, roots, "_prem")
     products = counting(monkeypatch, intmat, "mat_mul")
     powers = counting(monkeypatch, intmat, "mat_pow")
     passes = counting_property(monkeypatch, spectral._Spectrum, "resolvent")
@@ -450,13 +451,14 @@ def test_spectrum_report_analyses_the_element_once(monkeypatch):
     # the axis and the criterion read the same resolvent pass, and no matrix
     # is multiplied
     assert len(passes) == 1 and not products and not powers
-    # one isolation answers the report and axis_data
-    assert len(isolations) == 1
+    # one isolation answers the report and axis_data, and Descartes' rule
+    # makes it without a remainder sequence
+    assert len(isolations) == 1 and not prems
     # the cached analysis answers later questions without recomputation
     assert dynamical_degree(h) == rep["lambda"]
     assert classify(h).kind == "loxodromic"
     axis_data(h)
-    assert len(charpolys) == 1 and len(isolations) == 1 and len(passes) == 1
+    assert len(charpolys) == 1 and len(isolations) == 1 and len(passes) == 1 and not prems
 
 
 def test_char_polynomial_is_reciprocal_up_to_sign(pts12):
